@@ -111,6 +111,21 @@ class Weight:
 LAMBDA = Weight(1, -1)  # the fixed shape L1 - L2
 
 
+def rationals_from_json(values) -> tuple[Fraction, ...]:
+    """Exact rationals from a JSON list of fraction strings or integers.
+
+    Floats are refused rather than read exactly (0.1 would become
+    3602879701896397/36028797018963968), and so are booleans; a wrong
+    type raises TypeError, a malformed string ValueError.
+    """
+    if not isinstance(values, list):
+        raise TypeError(f"breakpoints must be a list, got {values!r}")
+    for t in values:
+        if type(t) not in (str, int):  # bool is an int subclass
+            raise TypeError(f"breakpoint must be a string or an integer, got {t!r}")
+    return tuple(Fraction(t) for t in values)
+
+
 def pairing(mu: Weight, i: int) -> Fraction:
     """<mu, alpha_i^vee>: coordinate i of mu in the fundamental basis."""
     if i == 1:

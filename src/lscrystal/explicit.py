@@ -9,6 +9,20 @@ closed formulas built on the p/q tables and never consult the
 piecewise-linear engine in paths.py; the test suite drives both engines
 over full enumeration windows and demands exact agreement.
 
+The closed forms run in int only.  Let c_j be the slope of H_i on piece
+j, a signed entry of the p or q table.  At breakpoint u the slope jumps
+by c_{u+1} - c_u, which is 2, -a or -b times that breakpoint's own grid
+denominator p_{m+s-u} or q_{m-s+u+1}: this is Littelmann's integrality
+condition sigma <nu, beta^vee> in Z (Ann. Math. 142, 1995, "Paths and
+root operators in representation theory").  Summing by parts,
+
+    H_i(sigma_u) = N_u + sigma_u c_u,   N_u = -sum_{j<u} sigma_j (c_{j+1} - c_j),
+
+and every term of N_u is an integer.  So each height is an integer plus
+one breakpoint times one slope, the minimum search cross-multiplies
+small ints, and a Fraction is built only for a breakpoint that a
+returned path stores.
+
 The straight path through the identity is spelled form i with m = 0;
 a form ii spelling of it normalizes to that in the constructor.
 """
@@ -18,12 +32,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cartan import GCM, Weight
+from .cartan import GCM, Weight, rationals_from_json
 from .paths import LSPath
-from .weyl import WeylElement, X, pq_table, x, y
+from .weyl import PQTable, WeylElement, X, pq_table, x, y
 
 FORM_I = "i"
 FORM_II = "ii"
+
+ZERO = Fraction(0)
+ONE = Fraction(1)
 
 
 def xi(k: int) -> int:
@@ -35,7 +52,7 @@ class ExplicitPath:
     """One normal form: family, top index data (m, s), breakpoints.
 
     The constructor checks everything that does not need the matrix
-    (shapes, monotonicity, m >= s - 1 for form ii); breakpoint
+    (types, shapes, monotonicity, m >= s - 1 for form ii); breakpoint
     integrality does need it and lives in validate_explicit.
     """
 
@@ -45,20 +62,30 @@ class ExplicitPath:
     sigmas: tuple[Fraction, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "sigmas", tuple(Fraction(t) for t in self.sigmas))
+        sig = self.sigmas
+        if type(sig) is not tuple or not all(type(t) is Fraction for t in sig):
+            sig = tuple(Fraction(t) for t in sig)
+            object.__setattr__(self, "sigmas", sig)
         if self.form not in (FORM_I, FORM_II):
             raise ValueError(f"form must be {FORM_I!r} or {FORM_II!r}, got {self.form!r}")
-        if not isinstance(self.m, int) or self.m < 0:
+        if type(self.m) is not int:  # bool is an int subclass
+            raise TypeError(f"m must be an integer, got {self.m!r}")
+        if self.m < 0:
             raise ValueError(f"m must be a nonnegative integer, got {self.m!r}")
-        if not isinstance(self.s, int) or self.s < 1:
+        if type(self.s) is not int:
+            raise TypeError(f"s must be an integer, got {self.s!r}")
+        if self.s < 1:
             raise ValueError(f"s must be a positive integer, got {self.s!r}")
-        if len(self.sigmas) != self.s + 1:
-            raise ValueError(f"s = {self.s} needs {self.s + 1} breakpoints, got {len(self.sigmas)}")
-        if self.sigmas[0] != 0 or self.sigmas[-1] != 1:
+        if len(sig) != self.s + 1:
+            raise ValueError(f"s = {self.s} needs {self.s + 1} breakpoints, got {len(sig)}")
+        if sig[0] != 0 or sig[-1] != 1:
             raise ValueError("breakpoints must run from 0 to 1")
-        for t0, t1 in zip(self.sigmas, self.sigmas[1:]):
-            if not t0 < t1:
-                raise ValueError(f"breakpoints not strictly increasing: {self.sigmas}")
+        n0, d0 = 0, 1
+        for t in sig[1:]:
+            n1, d1 = t.numerator, t.denominator
+            if n1 * d0 <= n0 * d1:
+                raise ValueError(f"breakpoints not strictly increasing: {sig}")
+            n0, d0 = n1, d1
         if self.form == FORM_II:
             if self.m < self.s - 1:
                 raise ValueError(f"form ii needs m >= s - 1, got m = {self.m}, s = {self.s}")
@@ -85,10 +112,7 @@ class ExplicitPath:
 
     @classmethod
     def from_json(cls, data: dict) -> "ExplicitPath":
-        form, m, s = data["form"], data["m"], data["s"]
-        if not isinstance(m, int) or not isinstance(s, int):
-            raise ValueError(f"not a normal-form path: {data!r}")
-        return cls(form, m, s, tuple(Fraction(t) for t in data["sigmas"]))
+        return cls(data["form"], data["m"], data["s"], rationals_from_json(data["sigmas"]))
 
 
 def _require_deep(gcm: GCM):
@@ -96,22 +120,25 @@ def _require_deep(gcm: GCM):
         raise ValueError(f"normal forms need a >= 2 and b >= 2, got ({gcm.a}, {gcm.b})")
 
 
+def _grid(form: str, m: int, s: int, table: PQTable) -> tuple[int, ...]:
+    """Integrality denominators of breakpoints 1..s-1: p_{m+s-u} or q_{m-s+u+1}."""
+    if form == FORM_I:
+        return table.p[m + s - 1 : m : -1]
+    return table.q[m - s + 2 : m + 1]
+
+
+def _off_grid(ep: ExplicitPath, u: int, den: int) -> ValueError:
+    name = f"p_{ep.m + ep.s - u}" if ep.form == FORM_I else f"q_{ep.m - ep.s + u + 1}"
+    return ValueError(f"breakpoint {u} = {ep.sigmas[u]} is not a multiple of 1/{name} = 1/{den}")
+
+
 def validate_explicit(form: str, m: int, s: int, sigmas, gcm: GCM) -> ExplicitPath:
     """Build a fully checked path: shape first, then breakpoint integrality."""
     _require_deep(gcm)
     ep = ExplicitPath(form, m, s, sigmas)
-    table = pq_table(gcm, ep.m + ep.s)
-    for u in range(1, ep.s):
-        if ep.form == FORM_I:
-            k, den = ep.m + ep.s - u, table.p[ep.m + ep.s - u]
-            name = f"p_{k}"
-        else:
-            k, den = ep.m - ep.s + u + 1, table.q[ep.m - ep.s + u + 1]
-            name = f"q_{k}"
-        if (den * ep.sigmas[u]).denominator != 1:
-            raise ValueError(
-                f"breakpoint {u} = {ep.sigmas[u]} is not a multiple of 1/{name} = 1/{den}"
-            )
+    for u, den in enumerate(_grid(ep.form, ep.m, ep.s, pq_table(gcm, ep.m + ep.s)), 1):
+        if den % ep.sigmas[u].denominator:
+            raise _off_grid(ep, u, den)
     return ep
 
 
@@ -126,28 +153,72 @@ def from_ls_path(pi: LSPath) -> ExplicitPath:
     this never fires, which is exactly the classification statement the
     oracle checks.
     """
+    # LSPath keeps its directions strictly decreasing and every x_k lies
+    # above every y_l, so the run mixes families exactly when its ends
+    # differ, and a one-family run is consecutive exactly when its ends
+    # are s - 1 apart
     s = len(pi.dirs)
-    families = {d.family for d in pi.dirs}
-    if len(families) > 1:
+    first, last = pi.dirs[0], pi.dirs[-1]
+    if first.family != last.family:
         raise ValueError(f"directions mix families: {pi}")
-    m = pi.dirs[-1].m
-    if families == {X}:
-        if pi.dirs != tuple(x(m + s - j) for j in range(1, s + 1)):
+    m = last.m
+    if first.family == X:
+        if first.m != m + s - 1:
             raise ValueError(f"direction indices are not consecutive: {pi}")
         return ExplicitPath(FORM_I, m, s, pi.times)
-    if pi.dirs != tuple(y(m - s + j) for j in range(1, s + 1)):
+    if first.m != m - s + 1:
         raise ValueError(f"direction indices are not consecutive: {pi}")
     return ExplicitPath(FORM_II, m, s, pi.times)
+
+
+def _slopes(ep: ExplicitPath, i: int, table: PQTable) -> list[int]:
+    """<direction of piece j, alpha_i^vee> for j = 1..s, from the p/q tables.
+
+    Piece j is x_k with k = m + s - j on form i and y_k with
+    k = m - s + j on form ii.
+    """
+    m, s = ep.m, ep.s
+    if ep.form == FORM_I:
+        p = table.p
+        if i == 1:
+            return [(-1) ** k * p[k + xi(k)] for k in range(m + s - 1, m - 1, -1)]
+        return [(-1) ** (k + 1) * p[k + xi(k + 1)] for k in range(m + s - 1, m - 1, -1)]
+    q = table.q
+    if i == 1:
+        return [(-1) ** k * q[k + xi(k + 1)] for k in range(m - s + 1, m + 1)]
+    return [(-1) ** (k + 1) * q[k + xi(k)] for k in range(m - s + 1, m + 1)]
+
+
+def _heights(ep: ExplicitPath, slopes: list[int], grid: tuple[int, ...]) -> list[tuple[int, int]]:
+    """H_i at sigma_0..sigma_s as (numerator, positive denominator) pairs.
+
+    Uses H_i(sigma_u) = N_u + sigma_u c_u from the module docstring.
+    sigma_u = n/d with d dividing its grid denominator, which divides
+    the slope jump there, so N_u stays an integer.  A breakpoint off its
+    grid raises ValueError.
+    """
+    heights = [(0, 1)]
+    whole = 0
+    for u in range(1, ep.s):
+        t = ep.sigmas[u]
+        n, d = t.numerator, t.denominator
+        if grid[u - 1] % d:
+            raise _off_grid(ep, u, grid[u - 1])
+        c = slopes[u - 1]
+        heights.append((whole * d + n * c, d))
+        whole -= n * ((slopes[u] - c) // d)
+    heights.append((whole + slopes[-1], 1))
+    return heights
 
 
 @dataclass(frozen=True)
 class PartialSums:
     """Closed-form heights of both H functions at the breakpoints.
 
-    sums1[u] and sums2[u] are the prefix sums over the first u pieces of
-    gap times signed slope, the slopes taken from the p/q tables rather
-    than from orbit weights.  The last entries are the weight
-    coordinates; the minima are the lowest levels the H functions reach.
+    sums1[u] and sums2[u] are H_1 and H_2 at sigma_u: the int heights
+    the operators search, read as Fractions.  The last entries are the
+    weight coordinates; the minima are the lowest levels the H functions
+    reach.
     """
 
     sums1: tuple[Fraction, ...]
@@ -165,26 +236,19 @@ class PartialSums:
 
 
 def partial_sums(ep: ExplicitPath, gcm: GCM) -> PartialSums:
+    """Both height sequences; ValueError if a breakpoint is off its grid."""
     table = pq_table(gcm, ep.m + ep.s)
-    s1, s2 = [Fraction(0)], [Fraction(0)]
-    for j in range(1, ep.s + 1):
-        gap = ep.sigmas[j] - ep.sigmas[j - 1]
-        if ep.form == FORM_I:
-            k = ep.m + ep.s - j
-            slope1 = (-1) ** k * table.p[k + xi(k)]
-            slope2 = (-1) ** (k + 1) * table.p[k + xi(k + 1)]
-        else:
-            k = ep.m - ep.s + j
-            slope1 = (-1) ** k * table.q[k + xi(k + 1)]
-            slope2 = (-1) ** (k + 1) * table.q[k + xi(k)]
-        s1.append(s1[-1] + gap * slope1)
-        s2.append(s2[-1] + gap * slope2)
-    return PartialSums(tuple(s1), tuple(s2))
+    grid = _grid(ep.form, ep.m, ep.s, table)
+    sums1, sums2 = (
+        tuple(Fraction(n, d) for n, d in _heights(ep, _slopes(ep, i, table), grid))
+        for i in (1, 2)
+    )
+    return PartialSums(sums1, sums2)
 
 
 def _straight(w: WeylElement) -> ExplicitPath:
     form = FORM_I if w.family == X else FORM_II
-    return ExplicitPath(form, w.m, 1, (Fraction(0), Fraction(1)))
+    return ExplicitPath(form, w.m, 1, (ZERO, ONE))
 
 
 def _check_index(i: int):
@@ -192,76 +256,84 @@ def _check_index(i: int):
         raise ValueError(f"simple root index must be 1 or 2, got {i}")
 
 
+def _search(ep: ExplicitPath, i: int, gcm: GCM, last: bool) -> tuple[int, list[int]]:
+    """The first (or last) breakpoint where H_i is lowest, and the slopes."""
+    _require_deep(gcm)
+    _check_index(i)
+    table = pq_table(gcm, ep.m + ep.s)
+    slopes = _slopes(ep, i, table)
+    heights = _heights(ep, slopes, _grid(ep.form, ep.m, ep.s, table))
+    best, (bn, bd) = 0, heights[0]
+    for u in range(1, len(heights)):
+        n, d = heights[u]
+        lhs, rhs = n * bd, bn * d
+        if lhs < rhs or last and lhs == rhs:
+            best, bn, bd = u, n, d
+    return best, slopes
+
+
 def f_explicit(ep: ExplicitPath, i: int, gcm: GCM) -> ExplicitPath | None:
     """Lowering operator in closed form; null when H_i ends on its minimum.
 
     Every returned path is revalidated, so a wrong branch here fails
-    loudly instead of producing a malformed normal form.
+    loudly instead of producing a malformed normal form; a breakpoint of
+    ep off its grid raises ValueError.
     """
-    _require_deep(gcm)
-    _check_index(i)
-    sums = partial_sums(ep, gcm).get(i)
-    floor = min(sums)
-    u0 = max(u for u, v in enumerate(sums) if v == floor)
-    if u0 == ep.s:
-        return None
+    u0, slopes = _search(ep, i, gcm, last=True)
     m, s, sig = ep.m, ep.s, ep.sigmas
-    table = pq_table(gcm, m + s)
+    if u0 == s:
+        return None
+    # H_i climbs one level on piece u0 + 1 in time 1/den; new = sig[u0] + 1/den
+    den = abs(slopes[u0])
+    t, nxt = sig[u0], sig[u0 + 1]
+    num, dd = t.numerator * den + t.denominator, t.denominator * den
+    new = Fraction(num, dd) if num * nxt.denominator < nxt.numerator * dd else None
     if ep.form == FORM_I:
-        k = m + s - u0 - 1
-        den = table.p[k + xi(k)] if i == 1 else table.p[k + xi(k + 1)]
-        new = sig[u0] + Fraction(1, den)
-        if u0 == 0 and new < sig[1]:
-            return validate_explicit(FORM_I, m, s + 1, (Fraction(0), new) + sig[1:], gcm)
+        if u0 == 0 and new is not None:
+            return validate_explicit(FORM_I, m, s + 1, (ZERO, new) + sig[1:], gcm)
         if u0 == 0:
             return _straight(x(m).reflected(i))
-        if new < sig[u0 + 1]:
+        if new is not None:
             return validate_explicit(FORM_I, m, s, sig[:u0] + (new,) + sig[u0 + 1 :], gcm)
-        return validate_explicit(FORM_I, m + 1, s - 1, sig[: s - 1] + (Fraction(1),), gcm)
-    k = m - s + u0 + 1
-    den = table.q[k + xi(k + 1)] if i == 1 else table.q[k + xi(k)]
-    new = sig[u0] + Fraction(1, den)
-    if u0 == 0 and new < sig[1]:
-        return validate_explicit(FORM_II, m, s + 1, (Fraction(0), new) + sig[1:], gcm)
+        return validate_explicit(FORM_I, m + 1, s - 1, sig[: s - 1] + (ONE,), gcm)
+    if u0 == 0 and new is not None:
+        return validate_explicit(FORM_II, m, s + 1, (ZERO, new) + sig[1:], gcm)
     if u0 == 0:
         return _straight(y(m).reflected(i))
-    if new < sig[u0 + 1]:
+    if new is not None:
         return validate_explicit(FORM_II, m, s, sig[:u0] + (new,) + sig[u0 + 1 :], gcm)
-    return validate_explicit(FORM_II, m - 1, s - 1, sig[: s - 1] + (Fraction(1),), gcm)
+    return validate_explicit(FORM_II, m - 1, s - 1, sig[: s - 1] + (ONE,), gcm)
 
 
 def e_explicit(ep: ExplicitPath, i: int, gcm: GCM) -> ExplicitPath | None:
-    """Raising operator in closed form; null when H_i never dips below 0."""
-    _require_deep(gcm)
-    _check_index(i)
-    sums = partial_sums(ep, gcm).get(i)
-    floor = min(sums)
-    u1 = min(u for u, v in enumerate(sums) if v == floor)
+    """Raising operator in closed form; null when H_i never dips below 0.
+
+    A breakpoint of ep off its grid raises ValueError.
+    """
+    u1, slopes = _search(ep, i, gcm, last=False)
+    m, s, sig = ep.m, ep.s, ep.sigmas
     if u1 == 0:
         return None
-    m, s, sig = ep.m, ep.s, ep.sigmas
-    table = pq_table(gcm, m + s)
+    # H_i falls one level on piece u1 in time 1/den; new = sig[u1] - 1/den
+    den = abs(slopes[u1 - 1])
+    t, prev = sig[u1], sig[u1 - 1]
+    num, dd = t.numerator * den - t.denominator, t.denominator * den
+    new = Fraction(num, dd) if prev.numerator * dd < num * prev.denominator else None
     if ep.form == FORM_I:
-        k = m + s - u1
-        den = table.p[k + xi(k)] if i == 1 else table.p[k + xi(k + 1)]
-        new = sig[u1] - Fraction(1, den)
-        if u1 == s and sig[s - 1] < new:
-            return validate_explicit(FORM_I, m - 1, s + 1, sig[:s] + (new, Fraction(1)), gcm)
+        if u1 == s and new is not None:
+            return validate_explicit(FORM_I, m - 1, s + 1, sig[:s] + (new, ONE), gcm)
         if u1 == s:
             return _straight(x(m).reflected(i))
-        if sig[u1 - 1] < new:
+        if new is not None:
             return validate_explicit(FORM_I, m, s, sig[:u1] + (new,) + sig[u1 + 1 :], gcm)
-        return validate_explicit(FORM_I, m, s - 1, (Fraction(0),) + sig[2:], gcm)
-    k = m - s + u1
-    den = table.q[k + xi(k + 1)] if i == 1 else table.q[k + xi(k)]
-    new = sig[u1] - Fraction(1, den)
-    if u1 == s and sig[s - 1] < new:
-        return validate_explicit(FORM_II, m + 1, s + 1, sig[:s] + (new, Fraction(1)), gcm)
+        return validate_explicit(FORM_I, m, s - 1, (ZERO,) + sig[2:], gcm)
+    if u1 == s and new is not None:
+        return validate_explicit(FORM_II, m + 1, s + 1, sig[:s] + (new, ONE), gcm)
     if u1 == s:
         return _straight(y(m).reflected(i))
-    if sig[u1 - 1] < new:
+    if new is not None:
         return validate_explicit(FORM_II, m, s, sig[:u1] + (new,) + sig[u1 + 1 :], gcm)
-    return validate_explicit(FORM_II, m, s - 1, (Fraction(0),) + sig[2:], gcm)
+    return validate_explicit(FORM_II, m, s - 1, (ZERO,) + sig[2:], gcm)
 
 
 def enumerate_explicit(gcm: GCM, m_max: int, s_max: int) -> set[ExplicitPath]:
@@ -277,31 +349,27 @@ def enumerate_explicit(gcm: GCM, m_max: int, s_max: int) -> set[ExplicitPath]:
     table = pq_table(gcm, m_max + s_max)
     for m in range(m_max + 1):
         for s in range(1, s_max + 1):
-            dens = [table.p[m + s - u] for u in range(1, s)]
-            for sig in _interior_choices(dens):
-                found.add(validate_explicit(FORM_I, m, s, sig, gcm))
-            if m < s - 1:
-                continue
-            dens = [table.q[m - s + u + 1] for u in range(1, s)]
-            for sig in _interior_choices(dens):
-                found.add(validate_explicit(FORM_II, m, s, sig, gcm))
+            for form in (FORM_I, FORM_II) if m >= s - 1 else (FORM_I,):
+                for sig in _interior_choices(_grid(form, m, s, table)):
+                    found.add(validate_explicit(form, m, s, sig, gcm))
     return found
 
 
-def _interior_choices(dens: list[int]):
-    """All (0, t_1, ..., t_k, 1) with t_u a multiple of 1/dens[u-1], increasing."""
-    zero, one = Fraction(0), Fraction(1)
-    if not dens:
-        yield (zero, one)
-        return
+def _interior_choices(dens: tuple[int, ...]):
+    """All (0, t_1, ..., t_k, 1) with t_u a multiple of 1/dens[u-1], increasing.
 
-    def extend(prefix: tuple[Fraction, ...], u: int):
+    The walk runs over integer numerators; each grid point j/dens[u] is
+    made a Fraction once per call and shared by every tuple holding it.
+    """
+    points = [[Fraction(j, den) for j in range(den)] for den in dens]
+
+    def extend(prefix: tuple[Fraction, ...], u: int, num: int, den: int):
+        # the last breakpoint of prefix is num/den
         if u == len(dens):
-            yield prefix + (one,)
+            yield prefix + (ONE,)
             return
-        for j in range(1, dens[u]):
-            t = Fraction(j, dens[u])
-            if prefix[-1] < t < 1:
-                yield from extend(prefix + (t,), u + 1)
+        d = dens[u]
+        for j in range(num * d // den + 1, d):
+            yield from extend(prefix + (points[u][j],), u + 1, j, d)
 
-    yield from extend((zero,), 0)
+    yield from extend((ZERO,), 0, 0, 1)

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cartan import GCM, Weight, pairing
+from .cartan import GCM, Weight, pairing, rationals_from_json
 from .weyl import (
     GREATER,
     IDENTITY,
@@ -72,8 +72,7 @@ class LSPath:
     @classmethod
     def from_json(cls, data: dict) -> "LSPath":
         dirs = tuple(WeylElement.from_json(d) for d in data["dirs"])
-        times = tuple(Fraction(t) for t in data["sigmas"])
-        return cls(dirs, times)
+        return cls(dirs, rationals_from_json(data["sigmas"]))
 
 
 def straight_path(w: WeylElement = IDENTITY) -> LSPath:
@@ -212,7 +211,9 @@ def f_generic(pi: LSPath, i: int, gcm: GCM) -> LSPath | None:
             else:
                 t1 = pi.times[u - 1] + (m + 1 - h[u - 1]) / _slope(pi.dirs[u - 1], i, gcm)
             break
-    assert t1 is not None, "H ends at least one above its min, so a crossing exists"
+    if t1 is None:
+        # H ends at least one above its min, so a crossing must exist
+        raise RuntimeError(f"f_{i}: H_{i} never climbs back from its minimum on {pi}")
     return _reflect_section(pi, i, t0, t1)
 
 
@@ -236,7 +237,9 @@ def e_generic(pi: LSPath, i: int, gcm: GCM) -> LSPath | None:
             else:
                 t0 = pi.times[u] + (m + 1 - h[u]) / _slope(pi.dirs[u], i, gcm)
             break
-    assert t0 is not None, "H starts at 0 > min, so a crossing exists"
+    if t0 is None:
+        # H starts at 0 > min, so a crossing must exist
+        raise RuntimeError(f"e_{i}: H_{i} never falls from 0 to its minimum on {pi}")
     return _reflect_section(pi, i, t0, t1)
 
 

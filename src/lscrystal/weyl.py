@@ -37,7 +37,9 @@ class WeylElement:
     def __post_init__(self):
         if self.family not in (X, Y):
             raise ValueError(f"family must be {X!r} or {Y!r}, got {self.family!r}")
-        if not isinstance(self.m, int) or self.m < 0:
+        if type(self.m) is not int:  # bool is an int subclass
+            raise TypeError(f"length must be an integer, got {self.m!r}")
+        if self.m < 0:
             raise ValueError(f"length must be a nonnegative integer, got {self.m!r}")
         if self.m == 0 and self.family != X:
             object.__setattr__(self, "family", X)
@@ -101,7 +103,7 @@ class WeylElement:
     def from_json(cls, data: dict) -> "WeylElement":
         family = data["family"]
         m = data["m"]
-        if family not in (X, Y) or not isinstance(m, int):
+        if family not in (X, Y):
             raise ValueError(f"not a Weyl element: {data!r}")
         return cls(family, m)
 

@@ -139,6 +139,28 @@ def test_validate_rejects_bad_breakpoint(capsys, monkeypatch):
     assert "invalid" in err
 
 
+@pytest.mark.parametrize("command", ["validate", "apply"])
+@pytest.mark.parametrize(
+    "payload",
+    [
+        '{"form": "i", "m": true, "s": 1, "sigmas": ["0", "1"]}',
+        '{"form": "i", "m": 0, "s": true, "sigmas": ["0", "1"]}',
+        '{"form": "i", "m": 0, "s": 2, "sigmas": ["0", 0.5, "1"]}',
+        '{"form": "i", "m": 0, "s": 1, "sigmas": [false, "1"]}',
+        '{"form": "i", "m": 0, "s": 1, "sigmas": "01"}',
+        '{"dirs": [{"family": "x", "m": true}], "sigmas": ["0", "1"]}',
+        '{"dirs": [{"family": "x", "m": 1}, {"family": "x", "m": 0}], "sigmas": ["0", 0.1, "1"]}',
+        '{"dirs": [{"family": "x", "m": 0}], "sigmas": [0, true]}',
+    ],
+)
+def test_wrong_json_types_are_malformed(capsys, monkeypatch, command, payload):
+    argv = [command, "--a", "3", "--b", "3"] + (["--op", "f1"] if command == "apply" else [])
+    code, out, err = run(capsys, *argv, stdin=payload, monkeypatch=monkeypatch)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: bad")
+
+
 def test_validate_ls_input_converts(capsys, monkeypatch):
     two = json.dumps(
         {

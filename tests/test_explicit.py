@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -18,7 +19,7 @@ from lscrystal.explicit import (
     validate_explicit,
     xi,
 )
-from lscrystal.paths import LSPath, e_generic, f_generic, straight_path, weight
+from lscrystal.paths import LSPath, e_generic, f_generic, h_function, straight_path, weight
 from lscrystal.weyl import x, y
 
 G33 = GCM(3, 3)
@@ -45,6 +46,19 @@ def test_shape_validation():
         ExplicitPath(FORM_II, 1, 3, (0, F(1, 3), F(1, 2), 1))  # needs m >= s-1
     with pytest.raises(ValueError):
         ExplicitPath("iii", 0, 1, (0, 1))
+
+
+@pytest.mark.parametrize("m, s", [(True, 1), (0, True), (1.0, 1), (0, "1")])
+def test_shape_rejects_wrong_types(m, s):
+    with pytest.raises(TypeError):
+        ExplicitPath(FORM_I, m, s, (0, 1))
+
+
+def test_constructor_keeps_given_fractions():
+    sig = (F(0), F(1, 7), F(2, 3), F(1))
+    ep = ExplicitPath(FORM_I, 2, 3, sig)
+    assert all(a is b for a, b in zip(ep.sigmas, sig))
+    assert ExplicitPath(FORM_I, 2, 3, [0, "1/7", F(2, 3), 1]).sigmas == sig
 
 
 def test_straight_spelling_is_normalized():
@@ -85,6 +99,8 @@ def test_from_ls_path_rejects_non_runs():
         from_ls_path(LSPath((x(1), y(1)), (F(0), F(1, 2), F(1))))
     with pytest.raises(ValueError):
         from_ls_path(LSPath((x(3), x(1)), (F(0), F(1, 2), F(1))))
+    with pytest.raises(ValueError):
+        from_ls_path(LSPath((y(1), y(3)), (F(0), F(1, 2), F(1))))
 
 
 def test_second_family_conversion():
@@ -104,6 +120,53 @@ def test_partial_sums_weight_matches_endpoint():
     for (a, b), ep in WORKED.items():
         g = GCM(a, b)
         assert partial_sums(ep, g).weight() == weight(to_ls_path(ep), g)
+
+
+def _assert_heights_match_engine(ep, gcm):
+    sums = partial_sums(ep, gcm)
+    for i in (1, 2):
+        engine = tuple(v for _, v in h_function(to_ls_path(ep), i, gcm).points)
+        assert sums.get(i) == engine, (str(ep), i)
+
+
+@pytest.mark.parametrize("ab", [(2, 3), (2, 5), (3, 3)])
+def test_int_heights_match_engine_on_windows(ab):
+    gcm = GCM(*ab)
+    for ep in enumerate_explicit(gcm, 4, 3):
+        _assert_heights_match_engine(ep, gcm)
+
+
+def test_int_heights_match_engine_along_deep_walks():
+    deepest, widest = 0, 0
+    for seed in range(20):
+        rng = random.Random(seed)
+        ep = straight_explicit()
+        for _ in range(256):
+            op = f_explicit if rng.random() < 0.5 else e_explicit
+            ep = op(ep, rng.choice((1, 2)), G25) or ep
+            _assert_heights_match_engine(ep, G25)
+            deepest = max(deepest, ep.s)
+            widest = max(widest, max(t.denominator for t in ep.sigmas))
+    # these walks reach s = 29 and 13-digit denominators
+    assert deepest >= 25 and widest >= 10**12
+
+
+@pytest.mark.parametrize("op", [f_explicit, e_explicit])
+@pytest.mark.parametrize("i", [1, 2])
+@pytest.mark.parametrize(
+    "ab, ep",
+    [
+        ((3, 3), ExplicitPath(FORM_I, 0, 2, (0, F(1, 2), 1))),
+        ((2, 3), ExplicitPath(FORM_I, 2, 3, (0, F(1, 8), F(2, 3), 1))),
+        ((2, 3), ExplicitPath(FORM_I, 2, 3, (0, F(1, 7), F(3, 4), 1))),
+        ((3, 3), ExplicitPath(FORM_II, 3, 2, (0, F(1, 3), 1))),
+    ],
+)
+def test_operators_reject_off_grid_paths(op, i, ab, ep):
+    with pytest.raises(ValueError, match="not a multiple"):
+        op(ep, i, GCM(*ab))
+    with pytest.raises(ValueError, match="not a multiple"):
+        partial_sums(ep, GCM(*ab))
 
 
 def test_operator_frozen_values_on_straight():
@@ -179,3 +242,21 @@ def test_json_round_trip():
     ep = WORKED[(2, 3)]
     assert ExplicitPath.from_json(ep.to_json()) == ep
     assert ep.to_json() == {"form": "i", "m": 2, "s": 3, "sigmas": ["0", "1/7", "2/3", "1"]}
+    assert ExplicitPath.from_json({"form": "i", "m": 0, "s": 1, "sigmas": [0, "1"]}) == straight_explicit()
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"m": True},
+        {"s": True},
+        {"m": 2.0},
+        {"sigmas": ["0", 0.5, "1"]},
+        {"sigmas": ["0", True, "1"]},
+        {"sigmas": "01"},
+    ],
+)
+def test_from_json_rejects_wrong_types(fields):
+    data = {"form": "i", "m": 0, "s": 1, "sigmas": ["0", "1"]} | fields
+    with pytest.raises(TypeError):
+        ExplicitPath.from_json(data)

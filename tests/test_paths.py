@@ -150,3 +150,19 @@ def test_json_round_trip():
     pi = LSPath((x(4), x(3), x(2)), (F(0), F(1, 7), F(2, 3), F(1)))
     assert LSPath.from_json(pi.to_json()) == pi
     assert pi.to_json()["sigmas"] == ["0", "1/7", "2/3", "1"]
+
+
+@pytest.mark.parametrize("sigmas", [["0", 0.5, "1"], ["0", True, "1"], "01"])
+def test_from_json_rejects_wrong_breakpoint_types(sigmas):
+    data = {"dirs": [{"family": "x", "m": 1}, {"family": "x", "m": 0}], "sigmas": sigmas}
+    with pytest.raises(TypeError):
+        LSPath.from_json(data)
+
+
+@pytest.mark.parametrize("op", [f_generic, e_generic])
+def test_missing_crossing_raises_outside_assert(op):
+    # not an LS path: H_1 dips to -1/2 and comes back only to 0, so no
+    # section between the minimum and one level above it exists
+    pi = LSPath((x(1), IDENTITY), (F(0), F(1, 2), F(1)))
+    with pytest.raises(RuntimeError, match="H_1"):
+        op(pi, 1, G33)

@@ -189,3 +189,11 @@ def test_window_elements_order():
 def test_element_json_round_trip():
     for w in (x(4), y(7), IDENTITY):
         assert WeylElement.from_json(w.to_json()) == w
+
+
+@pytest.mark.parametrize("m", [True, 1.0, "1"])
+def test_element_rejects_non_integer_length(m):
+    with pytest.raises(TypeError):
+        WeylElement("x", m)
+    with pytest.raises(TypeError):
+        WeylElement.from_json({"family": "y", "m": m})
