@@ -8,6 +8,7 @@ never appear.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -105,7 +106,22 @@ class Weight:
 
     @classmethod
     def from_json(cls, data: dict) -> "Weight":
-        return cls(int(data["c1"]), int(data["c2"]))
+        """Inverse of to_json: each coordinate an int or a decimal-integer string.
+
+        A bool, float or any other type raises TypeError; a string that
+        is not a decimal integer raises ValueError.
+        """
+        return cls(_integer_from_json(data["c1"]), _integer_from_json(data["c2"]))
+
+
+def _integer_from_json(value) -> int:
+    if type(value) is int:  # bool is an int subclass
+        return value
+    if type(value) is not str:
+        raise TypeError(f"weight coordinate must be an integer or a string, got {value!r}")
+    if re.fullmatch(r"-?[0-9]+", value) is None:
+        raise ValueError(f"weight coordinate is not a decimal integer: {value!r}")
+    return int(value)
 
 
 LAMBDA = Weight(1, -1)  # the fixed shape L1 - L2

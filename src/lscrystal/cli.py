@@ -30,7 +30,7 @@ from .oracle import (
     check_structure,
     combine,
 )
-from .paths import LSPath, e_generic, f_generic, straight_path, weight
+from .paths import LSPath, e_generic, f_generic, h_function, straight_path, weight
 from .weyl import (
     orbit_weight,
     positive_roots_recurrence,
@@ -128,6 +128,26 @@ def _parse_path(data: dict) -> tuple[LSPath | None, bool]:
     return LSPath.from_json(data), False
 
 
+def _not_ls_path(pi: LSPath, gcm: GCM) -> str | None:
+    """Why pi is no LS path the generic operators are defined on, or None.
+
+    Littelmann's operators need an integral endpoint weight and integral
+    local minima of H_1 and H_2; the witness here is the Fraction
+    height function, not the engine.  The global minimum is checked
+    too, because local_min_values skips a minimum on a flat piece.
+    """
+    try:
+        weight(pi, gcm)
+    except ValueError as err:
+        return str(err)
+    for i in (1, 2):
+        h = h_function(pi, i, gcm)
+        for v in [h.minimum(), *h.local_min_values()]:
+            if v.denominator != 1:
+                return f"H_{i} has the non-integral local minimum {v}"
+    return None
+
+
 _OPS_GENERIC = {"f1": (f_generic, 1), "f2": (f_generic, 2), "e1": (e_generic, 1), "e2": (e_generic, 2)}
 _OPS_EXPLICIT = {"f1": (f_explicit, 1), "f2": (f_explicit, 2), "e1": (e_explicit, 1), "e2": (e_explicit, 2)}
 
@@ -157,8 +177,19 @@ def cmd_apply(args) -> int:
             print(json.dumps(result.to_json()))
 
     if args.mode == "generic":
+        reason = _not_ls_path(pi, gcm)
+        if reason is not None:
+            print(f"error: not an LS path: {reason}", file=sys.stderr)
+            return MALFORMED_INPUT
         op, i = _OPS_GENERIC[args.op]
-        emit(op(pi, i, gcm))
+        try:
+            result = op(pi, i, gcm)
+        except ValueError as err:
+            # a path that passes the check above but breaks the LS chain
+            # condition can reflect into directions out of order
+            print(f"error: not an LS path: {err}", file=sys.stderr)
+            return MALFORMED_INPUT
+        emit(result)
         return OK
 
     try:

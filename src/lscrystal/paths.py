@@ -9,25 +9,28 @@ representation is purely combinatorial: the direction of every piece
 inside the section steps to its r_i-neighbour and nothing else moves.
 
 The engine here is the semantics: it computes the section boundaries
-t_0, t_1 by exact rational root-finding on H_i and makes no use of the
+t_0, t_1 by exact root-finding on H_i and makes no use of the
 closed-form normal-form operators (those live in explicit.py and are
-checked against this module).
+checked against this module).  It assumes nothing about the
+breakpoints beyond their order: with D the lcm of the path's own
+breakpoint denominators, D*H_i at the breakpoints and the piece slopes
+<orbit weight, alpha_i^vee> are plain ints, the minimum and the climb
+back to min + 1 are searched on those, and a Fraction is made only for
+a crossing inside a piece.  The section is then found by index: t_0
+(for f) or t_1 (for e) is a breakpoint, the other end is a breakpoint
+or splits one known piece.  Breakpoints stay reduced Fractions, and
+h_function/eval_path/weight stay on Fraction as an independent witness
+of the int heights (epsilon = -min H_i is checked against it).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .cartan import GCM, Weight, pairing, rationals_from_json
-from .weyl import (
-    GREATER,
-    IDENTITY,
-    OrbitWeight,
-    WeylElement,
-    orbit_compare,
-    orbit_weight,
-)
+from .weyl import IDENTITY, OrbitWeight, WeylElement, orbit_weight
 
 
 @dataclass(frozen=True)
@@ -36,22 +39,30 @@ class LSPath:
     times: tuple[Fraction, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "dirs", tuple(self.dirs))
-        object.__setattr__(self, "times", tuple(Fraction(t) for t in self.times))
-        if len(self.dirs) < 1:
+        dirs, times = self.dirs, self.times
+        if type(dirs) is not tuple:
+            dirs = tuple(dirs)
+            object.__setattr__(self, "dirs", dirs)
+        if type(times) is not tuple or not all(type(t) is Fraction for t in times):
+            times = tuple(Fraction(t) for t in times)
+            object.__setattr__(self, "times", times)
+        if len(dirs) < 1:
             raise ValueError("a path needs at least one direction")
-        if len(self.times) != len(self.dirs) + 1:
+        if len(times) != len(dirs) + 1:
             raise ValueError(
-                f"{len(self.dirs)} directions need {len(self.dirs) + 1} "
-                f"breakpoints, got {len(self.times)}"
+                f"{len(dirs)} directions need {len(dirs) + 1} "
+                f"breakpoints, got {len(times)}"
             )
-        if self.times[0] != 0 or self.times[-1] != 1:
+        if times[0] != 0 or times[-1] != 1:
             raise ValueError("breakpoints must run from 0 to 1")
-        for t0, t1 in zip(self.times, self.times[1:]):
-            if not t0 < t1:
-                raise ValueError(f"breakpoints not strictly increasing: {self.times}")
-        for u, v in zip(self.dirs, self.dirs[1:]):
-            if orbit_compare(u, v) != GREATER:
+        n0, d0 = 0, 1
+        for t in times[1:]:
+            n1, d1 = t.numerator, t.denominator
+            if n1 * d0 <= n0 * d1:
+                raise ValueError(f"breakpoints not strictly increasing: {times}")
+            n0, d0 = n1, d1
+        for u, v in zip(dirs, dirs[1:]):
+            if u.order_key <= v.order_key:
                 raise ValueError(f"directions not strictly decreasing: {u} !> {v}")
 
     @property
@@ -153,41 +164,40 @@ def h_function(pi: LSPath, i: int, gcm: GCM) -> PiecewiseLinear:
     return PiecewiseLinear(tuple(zip(pi.times, vals)))
 
 
-def _slope(d: WeylElement, i: int, gcm: GCM) -> Fraction:
-    return pairing(orbit_weight(d, gcm).weight, i)
+def _int_heights(pi: LSPath, i: int, gcm: GCM) -> tuple[int, list[int], list[int], list[int]]:
+    """D, D*t at the breakpoints, the piece slopes and D*H_i at the breakpoints.
+
+    D is the lcm of the path's own breakpoint denominators, so every
+    value is an int; the slopes are the ints <orbit weight, alpha_i^vee>.
+    """
+    times = pi.times
+    den = lcm(*[t.denominator for t in times])
+    num = [t.numerator * (den // t.denominator) for t in times]
+    slopes = [pairing(orbit_weight(d, gcm).weight, i).numerator for d in pi.dirs]
+    heights = [0]
+    acc = 0
+    for k, c in enumerate(slopes):
+        acc += (num[k + 1] - num[k]) * c
+        heights.append(acc)
+    return den, num, slopes, heights
 
 
-def _rebuild(pieces: list[tuple[WeylElement, Fraction, Fraction]]) -> LSPath:
-    """Drop empty pieces, merge equal adjacent directions, make the path."""
-    merged: list[tuple[WeylElement, Fraction, Fraction]] = []
-    for d, lo, hi in pieces:
-        if lo == hi:
-            continue
-        if merged and merged[-1][0] == d:
-            merged[-1] = (d, merged[-1][1], hi)
-        else:
-            merged.append((d, lo, hi))
-    dirs = tuple(d for d, _, _ in merged)
-    times = (merged[0][1],) + tuple(hi for _, _, hi in merged)
-    return LSPath(dirs, times)
-
-
-def _reflect_section(pi: LSPath, i: int, t0: Fraction, t1: Fraction) -> LSPath:
-    """Step every direction inside (t0, t1) to its r_i-neighbour.
+def _reflect_pieces(dirs: list[WeylElement], times: list[Fraction], i: int, lo: int, hi: int) -> LSPath:
+    """Step pieces lo..hi-1 to their r_i-neighbours and make the path.
 
     The prefix keeps its values and the suffix is rigidly shifted, so
     on the (dirs, times) representation nothing outside the section
-    changes at all.
+    changes at all.  Reflection is a bijection on directions, so equal
+    neighbours can only appear across the two ends of the section;
+    those pieces are merged.
     """
-    pieces = []
-    for k, d in enumerate(pi.dirs):
-        lo, hi = pi.times[k], pi.times[k + 1]
-        cuts = [t for t in (t0, t1) if lo < t < hi]
-        marks = [lo] + cuts + [hi]
-        for a_, b_ in zip(marks, marks[1:]):
-            inside = t0 <= a_ and b_ <= t1
-            pieces.append((d.reflected(i) if inside else d, a_, b_))
-    return _rebuild(pieces)
+    for k in range(lo, hi):
+        dirs[k] = dirs[k].reflected(i)
+    for k in (hi, lo):
+        if 0 < k < len(dirs) and dirs[k - 1] == dirs[k]:
+            del dirs[k]
+            del times[k]
+    return LSPath(tuple(dirs), tuple(times))
 
 
 def f_generic(pi: LSPath, i: int, gcm: GCM) -> LSPath | None:
@@ -197,24 +207,25 @@ def f_generic(pi: LSPath, i: int, gcm: GCM) -> LSPath | None:
     first time after it where H_i returns to min + 1; the section in
     between is reflected.
     """
-    h = _breakpoint_values(pi, i, gcm)
+    den, num, slopes, h = _int_heights(pi, i, gcm)
     m = min(h)
     if h[-1] == m:
         return None
-    j0 = max(k for k, v in enumerate(h) if v == m)
-    t0 = pi.times[j0]
-    t1 = None
+    j0 = len(h) - 1 - h[::-1].index(m)
+    level = m + den
     for u in range(j0 + 1, len(h)):
-        if h[u] >= m + 1:
-            if h[u] == m + 1:
-                t1 = pi.times[u]
-            else:
-                t1 = pi.times[u - 1] + (m + 1 - h[u - 1]) / _slope(pi.dirs[u - 1], i, gcm)
+        if h[u] >= level:
             break
-    if t1 is None:
+    else:
         # H ends at least one above its min, so a crossing must exist
         raise RuntimeError(f"f_{i}: H_{i} never climbs back from its minimum on {pi}")
-    return _reflect_section(pi, i, t0, t1)
+    dirs, times = list(pi.dirs), list(pi.times)
+    if h[u] > level:
+        # t_1 lies inside piece u - 1: split it there
+        c = slopes[u - 1]
+        dirs.insert(u - 1, dirs[u - 1])
+        times.insert(u, Fraction(num[u - 1] * c + level - h[u - 1], den * c))
+    return _reflect_pieces(dirs, times, i, j0, u)
 
 
 def e_generic(pi: LSPath, i: int, gcm: GCM) -> LSPath | None:
@@ -223,24 +234,27 @@ def e_generic(pi: LSPath, i: int, gcm: GCM) -> LSPath | None:
     Otherwise t_1 is the first time the minimum is attained and t_0 the
     last time before it where H_i was still at min + 1.
     """
-    h = _breakpoint_values(pi, i, gcm)
+    den, num, slopes, h = _int_heights(pi, i, gcm)
     m = min(h)
     if m == 0:
         return None
-    j1 = min(k for k, v in enumerate(h) if v == m)
-    t1 = pi.times[j1]
-    t0 = None
+    j1 = h.index(m)
+    level = m + den
     for u in range(j1 - 1, -1, -1):
-        if h[u] >= m + 1:
-            if h[u] == m + 1:
-                t0 = pi.times[u]
-            else:
-                t0 = pi.times[u] + (m + 1 - h[u]) / _slope(pi.dirs[u], i, gcm)
+        if h[u] >= level:
             break
-    if t0 is None:
+    else:
         # H starts at 0 > min, so a crossing must exist
         raise RuntimeError(f"e_{i}: H_{i} never falls from 0 to its minimum on {pi}")
-    return _reflect_section(pi, i, t0, t1)
+    dirs, times = list(pi.dirs), list(pi.times)
+    if h[u] > level:
+        # t_0 lies inside piece u: split it there
+        c = slopes[u]
+        dirs.insert(u, dirs[u])
+        times.insert(u + 1, Fraction(num[u] * c + level - h[u], den * c))
+        u += 1
+        j1 += 1
+    return _reflect_pieces(dirs, times, i, u, j1)
 
 
 def epsilon(pi: LSPath, i: int, gcm: GCM) -> int:

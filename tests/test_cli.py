@@ -87,6 +87,61 @@ def test_apply_output_keeps_input_schema(capsys, monkeypatch):
     assert json.loads(out) == {"dirs": [{"family": "x", "m": 1}], "sigmas": ["0", "1"]}
 
 
+NOT_LS = '{"dirs": [{"family": "x", "m": 1}, {"family": "x", "m": 0}], "sigmas": ["0", "1/2", "1"]}'
+THREE_PIECE_LS = json.dumps(
+    {
+        "dirs": [{"family": "x", "m": 4}, {"family": "x", "m": 3}, {"family": "x", "m": 2}],
+        "sigmas": ["0", "1/13", "2/5", "1"],
+    }
+)
+
+
+@pytest.mark.parametrize("op", ["f1", "f2", "e1", "e2"])
+def test_apply_generic_rejects_non_ls_path(capsys, monkeypatch, op):
+    # endpoint weight 0L1 + 1/2 L2: H_1 has no section to reflect for f1/e1,
+    # and f2/e2 used to answer on it anyway
+    code, out, err = run(
+        capsys, "apply", "--a", "3", "--b", "3", "--op", op, "--mode", "generic",
+        stdin=NOT_LS, monkeypatch=monkeypatch,
+    )
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: not an LS path")
+
+
+def test_apply_generic_rejects_path_reflecting_out_of_order(capsys, monkeypatch):
+    # integral weight and minima, but e_1 reflects the end of the x4 piece to x5,
+    # which cannot follow x4
+    payload = '{"dirs": [{"family": "x", "m": 4}, {"family": "y", "m": 1}], "sigmas": ["0", "4/5", "1"]}'
+    code, out, err = run(
+        capsys, "apply", "--a", "5", "--b", "1", "--op", "e1", "--mode", "generic",
+        stdin=payload, monkeypatch=monkeypatch,
+    )
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: not an LS path: directions not strictly decreasing")
+
+
+@pytest.mark.parametrize(
+    "op, expected",
+    [
+        ("f1", {"dirs": [{"family": "x", "m": 5}, {"family": "x", "m": 4}, {"family": "x", "m": 3},
+                         {"family": "x", "m": 2}], "sigmas": ["0", "1/34", "1/13", "2/5", "1"]}),
+        ("f2", {"dirs": [{"family": "x", "m": 4}, {"family": "x", "m": 3}, {"family": "x", "m": 2}],
+                "sigmas": ["0", "2/13", "2/5", "1"]}),
+        ("e1", None),
+        ("e2", {"dirs": [{"family": "x", "m": 3}, {"family": "x", "m": 2}], "sigmas": ["0", "2/5", "1"]}),
+    ],
+)
+def test_apply_generic_on_ls_path_unchanged(capsys, monkeypatch, op, expected):
+    code, out, err = run(
+        capsys, "apply", "--a", "3", "--b", "3", "--op", op, "--mode", "generic",
+        stdin=THREE_PIECE_LS, monkeypatch=monkeypatch,
+    )
+    assert code == 0 and err == ""
+    assert json.loads(out) == expected
+
+
 def test_apply_explicit_mode_needs_deep_matrix(capsys, monkeypatch):
     code, _, err = run(
         capsys, "apply", "--a", "1", "--b", "5", "--op", "f1", "--mode", "explicit",
