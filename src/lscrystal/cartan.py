@@ -31,7 +31,7 @@ class GCM:
     b: int
 
     def __post_init__(self):
-        if not isinstance(self.a, int) or not isinstance(self.b, int):
+        if type(self.a) is not int or type(self.b) is not int:  # bool is an int subclass
             raise TypeError("matrix entries must be integers")
         if self.a < 1 or self.b < 1:
             raise ValueError(f"need a >= 1 and b >= 1, got ({self.a}, {self.b})")
@@ -42,14 +42,6 @@ class GCM:
     def boundary(self) -> bool:
         """True when a = 1 or b = 1."""
         return self.a == 1 or self.b == 1
-
-    @property
-    def matrix(self) -> tuple[tuple[int, int], tuple[int, int]]:
-        return ((2, -self.a), (-self.b, 2))
-
-    def entry(self, i: int, j: int) -> int:
-        """<alpha_j, alpha_i^vee> for i, j in {1, 2}."""
-        return self.matrix[i - 1][j - 1]
 
 
 class Weight:
@@ -140,6 +132,25 @@ def rationals_from_json(values) -> tuple[Fraction, ...]:
         if type(t) not in (str, int):  # bool is an int subclass
             raise TypeError(f"breakpoint must be a string or an integer, got {t!r}")
     return tuple(Fraction(t) for t in values)
+
+
+def breakpoints(times) -> tuple[Fraction, ...]:
+    """times as a tuple of Fractions running strictly upward from 0 to 1.
+
+    Raises ValueError otherwise.  The caller checks the count first, so
+    times has at least two entries.
+    """
+    if type(times) is not tuple or not all(type(t) is Fraction for t in times):
+        times = tuple(Fraction(t) for t in times)
+    if times[0] != 0 or times[-1] != 1:
+        raise ValueError("breakpoints must run from 0 to 1")
+    n0, d0 = 0, 1
+    for t in times[1:]:
+        n1, d1 = t.numerator, t.denominator
+        if n1 * d0 <= n0 * d1:
+            raise ValueError(f"breakpoints not strictly increasing: {times}")
+        n0, d0 = n1, d1
+    return times
 
 
 def pairing(mu: Weight, i: int) -> Fraction:

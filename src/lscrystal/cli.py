@@ -30,7 +30,7 @@ from .oracle import (
     check_structure,
     combine,
 )
-from .paths import LSPath, e_generic, f_generic, h_function, straight_path, weight
+from .paths import LSPath, crystal_bfs, e_generic, f_generic, h_function, weight
 from .weyl import (
     orbit_weight,
     positive_roots_recurrence,
@@ -41,21 +41,20 @@ from .weyl import (
 
 OK, CHECK_FAILED, BAD_PARAMS, MALFORMED_INPUT, ENGINES_DISAGREE = 0, 1, 2, 3, 4
 
-GATED_CHECKS = ("classification", "connectedness", "straight", "axioms", "equivalence")
+# verify selector -> (runner(gcm, bounds), needs a, b >= 2).  The runners
+# look each check up by name when called, so a check replaced on this
+# module (a test stub, a tracing wrapper) is the one that runs.
+CHECKS = {
+    "classification": (lambda gcm, bounds: check_classification(gcm, bounds), True),
+    "connectedness": (lambda gcm, bounds: check_connectedness(gcm, bounds), True),
+    "straight": (lambda gcm, bounds: check_straight_through_lambda(gcm, bounds), True),
+    "axioms": (lambda gcm, bounds: check_crystal_axioms(gcm, bounds), True),
+    "equivalence": (lambda gcm, bounds: check_operator_equivalence(gcm, bounds.m_max, bounds.s_max), True),
+    "structure": (lambda gcm, bounds: check_structure(gcm, bounds), False),
+}
 
 
-def _gcm_or_none(a: int, b: int) -> GCM | None:
-    try:
-        return GCM(a, b)
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return None
-
-
-def cmd_sequences(args) -> int:
-    gcm = _gcm_or_none(args.a, args.b)
-    if gcm is None:
-        return BAD_PARAMS
+def cmd_sequences(args, gcm: GCM) -> int:
     if args.n < 1:
         print("error: --n must be at least 1", file=sys.stderr)
         return BAD_PARAMS
@@ -68,10 +67,7 @@ def cmd_sequences(args) -> int:
     return OK
 
 
-def cmd_orbit(args) -> int:
-    gcm = _gcm_or_none(args.a, args.b)
-    if gcm is None:
-        return BAD_PARAMS
+def cmd_orbit(args, gcm: GCM) -> int:
     if args.m_max < 0:
         print("error: --m-max must be nonnegative", file=sys.stderr)
         return BAD_PARAMS
@@ -87,10 +83,7 @@ def cmd_orbit(args) -> int:
     return OK
 
 
-def cmd_positive_roots(args) -> int:
-    gcm = _gcm_or_none(args.a, args.b)
-    if gcm is None:
-        return BAD_PARAMS
+def cmd_positive_roots(args, gcm: GCM) -> int:
     if args.n < 1:
         print("error: --n must be at least 1", file=sys.stderr)
         return BAD_PARAMS
@@ -121,11 +114,12 @@ def _read_path_json() -> tuple[dict | None, int]:
     return data, OK
 
 
-def _parse_path(data: dict) -> tuple[LSPath | None, bool]:
-    """Returns (path, came_as_explicit); raises ValueError on bad fields."""
+def _parse_path(data: dict) -> tuple[LSPath, ExplicitPath | None]:
+    """Returns (path, the normal form it came as or None); raises on bad fields."""
     if "form" in data:
-        return to_ls_path(ExplicitPath.from_json(data)), True
-    return LSPath.from_json(data), False
+        ep = ExplicitPath.from_json(data)
+        return to_ls_path(ep), ep
+    return LSPath.from_json(data), None
 
 
 def _not_ls_path(pi: LSPath, gcm: GCM) -> str | None:
@@ -152,10 +146,7 @@ _OPS_GENERIC = {"f1": (f_generic, 1), "f2": (f_generic, 2), "e1": (e_generic, 1)
 _OPS_EXPLICIT = {"f1": (f_explicit, 1), "f2": (f_explicit, 2), "e1": (e_explicit, 1), "e2": (e_explicit, 2)}
 
 
-def cmd_apply(args) -> int:
-    gcm = _gcm_or_none(args.a, args.b)
-    if gcm is None:
-        return BAD_PARAMS
+def cmd_apply(args, gcm: GCM) -> int:
     if args.mode in ("explicit", "both") and gcm.boundary:
         print("error: the closed-form operators need a, b >= 2", file=sys.stderr)
         return BAD_PARAMS
@@ -163,18 +154,26 @@ def cmd_apply(args) -> int:
     if data is None:
         return code
     try:
-        pi, as_explicit = _parse_path(data)
+        pi, given = _parse_path(data)
     except (ValueError, KeyError, TypeError) as err:
         print(f"error: bad path: {err}", file=sys.stderr)
         return MALFORMED_INPUT
 
-    def emit(result: LSPath | None) -> None:
+    def emit(result: LSPath | None) -> int:
         if result is None:
             print("null")
-        elif as_explicit:
-            print(json.dumps(from_ls_path(result).to_json()))
-        else:
+        elif given is None:
             print(json.dumps(result.to_json()))
+        else:
+            try:
+                doc = from_ls_path(result).to_json()
+            except ValueError as err:
+                # a generic image of a path outside the crystal need not
+                # be a normal form, so it has no answer in the input schema
+                print(f"error: not a normal form: {err}", file=sys.stderr)
+                return MALFORMED_INPUT
+            print(json.dumps(doc))
+        return OK
 
     if args.mode == "generic":
         reason = _not_ls_path(pi, gcm)
@@ -189,8 +188,7 @@ def cmd_apply(args) -> int:
             # condition can reflect into directions out of order
             print(f"error: not an LS path: {err}", file=sys.stderr)
             return MALFORMED_INPUT
-        emit(result)
-        return OK
+        return emit(result)
 
     try:
         ep = from_ls_path(pi)
@@ -201,8 +199,7 @@ def cmd_apply(args) -> int:
     op_x, i = _OPS_EXPLICIT[args.op]
     closed = op_x(ep, i, gcm)
     if args.mode == "explicit":
-        emit(None if closed is None else to_ls_path(closed))
-        return OK
+        return emit(None if closed is None else to_ls_path(closed))
 
     op_g, i = _OPS_GENERIC[args.op]
     engine = op_g(pi, i, gcm)
@@ -217,14 +214,10 @@ def cmd_apply(args) -> int:
             )
         )
         return ENGINES_DISAGREE
-    emit(engine)
-    return OK
+    return emit(engine)
 
 
-def cmd_validate(args) -> int:
-    gcm = _gcm_or_none(args.a, args.b)
-    if gcm is None:
-        return BAD_PARAMS
+def cmd_validate(args, gcm: GCM) -> int:
     if gcm.boundary:
         print("error: normal-form validation needs a, b >= 2", file=sys.stderr)
         return BAD_PARAMS
@@ -232,10 +225,9 @@ def cmd_validate(args) -> int:
     if data is None:
         return code
     try:
-        if "form" in data:
-            ep = ExplicitPath.from_json(data)
-        else:
-            ep = from_ls_path(LSPath.from_json(data))
+        pi, ep = _parse_path(data)
+        if ep is None:
+            ep = from_ls_path(pi)
         ep = validate_explicit(ep.form, ep.m, ep.s, ep.sigmas, gcm)
     except (KeyError, TypeError) as err:
         print(f"error: bad fields: {err}", file=sys.stderr)
@@ -247,48 +239,21 @@ def cmd_validate(args) -> int:
     return OK
 
 
-def cmd_graph(args) -> int:
-    gcm = _gcm_or_none(args.a, args.b)
-    if gcm is None:
-        return BAD_PARAMS
+def cmd_graph(args, gcm: GCM) -> int:
     if gcm.boundary:
         print("error: normal-form node labels need a, b >= 2", file=sys.stderr)
         return BAD_PARAMS
     if args.depth < 0:
         print("error: --depth must be nonnegative", file=sys.stderr)
         return BAD_PARAMS
-    start = straight_path()
-    order = [start]
-    index = {start: 0}
-    edges: list[tuple[int, int, str]] = []
-    seen_edges: set[tuple[int, int, str]] = set()
-    frontier = [start]
-    for _ in range(args.depth):
-        nxt = []
-        for pi in frontier:
-            for name, (op, i) in _OPS_GENERIC.items():
-                img = op(pi, i, gcm)
-                if img is None:
-                    continue
-                if img not in index:
-                    index[img] = len(order)
-                    order.append(img)
-                    nxt.append(img)
-                if name.startswith("f"):
-                    edge = (index[pi], index[img], name)
-                else:
-                    edge = (index[img], index[pi], f"f{i}")
-                if edge not in seen_edges:
-                    seen_edges.add(edge)
-                    edges.append(edge)
-        frontier = nxt
+    order, edges = crystal_bfs(gcm, lambda pi, level: level < args.depth)
     labels = [f"{from_ls_path(pi)} | {weight(pi, gcm)}" for pi in order]
     if args.format == "dot":
         lines = ["digraph crystal {"]
         for k, label in enumerate(labels):
             lines.append(f'  n{k} [label="{label}"];')
-        for src, dst, name in edges:
-            lines.append(f'  n{src} -> n{dst} [label="{name}"];')
+        for src, dst, i in edges:
+            lines.append(f'  n{src} -> n{dst} [label="f{i}"];')
         lines.append("}")
         print("\n".join(lines))
     else:
@@ -297,38 +262,24 @@ def cmd_graph(args) -> int:
                 {"id": f"n{k}", "label": labels[k], "path": from_ls_path(order[k]).to_json()}
                 for k in range(len(order))
             ],
-            "edges": [{"from": f"n{src}", "to": f"n{dst}", "label": name} for src, dst, name in edges],
+            "edges": [{"from": f"n{src}", "to": f"n{dst}", "label": f"f{i}"} for src, dst, i in edges],
         }
         print(json.dumps(doc))
     return OK
 
 
-def cmd_verify(args) -> int:
-    gcm = _gcm_or_none(args.a, args.b)
-    if gcm is None:
-        return BAD_PARAMS
+def cmd_verify(args, gcm: GCM) -> int:
     if args.m_max < 0 or args.s_max < 1:
         print("error: need --m-max >= 0 and --s-max >= 1", file=sys.stderr)
         return BAD_PARAMS
-    if gcm.boundary and args.check in GATED_CHECKS:
+    selected = list(CHECKS) if args.check == "all" else [args.check]
+    # on a boundary matrix only the checks that work for a = 1 or b = 1 run
+    runners = [CHECKS[name][0] for name in selected if not (gcm.boundary and CHECKS[name][1])]
+    if not runners:
         print(f"error: check '{args.check}' needs a, b >= 2", file=sys.stderr)
         return BAD_PARAMS
     bounds = SearchBounds(args.m_max, args.s_max)
-    reports = []
-    selected = args.check
-    if selected in ("all", "classification") and not gcm.boundary:
-        reports.append(check_classification(gcm, bounds))
-    if selected in ("all", "connectedness") and not gcm.boundary:
-        reports.append(check_connectedness(gcm, bounds))
-    if selected in ("all", "straight") and not gcm.boundary:
-        reports.append(check_straight_through_lambda(gcm, bounds))
-    if selected in ("all", "axioms") and not gcm.boundary:
-        reports.append(check_crystal_axioms(gcm, bounds))
-    if selected in ("all", "equivalence") and not gcm.boundary:
-        reports.append(check_operator_equivalence(gcm, args.m_max, args.s_max))
-    if selected in ("all", "structure"):
-        reports.append(check_structure(gcm, bounds))
-    report = combine(*reports)
+    report = combine(*(run(gcm, bounds) for run in runners))
     for line in report.to_json_lines():
         print(line)
     return OK if report.all_passed else CHECK_FAILED
@@ -385,7 +336,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s-max", type=int, default=3)
     p.add_argument(
         "check",
-        choices=("all",) + GATED_CHECKS + ("structure",),
+        choices=("all", *CHECKS),
         help="which check family to run",
     )
     p.set_defaults(func=cmd_verify)
@@ -399,7 +350,12 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as err:
         return int(err.code) if err.code else 0
-    return args.func(args)
+    try:
+        gcm = GCM(args.a, args.b)
+    except ValueError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return BAD_PARAMS
+    return args.func(args, gcm)
 
 
 if __name__ == "__main__":

@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cartan import GCM, Weight, rationals_from_json
+from .cartan import GCM, breakpoints, rationals_from_json
 from .paths import LSPath
 from .weyl import PQTable, WeylElement, X, pq_table, x, y
 
@@ -62,10 +62,6 @@ class ExplicitPath:
     sigmas: tuple[Fraction, ...]
 
     def __post_init__(self):
-        sig = self.sigmas
-        if type(sig) is not tuple or not all(type(t) is Fraction for t in sig):
-            sig = tuple(Fraction(t) for t in sig)
-            object.__setattr__(self, "sigmas", sig)
         if self.form not in (FORM_I, FORM_II):
             raise ValueError(f"form must be {FORM_I!r} or {FORM_II!r}, got {self.form!r}")
         if type(self.m) is not int:  # bool is an int subclass
@@ -76,16 +72,9 @@ class ExplicitPath:
             raise TypeError(f"s must be an integer, got {self.s!r}")
         if self.s < 1:
             raise ValueError(f"s must be a positive integer, got {self.s!r}")
-        if len(sig) != self.s + 1:
-            raise ValueError(f"s = {self.s} needs {self.s + 1} breakpoints, got {len(sig)}")
-        if sig[0] != 0 or sig[-1] != 1:
-            raise ValueError("breakpoints must run from 0 to 1")
-        n0, d0 = 0, 1
-        for t in sig[1:]:
-            n1, d1 = t.numerator, t.denominator
-            if n1 * d0 <= n0 * d1:
-                raise ValueError(f"breakpoints not strictly increasing: {sig}")
-            n0, d0 = n1, d1
+        if len(self.sigmas) != self.s + 1:
+            raise ValueError(f"s = {self.s} needs {self.s + 1} breakpoints, got {len(self.sigmas)}")
+        object.__setattr__(self, "sigmas", breakpoints(self.sigmas))
         if self.form == FORM_II:
             if self.m < self.s - 1:
                 raise ValueError(f"form ii needs m >= s - 1, got m = {self.m}, s = {self.s}")
@@ -211,39 +200,19 @@ def _heights(ep: ExplicitPath, slopes: list[int], grid: tuple[int, ...]) -> list
     return heights
 
 
-@dataclass(frozen=True)
-class PartialSums:
-    """Closed-form heights of both H functions at the breakpoints.
+def partial_sums(ep: ExplicitPath, gcm: GCM) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
+    """(H_1, H_2) at sigma_0..sigma_s from the closed-form int heights.
 
-    sums1[u] and sums2[u] are H_1 and H_2 at sigma_u: the int heights
-    the operators search, read as Fractions.  The last entries are the
-    weight coordinates; the minima are the lowest levels the H functions
-    reach.
+    The last entries are the weight coordinates.  A breakpoint off its
+    grid raises ValueError.
     """
-
-    sums1: tuple[Fraction, ...]
-    sums2: tuple[Fraction, ...]
-
-    def get(self, i: int) -> tuple[Fraction, ...]:
-        if i == 1:
-            return self.sums1
-        if i == 2:
-            return self.sums2
-        raise ValueError(f"simple root index must be 1 or 2, got {i}")
-
-    def weight(self) -> Weight:
-        return Weight(self.sums1[-1], self.sums2[-1])
-
-
-def partial_sums(ep: ExplicitPath, gcm: GCM) -> PartialSums:
-    """Both height sequences; ValueError if a breakpoint is off its grid."""
     table = pq_table(gcm, ep.m + ep.s)
     grid = _grid(ep.form, ep.m, ep.s, table)
-    sums1, sums2 = (
+    h1, h2 = (
         tuple(Fraction(n, d) for n, d in _heights(ep, _slopes(ep, i, table), grid))
         for i in (1, 2)
     )
-    return PartialSums(sums1, sums2)
+    return h1, h2
 
 
 def _straight(w: WeylElement) -> ExplicitPath:
@@ -275,12 +244,15 @@ def _search(ep: ExplicitPath, i: int, gcm: GCM, last: bool) -> tuple[int, list[i
 def f_explicit(ep: ExplicitPath, i: int, gcm: GCM) -> ExplicitPath | None:
     """Lowering operator in closed form; null when H_i ends on its minimum.
 
-    Every returned path is revalidated, so a wrong branch here fails
-    loudly instead of producing a malformed normal form; a breakpoint of
-    ep off its grid raises ValueError.
+    Both forms take the same branches and differ only in the sign of
+    step.  Every returned path is revalidated, so a wrong branch here
+    fails loudly instead of producing a malformed normal form; a
+    breakpoint of ep off its grid raises ValueError.
     """
     u0, slopes = _search(ep, i, gcm, last=True)
-    m, s, sig = ep.m, ep.s, ep.sigmas
+    form, m, s, sig = ep.form, ep.m, ep.s, ep.sigmas
+    # m moves by step when the last piece, x_m or y_m, is used up
+    step = 1 if form == FORM_I else -1
     if u0 == s:
         return None
     # H_i climbs one level on piece u0 + 1 in time 1/den; new = sig[u0] + 1/den
@@ -288,30 +260,25 @@ def f_explicit(ep: ExplicitPath, i: int, gcm: GCM) -> ExplicitPath | None:
     t, nxt = sig[u0], sig[u0 + 1]
     num, dd = t.numerator * den + t.denominator, t.denominator * den
     new = Fraction(num, dd) if num * nxt.denominator < nxt.numerator * dd else None
-    if ep.form == FORM_I:
-        if u0 == 0 and new is not None:
-            return validate_explicit(FORM_I, m, s + 1, (ZERO, new) + sig[1:], gcm)
-        if u0 == 0:
-            return _straight(x(m).reflected(i))
-        if new is not None:
-            return validate_explicit(FORM_I, m, s, sig[:u0] + (new,) + sig[u0 + 1 :], gcm)
-        return validate_explicit(FORM_I, m + 1, s - 1, sig[: s - 1] + (ONE,), gcm)
     if u0 == 0 and new is not None:
-        return validate_explicit(FORM_II, m, s + 1, (ZERO, new) + sig[1:], gcm)
+        return validate_explicit(form, m, s + 1, (ZERO, new) + sig[1:], gcm)
     if u0 == 0:
-        return _straight(y(m).reflected(i))
+        return _straight(ep.directions()[-1].reflected(i))
     if new is not None:
-        return validate_explicit(FORM_II, m, s, sig[:u0] + (new,) + sig[u0 + 1 :], gcm)
-    return validate_explicit(FORM_II, m - 1, s - 1, sig[: s - 1] + (ONE,), gcm)
+        return validate_explicit(form, m, s, sig[:u0] + (new,) + sig[u0 + 1 :], gcm)
+    return validate_explicit(form, m + step, s - 1, sig[: s - 1] + (ONE,), gcm)
 
 
 def e_explicit(ep: ExplicitPath, i: int, gcm: GCM) -> ExplicitPath | None:
     """Raising operator in closed form; null when H_i never dips below 0.
 
-    A breakpoint of ep off its grid raises ValueError.
+    Both forms take the same branches and differ only in the sign of
+    step.  A breakpoint of ep off its grid raises ValueError.
     """
     u1, slopes = _search(ep, i, gcm, last=False)
-    m, s, sig = ep.m, ep.s, ep.sigmas
+    form, m, s, sig = ep.form, ep.m, ep.s, ep.sigmas
+    # m moves by -step when a piece is added after the last one, x_m or y_m
+    step = 1 if form == FORM_I else -1
     if u1 == 0:
         return None
     # H_i falls one level on piece u1 in time 1/den; new = sig[u1] - 1/den
@@ -319,21 +286,13 @@ def e_explicit(ep: ExplicitPath, i: int, gcm: GCM) -> ExplicitPath | None:
     t, prev = sig[u1], sig[u1 - 1]
     num, dd = t.numerator * den - t.denominator, t.denominator * den
     new = Fraction(num, dd) if prev.numerator * dd < num * prev.denominator else None
-    if ep.form == FORM_I:
-        if u1 == s and new is not None:
-            return validate_explicit(FORM_I, m - 1, s + 1, sig[:s] + (new, ONE), gcm)
-        if u1 == s:
-            return _straight(x(m).reflected(i))
-        if new is not None:
-            return validate_explicit(FORM_I, m, s, sig[:u1] + (new,) + sig[u1 + 1 :], gcm)
-        return validate_explicit(FORM_I, m, s - 1, (ZERO,) + sig[2:], gcm)
     if u1 == s and new is not None:
-        return validate_explicit(FORM_II, m + 1, s + 1, sig[:s] + (new, ONE), gcm)
+        return validate_explicit(form, m - step, s + 1, sig[:s] + (new, ONE), gcm)
     if u1 == s:
-        return _straight(y(m).reflected(i))
+        return _straight(ep.directions()[-1].reflected(i))
     if new is not None:
-        return validate_explicit(FORM_II, m, s, sig[:u1] + (new,) + sig[u1 + 1 :], gcm)
-    return validate_explicit(FORM_II, m, s - 1, (ZERO,) + sig[2:], gcm)
+        return validate_explicit(form, m, s, sig[:u1] + (new,) + sig[u1 + 1 :], gcm)
+    return validate_explicit(form, m, s - 1, (ZERO,) + sig[2:], gcm)
 
 
 def enumerate_explicit(gcm: GCM, m_max: int, s_max: int) -> set[ExplicitPath]:

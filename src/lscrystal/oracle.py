@@ -36,6 +36,7 @@ from .cartan import (
 from .explicit import ExplicitPath, FORM_II, enumerate_explicit, from_ls_path, to_ls_path
 from .paths import (
     LSPath,
+    crystal_bfs,
     e_generic,
     e_max,
     epsilon,
@@ -75,33 +76,28 @@ class OracleBoundError(RuntimeError):
     """A search hit its configured cap; the answer is unknown, not false."""
 
 
+# coefficient height c + d of the largest positive root a chain may use
+ROOT_HEIGHT_MAX = 40
+
+
 @dataclass(frozen=True)
 class SearchBounds:
-    """Window and budget knobs for the brute-force searches.
-
-    chain_len_max = 0 means the default 2*m_max + 2, which covers every
-    order interval inside the window.
-    """
+    """The window of the brute-force searches: directions up to m_max
+    away from the identity, paths of at most s_max pieces."""
 
     m_max: int
     s_max: int
-    root_height_max: int = 40
-    chain_len_max: int = 0
 
     def __post_init__(self):
-        if self.chain_len_max == 0:
-            object.__setattr__(self, "chain_len_max", 2 * self.m_max + 2)
         if self.m_max < 0:
             raise ValueError(f"m_max must be nonnegative, got {self.m_max}")
         if self.s_max < 1:
             raise ValueError(f"s_max must be positive, got {self.s_max}")
-        if self.root_height_max < 1:
-            raise ValueError(f"root_height_max must be positive, got {self.root_height_max}")
-        if self.chain_len_max < 2 * self.m_max + 2:
-            raise ValueError(
-                f"chain_len_max = {self.chain_len_max} cannot realize all window "
-                f"distances; need at least {2 * self.m_max + 2}"
-            )
+
+    @property
+    def chain_len_max(self) -> int:
+        """2*m_max + 2, which covers every order interval inside the window."""
+        return 2 * self.m_max + 2
 
 
 def _elt(key: int) -> WeylElement:
@@ -109,31 +105,31 @@ def _elt(key: int) -> WeylElement:
 
 
 @lru_cache(maxsize=None)
-def _chain_roots(gcm: GCM, height_max: int) -> tuple[PositiveRoot, ...]:
-    """Positive roots with coefficient height c + d <= height_max.
+def _chain_roots(gcm: GCM) -> tuple[PositiveRoot, ...]:
+    """Positive roots with coefficient height c + d <= ROOT_HEIGHT_MAX.
 
     Heights along each series grow without bound (the recurrence is
-    expanding for a*b > 4), so scanning word lengths up to height_max
-    sees every root under the cap.
+    expanding for a*b > 4), so scanning word lengths up to the cap sees
+    every root under it.
     """
     by_coords = {}
-    for l in range(height_max + 1):
+    for l in range(ROOT_HEIGHT_MAX + 1):
         for beta in (positive_root(x(l), 2, gcm), positive_root(y(l), 1, gcm)):
-            if sum(beta.coords) <= height_max:
+            if sum(beta.coords) <= ROOT_HEIGHT_MAX:
                 by_coords.setdefault(beta.coords, beta)
     return tuple(by_coords.values())
 
 
 @lru_cache(maxsize=None)
 def _down_steps(
-    gcm: GCM, lo: int, hi: int, height_max: int
+    gcm: GCM, lo: int, hi: int
 ) -> tuple[tuple[tuple[int, PositiveRoot, Fraction], ...], ...]:
     """All decreasing reflection steps between window elements.
 
     Entry key - lo lists (target key, root, pairing) for every bounded
     root with negative pairing whose reflection stays in the interval.
     """
-    roots = _chain_roots(gcm, height_max)
+    roots = _chain_roots(gcm)
     weights = {k: orbit_weight(_elt(k), gcm).weight for k in range(lo, hi + 1)}
     by_weight = {wt: k for k, wt in weights.items()}
     if len(by_weight) != len(weights):
@@ -168,7 +164,7 @@ def dist(mu: OrbitWeight, nu: OrbitWeight, gcm: GCM, bounds: SearchBounds) -> in
             f"order interval [{nu.elt}, {mu.elt}] is longer than chain_len_max = "
             f"{bounds.chain_len_max}"
         )
-    steps = _down_steps(gcm, lo, hi, bounds.root_height_max)
+    steps = _down_steps(gcm, lo, hi)
     best: list[int | None] = [0] + [None] * (hi - lo)
     for k in range(lo + 1, hi + 1):
         lengths = [1 + best[k2 - lo] for k2, _, _ in steps[k - lo] if best[k2 - lo] is not None]
@@ -177,7 +173,7 @@ def dist(mu: OrbitWeight, nu: OrbitWeight, gcm: GCM, bounds: SearchBounds) -> in
     if top is None:
         raise OracleBoundError(
             f"no chain from {mu.elt} to {nu.elt} using roots of height <= "
-            f"{bounds.root_height_max}"
+            f"{ROOT_HEIGHT_MAX}"
         )
     return top
 
@@ -199,7 +195,7 @@ def _dist1_graph(
                 continue
             links = [
                 (t, beta, val)
-                for t, beta, val in _down_steps(gcm, lo, hi, bounds.root_height_max)[k - lo]
+                for t, beta, val in _down_steps(gcm, lo, hi)[k - lo]
                 if t == k2
             ]
             if len(links) != 1:
@@ -287,14 +283,11 @@ def denominator_policy(gcm: GCM, bounds: SearchBounds) -> tuple[Fraction, ...]:
     return tuple(sorted(values))
 
 
-def enumerate_ls_paths(gcm: GCM, bounds: SearchBounds, policy=None) -> set[LSPath]:
+def enumerate_ls_paths(gcm: GCM, bounds: SearchBounds) -> set[LSPath]:
     """Every LS path with directions in the window and at most s_max pieces,
-    breakpoints drawn from the policy set, validity from the definition."""
-    if policy is None:
-        policy = denominator_policy(gcm, bounds)
-    policy = tuple(sorted({Fraction(t) for t in policy}))
-    if any(not 0 < t < 1 for t in policy):
-        raise ValueError("policy breakpoints must lie strictly between 0 and 1")
+    breakpoints drawn from the denominator policy, validity from the
+    definition."""
+    policy = denominator_policy(gcm, bounds)
     window = window_elements(bounds.m_max)
     admissible: dict[tuple[WeylElement, WeylElement], tuple[Fraction, ...]] = {}
     for i, u in enumerate(window):
@@ -393,7 +386,7 @@ def check_classification(gcm: GCM, bounds: SearchBounds) -> VerificationReport:
                         }
     length_result = CheckResult("sigma-chain-length-one", bad is None, chains, bad)
 
-    oracle_set = enumerate_ls_paths(gcm, bounds, policy)
+    oracle_set = enumerate_ls_paths(gcm, bounds)
     normal_set = {to_ls_path(ep) for ep in _normal_forms_in_window(gcm, bounds)}
     ce = None
     extra = oracle_set - normal_set
@@ -429,7 +422,7 @@ def check_straight_through_lambda(gcm: GCM, bounds: SearchBounds) -> Verificatio
     turn_result = CheckResult("no-turn-at-lambda", bad is None, checked, bad)
 
     ce = None
-    paths = enumerate_ls_paths(gcm, bounds, policy)
+    paths = enumerate_ls_paths(gcm, bounds)
     for pi in sorted(paths, key=str):
         if pi.s >= 2 and any(d.is_identity for d in pi.dirs):
             ce = {"path": pi.to_json()}
@@ -464,24 +457,13 @@ def check_connectedness(gcm: GCM, bounds: SearchBounds) -> VerificationReport:
             break
     reduction_result = CheckResult("reduction-to-straight", bad is None, len(paths), bad)
 
-    # frontier expansion stays near the window (a little slack in s); any
-    # node reached still counts for coverage
+    # expansion stays near the window (a little slack in s); any node
+    # reached still counts for coverage
+    def near(pi: LSPath, level: int) -> bool:
+        return max(abs(d.order_key) for d in pi.dirs) <= bounds.m_max and pi.s <= bounds.s_max + 2
+
     targets = set(paths)
-    visited = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for pi in frontier:
-            if max(abs(d.order_key) for d in pi.dirs) > bounds.m_max or pi.s > bounds.s_max + 2:
-                continue
-            for op in (f_generic, e_generic):
-                for i in (1, 2):
-                    img = op(pi, i, gcm)
-                    if img is not None and img not in visited:
-                        visited.add(img)
-                        nxt.append(img)
-        frontier = nxt
-    uncovered = targets - visited
+    uncovered = targets - set(crystal_bfs(gcm, near)[0])
     ce = {"path": min(uncovered, key=str).to_json()} if uncovered else None
     bfs_result = CheckResult("bfs-coverage", ce is None, len(targets), ce)
     return VerificationReport((reduction_result, bfs_result))

@@ -29,8 +29,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .cartan import GCM, Weight, pairing, rationals_from_json
-from .weyl import IDENTITY, OrbitWeight, WeylElement, orbit_weight
+from .cartan import GCM, Weight, breakpoints, pairing, rationals_from_json
+from .weyl import IDENTITY, WeylElement, orbit_weight
 
 
 @dataclass(frozen=True)
@@ -39,28 +39,18 @@ class LSPath:
     times: tuple[Fraction, ...]
 
     def __post_init__(self):
-        dirs, times = self.dirs, self.times
+        dirs = self.dirs
         if type(dirs) is not tuple:
             dirs = tuple(dirs)
             object.__setattr__(self, "dirs", dirs)
-        if type(times) is not tuple or not all(type(t) is Fraction for t in times):
-            times = tuple(Fraction(t) for t in times)
-            object.__setattr__(self, "times", times)
         if len(dirs) < 1:
             raise ValueError("a path needs at least one direction")
-        if len(times) != len(dirs) + 1:
+        if len(self.times) != len(dirs) + 1:
             raise ValueError(
                 f"{len(dirs)} directions need {len(dirs) + 1} "
-                f"breakpoints, got {len(times)}"
+                f"breakpoints, got {len(self.times)}"
             )
-        if times[0] != 0 or times[-1] != 1:
-            raise ValueError("breakpoints must run from 0 to 1")
-        n0, d0 = 0, 1
-        for t in times[1:]:
-            n1, d1 = t.numerator, t.denominator
-            if n1 * d0 <= n0 * d1:
-                raise ValueError(f"breakpoints not strictly increasing: {times}")
-            n0, d0 = n1, d1
+        object.__setattr__(self, "times", breakpoints(self.times))
         for u, v in zip(dirs, dirs[1:]):
             if u.order_key <= v.order_key:
                 raise ValueError(f"directions not strictly decreasing: {u} !> {v}")
@@ -100,16 +90,6 @@ class PiecewiseLinear:
         # segment slopes are constant, so the min over breakpoints is
         # the global min
         return min(v for _, v in self.points)
-
-    def value_at(self, t) -> Fraction:
-        t = Fraction(t)
-        pts = self.points
-        if not pts[0][0] <= t <= pts[-1][0]:
-            raise ValueError(f"t = {t} outside [{pts[0][0]}, {pts[-1][0]}]")
-        for (t0, v0), (t1, v1) in zip(pts, pts[1:]):
-            if t <= t1:
-                return v0 + (t - t0) * (v1 - v0) / (t1 - t0)
-        return pts[-1][1]
 
     def local_min_values(self) -> list[Fraction]:
         """Values at local minima, endpoints included when one-sidedly minimal."""
@@ -257,47 +237,60 @@ def e_generic(pi: LSPath, i: int, gcm: GCM) -> LSPath | None:
     return _reflect_pieces(dirs, times, i, u, j1)
 
 
+def _string(op, pi: LSPath, i: int, gcm: GCM) -> tuple[int, LSPath]:
+    """Apply op until it returns null: the number of steps and the last path."""
+    n, cur = 0, pi
+    nxt = op(cur, i, gcm)
+    while nxt is not None:
+        n, cur = n + 1, nxt
+        nxt = op(cur, i, gcm)
+    return n, cur
+
+
 def epsilon(pi: LSPath, i: int, gcm: GCM) -> int:
-    n = 0
-    cur = e_generic(pi, i, gcm)
-    while cur is not None:
-        n += 1
-        cur = e_generic(cur, i, gcm)
-    return n
+    return _string(e_generic, pi, i, gcm)[0]
 
 
 def phi(pi: LSPath, i: int, gcm: GCM) -> int:
-    n = 0
-    cur = f_generic(pi, i, gcm)
-    while cur is not None:
-        n += 1
-        cur = f_generic(cur, i, gcm)
-    return n
+    return _string(f_generic, pi, i, gcm)[0]
 
 
 def e_max(pi: LSPath, i: int, gcm: GCM) -> LSPath:
-    cur = pi
-    nxt = e_generic(cur, i, gcm)
-    while nxt is not None:
-        cur = nxt
-        nxt = e_generic(cur, i, gcm)
-    return cur
+    return _string(e_generic, pi, i, gcm)[1]
 
 
 def f_max(pi: LSPath, i: int, gcm: GCM) -> LSPath:
-    cur = pi
-    nxt = f_generic(cur, i, gcm)
-    while nxt is not None:
-        cur = nxt
-        nxt = f_generic(cur, i, gcm)
-    return cur
+    return _string(f_generic, pi, i, gcm)[1]
 
 
-def iota(pi: LSPath, gcm: GCM) -> OrbitWeight:
-    """First direction of the path."""
-    return orbit_weight(pi.dirs[0], gcm)
+def crystal_bfs(gcm: GCM, expand) -> tuple[list[LSPath], list[tuple[int, int, int]]]:
+    """Breadth-first search of the crystal graph from the straight path.
 
-
-def kappa(pi: LSPath, gcm: GCM) -> OrbitWeight:
-    """Last direction of the path."""
-    return orbit_weight(pi.dirs[-1], gcm)
+    Returns the nodes in discovery order and each f_i-edge once, as
+    (source index, target index, i).  A node's images are taken in the
+    order f_1, f_2, e_1, e_2, and only when expand(node, level) holds,
+    level being the node's distance from the start.
+    """
+    start = straight_path()
+    nodes = [start]
+    index = {start: 0}
+    edges: dict[tuple[int, int, int], None] = {}
+    frontier, level = [start], 0
+    while frontier:
+        nxt = []
+        for pi in frontier:
+            if not expand(pi, level):
+                continue
+            for lowering, op in ((True, f_generic), (False, e_generic)):
+                for i in (1, 2):
+                    img = op(pi, i, gcm)
+                    if img is None:
+                        continue
+                    if img not in index:
+                        index[img] = len(nodes)
+                        nodes.append(img)
+                        nxt.append(img)
+                    src, dst = (pi, img) if lowering else (img, pi)
+                    edges[(index[src], index[dst], i)] = None
+        frontier, level = nxt, level + 1
+    return nodes, list(edges)

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .cartan import GCM, LAMBDA, Weight, pairing, simple_reflect
+from .cartan import GCM, Weight, pairing, simple_reflect
 
 X = "x"
 Y = "y"
@@ -263,35 +263,21 @@ def positive_roots_weyl(gcm: GCM, n: int) -> list[PositiveRoot]:
     return roots
 
 
-@dataclass(frozen=True)
-class CDTable:
-    """c_0..c_n and d_0..d_n of the coupled root recurrence."""
+def positive_roots_recurrence(gcm: GCM, n: int) -> list[tuple[int, int]]:
+    """Root coordinates {(c_j, d_{j+1}), (c_{j+1}, d_j)} for 0 <= j < n.
 
-    c: tuple[int, ...]
-    d: tuple[int, ...]
-
-
-@lru_cache(maxsize=None)
-def cd_table(gcm: GCM, n: int) -> CDTable:
-    if n < 1:
-        raise ValueError(f"table length must be at least 1, got n={n}")
-    c = [0, 1]
-    d = [0, 1]
+    c_0 = d_0 = 0, c_1 = d_1 = 1, c_{k+1} = a d_k - c_{k-1} and
+    d_{k+1} = b c_k - d_{k-1}.
+    """
+    c, d = [0, 1], [0, 1]
     for _ in range(n - 1):
-        c_next = gcm.a * d[-1] - c[-2]
-        d_next = gcm.b * c[-1] - d[-2]
+        c_next, d_next = gcm.a * d[-1] - c[-2], gcm.b * c[-1] - d[-2]
         c.append(c_next)
         d.append(d_next)
-    return CDTable(tuple(c[: n + 1]), tuple(d[: n + 1]))
-
-
-def positive_roots_recurrence(gcm: GCM, n: int) -> list[tuple[int, int]]:
-    """Root coordinates {(c_j, d_{j+1}), (c_{j+1}, d_j)} for 0 <= j < n."""
-    t = cd_table(gcm, n + 1)
     out = []
     for j in range(n):
-        out.append((t.c[j], t.d[j + 1]))
-        out.append((t.c[j + 1], t.d[j]))
+        out.append((c[j], d[j + 1]))
+        out.append((c[j + 1], d[j]))
     return out
 
 

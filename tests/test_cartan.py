@@ -20,8 +20,7 @@ from lscrystal.cartan import (
 
 def test_gcm_accepts_hyperbolic():
     g = GCM(3, 3)
-    assert g.matrix == ((2, -3), (-3, 2))
-    assert g.entry(1, 2) == -3
+    assert (g.a, g.b) == (3, 3)
     assert not g.boundary
     assert GCM(1, 5).boundary
     assert GCM(5, 1).boundary
@@ -30,6 +29,12 @@ def test_gcm_accepts_hyperbolic():
 @pytest.mark.parametrize("a,b", [(1, 1), (2, 2), (1, 4), (4, 1), (0, 9), (-1, -9), (3, 0)])
 def test_gcm_rejects_non_hyperbolic(a, b):
     with pytest.raises(ValueError):
+        GCM(a, b)
+
+
+@pytest.mark.parametrize("a,b", [(True, 5), (5, True), (3.0, 3), (3, "3")])
+def test_gcm_rejects_non_int_entries(a, b):
+    with pytest.raises(TypeError):
         GCM(a, b)
 
 

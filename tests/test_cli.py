@@ -4,6 +4,8 @@ import json
 import pytest
 
 from lscrystal import cli
+from lscrystal.cartan import GCM
+from lscrystal.oracle import CheckResult, SearchBounds, VerificationReport
 
 
 def run(capsys, *argv, stdin=None, monkeypatch=None):
@@ -140,6 +142,25 @@ def test_apply_generic_on_ls_path_unchanged(capsys, monkeypatch, op, expected):
     )
     assert code == 0 and err == ""
     assert json.loads(out) == expected
+
+
+@pytest.mark.parametrize(
+    "ab, op, payload, reason",
+    [
+        ((1, 5), "f2", '{"form": "ii", "m": 2, "s": 2, "sigmas": ["0", "1/2", "1"]}', "directions mix families"),
+        ((5, 1), "e1", '{"form": "i", "m": 1, "s": 2, "sigmas": ["0", "1/3", "1"]}', "not consecutive"),
+    ],
+)
+def test_apply_generic_image_without_normal_form(capsys, monkeypatch, ab, op, payload, reason):
+    # the input passes the LS check, but its generic image is no normal
+    # form, so there is nothing to print in the "form" schema
+    code, out, err = run(
+        capsys, "apply", "--a", str(ab[0]), "--b", str(ab[1]), "--op", op, "--mode", "generic",
+        stdin=payload, monkeypatch=monkeypatch,
+    )
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: not a normal form: ") and reason in err
 
 
 def test_apply_explicit_mode_needs_deep_matrix(capsys, monkeypatch):
@@ -285,6 +306,22 @@ def test_verify_boundary_gating(capsys):
     assert code == 0
     checks = [json.loads(line)["check"] for line in out.splitlines()]
     assert checks == ["degenerate-orbit-identities"]
+
+
+def test_verify_looks_checks_up_at_call_time(capsys, monkeypatch):
+    # the check registry must call whatever the module name holds now, so
+    # a replaced check (a stub here, a tracing wrapper elsewhere) runs
+    calls = []
+
+    def stub(gcm, bounds):
+        calls.append((gcm, bounds))
+        return VerificationReport((CheckResult("stub", True, 1),))
+
+    monkeypatch.setattr("lscrystal.cli.check_structure", stub)
+    code, out, _ = run(capsys, "verify", "--a", "3", "--b", "3", "--m-max", "1", "--s-max", "1", "structure")
+    assert code == 0
+    assert calls == [(GCM(3, 3), SearchBounds(1, 1))]
+    assert [json.loads(line)["check"] for line in out.splitlines()] == ["stub"]
 
 
 def test_unknown_subcommand_exits_2(capsys):

@@ -21,6 +21,7 @@ import json
 import os
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -69,18 +70,13 @@ BAD_PAYLOADS = (
 
 def run_case(argv, stdin):
     out, err = io.StringIO(), io.StringIO()
-    saved = sys.stdin, os.environ.get("COLUMNS")
-    sys.stdin = io.StringIO(stdin or "")
-    os.environ["COLUMNS"] = "80"
-    try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.main(list(argv))
-    finally:
-        sys.stdin = saved[0]
-        if saved[1] is None:
-            del os.environ["COLUMNS"]
-        else:
-            os.environ["COLUMNS"] = saved[1]
+    with (
+        mock.patch.dict(os.environ, {"COLUMNS": "80"}),
+        mock.patch.object(sys, "stdin", io.StringIO(stdin or "")),
+        contextlib.redirect_stdout(out),
+        contextlib.redirect_stderr(err),
+    ):
+        code = cli.main(list(argv))
     return {"stdout": out.getvalue(), "stderr": err.getvalue(), "code": code}
 
 

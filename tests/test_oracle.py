@@ -39,8 +39,6 @@ def test_bounds_validation():
         SearchBounds(-1, 1)
     with pytest.raises(ValueError):
         SearchBounds(2, 0)
-    with pytest.raises(ValueError):
-        SearchBounds(3, 3, chain_len_max=5)
 
 
 def test_dist_frozen_values():

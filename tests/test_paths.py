@@ -20,8 +20,6 @@ from lscrystal.paths import (
     f_generic,
     f_max,
     h_function,
-    iota,
-    kappa,
     phi,
     straight_path,
     weight,
@@ -53,7 +51,6 @@ def test_straight_path():
     assert pi.s == 1
     assert str(pi) == "(x0; 0, 1)"
     assert weight(pi, G33) == LAMBDA
-    assert iota(pi, G33).weight == LAMBDA and kappa(pi, G33).weight == LAMBDA
 
 
 def test_eval_path_exact():
@@ -69,7 +66,7 @@ def test_h_function_of_straight():
     assert h1.points == ((F(0), F(0)), (F(1), F(1)))
     h2 = h_function(straight_path(), 2, G33)
     assert h2.minimum() == -1
-    assert h2.value_at(F(1, 2)) == F(-1, 2)
+    assert eval_path(straight_path(), F(1, 2), G33).c2 == F(-1, 2)
     assert h2.local_min_values() == [F(-1)]
 
 
