@@ -52,8 +52,9 @@ class ExplicitPath:
     """One normal form: family, top index data (m, s), breakpoints.
 
     The constructor checks everything that does not need the matrix
-    (types, shapes, monotonicity, m >= s - 1 for form ii); breakpoint
-    integrality does need it and lives in validate_explicit.
+    (types, shapes, monotonicity, m >= s for form ii except the straight
+    path m = 0, s = 1); breakpoint integrality does need it and lives in
+    validate_explicit.
     """
 
     form: str
@@ -78,6 +79,12 @@ class ExplicitPath:
         if self.form == FORM_II:
             if self.m < self.s - 1:
                 raise ValueError(f"form ii needs m >= s - 1, got m = {self.m}, s = {self.s}")
+            if self.m == self.s - 1 > 0:
+                # the first direction would be y_0 = x_0, which only the
+                # straight path holds
+                raise ValueError(
+                    f"form ii with m = s - 1 starts at the identity y_0, got m = {self.m}, s = {self.s}"
+                )
             if self.m == 0:
                 # the straight identity path; canonical spelling is form i
                 object.__setattr__(self, "form", FORM_I)
@@ -308,7 +315,7 @@ def enumerate_explicit(gcm: GCM, m_max: int, s_max: int) -> set[ExplicitPath]:
     table = pq_table(gcm, m_max + s_max)
     for m in range(m_max + 1):
         for s in range(1, s_max + 1):
-            for form in (FORM_I, FORM_II) if m >= s - 1 else (FORM_I,):
+            for form in (FORM_I, FORM_II) if m >= s else (FORM_I,):
                 for sig in _interior_choices(_grid(form, m, s, table)):
                     found.add(validate_explicit(form, m, s, sig, gcm))
     return found

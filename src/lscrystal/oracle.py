@@ -9,6 +9,12 @@ on (sigma-chains have length one, every path is one of two normal
 forms, the crystal graph is connected) over finite windows and report
 counterexamples when anything fails.
 
+Whether a sigma-chain exists, and how long it is, depends on sigma only
+through its reduced denominator d (see sigma_chain_lengths).  The
+callers that scan the denominator policy therefore search once per
+window pair and distinct denominator, with 1/d standing in for every
+policy value over d, and read the per-breakpoint answers off that.
+
 Apart from check_structure, which also knows the two degenerate orbit
 identities of the a = 1 / b = 1 edge, everything here effectively needs
 a, b >= 2: once orbit weights repeat, the chain search refuses to run
@@ -214,7 +220,10 @@ def sigma_chain_lengths(
     """Lengths of all sigma-chains for (mu, nu); empty when none exists.
 
     A sigma-chain steps through pairs at distance 1 with every step's
-    pairing turned into a negative integer by sigma.
+    pairing turned into a negative integer by sigma.  Every step's
+    pairing val is itself a negative integer and sigma = n/d is reduced,
+    so sigma * val is an integer exactly when d divides val: the result
+    depends on sigma only through d, and 1/d gives the same answer.
     """
     if orbit_compare(mu.elt, nu.elt) != GREATER:
         raise ValueError(f"sigma-chains need {mu.elt} strictly above {nu.elt}")
@@ -283,20 +292,32 @@ def denominator_policy(gcm: GCM, bounds: SearchBounds) -> tuple[Fraction, ...]:
     return tuple(sorted(values))
 
 
+def _denominators(policy: tuple[Fraction, ...]) -> tuple[int, ...]:
+    """The distinct denominators of the policy values, smallest first."""
+    return tuple(sorted({t.denominator for t in policy}))
+
+
+def _admissible_denominators(
+    mu: OrbitWeight, nu: OrbitWeight, dens: tuple[int, ...], gcm: GCM, bounds: SearchBounds
+) -> frozenset[int]:
+    """The d in dens for which a 1/d-chain exists for (mu, nu); a policy
+    value admits a sigma-chain exactly when its denominator is one of them."""
+    return frozenset(d for d in dens if sigma_chain_exists(mu, nu, Fraction(1, d), gcm, bounds))
+
+
 def enumerate_ls_paths(gcm: GCM, bounds: SearchBounds) -> set[LSPath]:
     """Every LS path with directions in the window and at most s_max pieces,
     breakpoints drawn from the denominator policy, validity from the
     definition."""
     policy = denominator_policy(gcm, bounds)
+    dens = _denominators(policy)
     window = window_elements(bounds.m_max)
     admissible: dict[tuple[WeylElement, WeylElement], tuple[Fraction, ...]] = {}
     for i, u in enumerate(window):
         uw = orbit_weight(u, gcm)
         for v in window[i + 1 :]:
-            vw = orbit_weight(v, gcm)
-            admissible[(u, v)] = tuple(
-                t for t in policy if sigma_chain_exists(uw, vw, t, gcm, bounds)
-            )
+            ok = _admissible_denominators(uw, orbit_weight(v, gcm), dens, gcm, bounds)
+            admissible[(u, v)] = tuple(t for t in policy if t.denominator in ok)
     position = {w: i for i, w in enumerate(window)}
     out: set[LSPath] = set()
 
@@ -367,14 +388,16 @@ def check_classification(gcm: GCM, bounds: SearchBounds) -> VerificationReport:
     exactly the normal forms living in the window."""
     window = window_elements(bounds.m_max)
     policy = denominator_policy(gcm, bounds)
+    dens = _denominators(policy)
     chains = 0
     bad = None
     for i, u in enumerate(window):
         uw = orbit_weight(u, gcm)
         for v in window[i + 1 :]:
             vw = orbit_weight(v, gcm)
+            by_den = {d: sigma_chain_lengths(uw, vw, Fraction(1, d), gcm, bounds) for d in dens}
             for t in policy:
-                found = sigma_chain_lengths(uw, vw, t, gcm, bounds)
+                found = by_den[t.denominator]
                 if found:
                     chains += 1
                     if set(found) != {1} and bad is None:
@@ -407,6 +430,7 @@ def check_straight_through_lambda(gcm: GCM, bounds: SearchBounds) -> Verificatio
     contains it."""
     window = window_elements(bounds.m_max)
     policy = denominator_policy(gcm, bounds)
+    dens = _denominators(policy)
     lam = orbit_weight(IDENTITY, gcm)
     checked = 0
     bad = None
@@ -415,9 +439,10 @@ def check_straight_through_lambda(gcm: GCM, bounds: SearchBounds) -> Verificatio
             continue
         ww = orbit_weight(w, gcm)
         upper, lower = (ww, lam) if w.order_key > 0 else (lam, ww)
+        ok = _admissible_denominators(upper, lower, dens, gcm, bounds)
         for t in policy:
             checked += 1
-            if sigma_chain_exists(upper, lower, t, gcm, bounds) and bad is None:
+            if t.denominator in ok and bad is None:
                 bad = {"upper": str(upper.elt), "lower": str(lower.elt), "sigma": str(t)}
     turn_result = CheckResult("no-turn-at-lambda", bad is None, checked, bad)
 

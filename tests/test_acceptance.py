@@ -81,6 +81,25 @@ def test_criterion_3_classification_set_equality():
             assert is_ls_path_oracle(pi.dirs, pi.times, g, _bounds()), str(ep)
 
 
+# (sigma-chain-length-one, normal-form-set-equality) checked counts at
+# m <= 5, recorded with one chain search per policy breakpoint
+WIDE_CLASSIFICATION_COUNTS = {
+    (2, 3): (28, 83),
+    (3, 2): (28, 83),
+    (2, 5): (132, 1151),
+    (3, 3): (100, 559),
+}
+
+
+def test_criterion_3_classification_at_m_5():
+    for a, b in GRIDS:
+        report = check_classification(GCM(a, b), SearchBounds(M_MAX + 1, S_MAX))
+        assert report.all_passed, report.to_json_lines()
+        by_name = {r.name: r.checked for r in report.results}
+        counts = (by_name["sigma-chain-length-one"], by_name["normal-form-set-equality"])
+        assert counts == WIDE_CLASSIFICATION_COUNTS[(a, b)]
+
+
 def test_criterion_4_connectedness_at_desk_scale():
     for a, b in GRIDS:
         report = check_connectedness(GCM(a, b), _bounds())

@@ -48,6 +48,18 @@ def test_shape_validation():
         ExplicitPath("iii", 0, 1, (0, 1))
 
 
+@pytest.mark.parametrize("m, s", [(1, 2), (2, 3), (4, 5)])
+def test_form_ii_rejects_m_one_below_s(m, s):
+    # the first direction would be y_0 = x_0, the identity
+    sig = tuple(F(j, s) for j in range(s + 1))
+    with pytest.raises(ValueError, match="starts at the identity"):
+        ExplicitPath(FORM_II, m, s, sig)
+    with pytest.raises(ValueError, match="starts at the identity"):
+        validate_explicit(FORM_II, m, s, sig, G33)
+    with pytest.raises(ValueError, match="starts at the identity"):
+        ExplicitPath.from_json({"form": "ii", "m": m, "s": s, "sigmas": [str(t) for t in sig]})
+
+
 @pytest.mark.parametrize("m, s", [(True, 1), (0, True), (1.0, 1), (0, "1")])
 def test_shape_rejects_wrong_types(m, s):
     with pytest.raises(TypeError):

@@ -22,7 +22,7 @@ from lscrystal.oracle import (
     sigma_chain_lengths,
 )
 from lscrystal.paths import LSPath, e_generic, f_generic, straight_path
-from lscrystal.weyl import IDENTITY, orbit_weight, x, y
+from lscrystal.weyl import IDENTITY, orbit_weight, window_elements, x, y
 
 G33 = GCM(3, 3)
 G23 = GCM(2, 3)
@@ -70,6 +70,27 @@ def test_sigma_chain_frozen_values():
         sigma_chain_exists(ow(x(1)), ow(x(1)), F(1, 2), G33, B33)
     with pytest.raises(ValueError):
         sigma_chain_exists(ow(x(2)), ow(x(1)), F(3, 2), G33, B33)
+
+
+@pytest.mark.parametrize("ab", [(2, 3), (3, 3), (2, 5)])
+def test_sigma_chains_depend_only_on_the_denominator(ab):
+    # the fact check_classification, check_straight_through_lambda and
+    # enumerate_ls_paths rest on: 1/d answers for every sigma over d
+    gcm = GCM(*ab)
+    bounds = SearchBounds(4, 3)
+    window = window_elements(bounds.m_max)
+    policy = denominator_policy(gcm, bounds)
+    dens = {t.denominator for t in policy}
+    chains = 0
+    for i, u in enumerate(window):
+        for v in window[i + 1 :]:
+            uw, vw = ow(u, gcm), ow(v, gcm)
+            by_den = {d: sigma_chain_lengths(uw, vw, F(1, d), gcm, bounds) for d in dens}
+            for t in policy:
+                found = sigma_chain_lengths(uw, vw, t, gcm, bounds)
+                assert found == by_den[t.denominator], (str(u), str(v), t)
+                chains += bool(found)
+    assert chains > 0
 
 
 def test_no_sigma_works_between_non_adjacent():
