@@ -4,6 +4,12 @@ Weights are written in the basis of fundamental weights, so the pair
 (c1, c2) stands for c1*L1 + c2*L2 and pairing with a simple coroot just
 reads off a coordinate.  Everything is exact (int / Fraction); floats
 never appear.
+
+Both path classes store their breakpoints 0 = t_0 < ... < t_s = 1 as
+ints: the numerators n_u = t_u * D over the least common denominator D,
+which is the last numerator, so gcd(D, *numerators) = 1 and equal
+breakpoints have equal numerators.  breakpoint_ints and
+reduced_breakpoint_ints below make and check that form.
 """
 
 from __future__ import annotations
@@ -11,6 +17,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
+from operator import lt
 
 DOMINANT = "dominant"
 ANTIDOMINANT = "antidominant"
@@ -134,23 +142,44 @@ def rationals_from_json(values) -> tuple[Fraction, ...]:
     return tuple(Fraction(t) for t in values)
 
 
-def breakpoints(times) -> tuple[Fraction, ...]:
-    """times as a tuple of Fractions running strictly upward from 0 to 1.
+def breakpoint_ints(times) -> tuple[int, ...]:
+    """times as ints: the numerators n_u = t_u * D over their least
+    common denominator D, which is the last entry (t_s = 1).
 
-    Raises ValueError otherwise.  The caller checks the count first, so
-    times has at least two entries.
+    times are Fractions, ints or decimal strings and must run strictly
+    upward from 0 to 1; ValueError otherwise.  The caller checks the
+    count first, so times has at least two entries.
     """
     if type(times) is not tuple or not all(type(t) is Fraction for t in times):
         times = tuple(Fraction(t) for t in times)
-    if times[0] != 0 or times[-1] != 1:
+    den = lcm(*[t.denominator for t in times])
+    nums = tuple([t.numerator * (den // t.denominator) for t in times])
+    if nums[-1] != den:
         raise ValueError("breakpoints must run from 0 to 1")
-    n0, d0 = 0, 1
-    for t in times[1:]:
-        n1, d1 = t.numerator, t.denominator
-        if n1 * d0 <= n0 * d1:
-            raise ValueError(f"breakpoints not strictly increasing: {times}")
-        n0, d0 = n1, d1
-    return times
+    return reduced_breakpoint_ints(nums)
+
+
+def reduced_breakpoint_ints(nums: tuple[int, ...]) -> tuple[int, ...]:
+    """Breakpoints given as numerators over their last entry D, checked
+    to run strictly upward from 0 and divided by their gcd, so that D is
+    the least common denominator.
+
+    Two paths are equal exactly when their reduced numerators are, so
+    every path goes through here.
+    """
+    if nums[0] != 0:
+        raise ValueError("breakpoints must run from 0 to 1")
+    if not all(map(lt, nums, nums[1:])):
+        den = nums[-1]
+        times = tuple(Fraction(n, den) for n in nums) if den > 0 else nums
+        raise ValueError(f"breakpoints not strictly increasing: {times}")
+    g = gcd(*nums)
+    if g == 1:
+        return nums
+    # tuples of path data are built from lists: CPython builds a tuple
+    # from a generator at a guessed size and then resizes it, which
+    # leaves blocks stranded in its per-size tuple free lists
+    return tuple([n // g for n in nums])
 
 
 def pairing(mu: Weight, i: int) -> Fraction:

@@ -19,9 +19,16 @@ root operators in representation theory").  Summing by parts,
     H_i(sigma_u) = N_u + sigma_u c_u,   N_u = -sum_{j<u} sigma_j (c_{j+1} - c_j),
 
 and every term of N_u is an integer.  So each height is an integer plus
-one breakpoint times one slope, the minimum search cross-multiplies
-small ints, and a Fraction is built only for a breakpoint that a
-returned path stores.
+one breakpoint times one slope, and no Fraction is built.
+
+Like LSPath, an ExplicitPath stores its breakpoints as the int
+numerators n_u = sigma_u * D over their least common denominator D,
+with gcd(D, *numerators) = 1 and D = n_s.  D is the path's own, not
+the p/q grid (which would need the matrix).  The heights are then the
+ints D*H_i(sigma_u) = D*N_u + n_u c_u over one denominator, the minimum
+search compares plain ints, and a moved breakpoint is built in int over
+D times one slope before it is reduced.  The conversions to and from
+LSPath hand the numerators across unchanged.
 
 The straight path through the identity is spelled form i with m = 0;
 a form ii spelling of it normalizes to that in the constructor.
@@ -29,27 +36,31 @@ a form ii spelling of it normalizes to that in the constructor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
+from math import lcm
 
-from .cartan import GCM, breakpoints, rationals_from_json
+from .cartan import GCM, breakpoint_ints, rationals_from_json, reduced_breakpoint_ints
 from .paths import LSPath
-from .weyl import PQTable, WeylElement, X, pq_table, x, y
+from .weyl import BY_ORDER_KEY, PQTable, WeylElement, X, pq_table
 
 FORM_I = "i"
 FORM_II = "ii"
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 def xi(k: int) -> int:
     return 1 if k % 2 == 0 else 0
 
 
-@dataclass(frozen=True)
 class ExplicitPath:
     """One normal form: family, top index data (m, s), breakpoints.
+
+    ExplicitPath(form, m, s, sigmas) takes the breakpoints as Fractions,
+    ints or decimal strings; ExplicitPath(form, m, s, nums=...) takes
+    their numerators over the last entry and divides out their gcd.
+    The breakpoints are stored as those numerators; sigmas reads them
+    back as reduced Fractions, and is the given tuple itself when that
+    was a tuple of Fractions.  Instances are immutable.
 
     The constructor checks everything that does not need the matrix
     (types, shapes, monotonicity, m >= s for form ii except the straight
@@ -57,42 +68,90 @@ class ExplicitPath:
     validate_explicit.
     """
 
-    form: str
-    m: int
-    s: int
-    sigmas: tuple[Fraction, ...]
+    __slots__ = ("form", "m", "nums", "_sigmas")
 
-    def __post_init__(self):
-        if self.form not in (FORM_I, FORM_II):
-            raise ValueError(f"form must be {FORM_I!r} or {FORM_II!r}, got {self.form!r}")
-        if type(self.m) is not int:  # bool is an int subclass
-            raise TypeError(f"m must be an integer, got {self.m!r}")
-        if self.m < 0:
-            raise ValueError(f"m must be a nonnegative integer, got {self.m!r}")
-        if type(self.s) is not int:
-            raise TypeError(f"s must be an integer, got {self.s!r}")
-        if self.s < 1:
-            raise ValueError(f"s must be a positive integer, got {self.s!r}")
-        if len(self.sigmas) != self.s + 1:
-            raise ValueError(f"s = {self.s} needs {self.s + 1} breakpoints, got {len(self.sigmas)}")
-        object.__setattr__(self, "sigmas", breakpoints(self.sigmas))
-        if self.form == FORM_II:
-            if self.m < self.s - 1:
-                raise ValueError(f"form ii needs m >= s - 1, got m = {self.m}, s = {self.s}")
-            if self.m == self.s - 1 > 0:
+    def __init__(self, form, m, s, sigmas=None, *, nums=None):
+        if form not in (FORM_I, FORM_II):
+            raise ValueError(f"form must be {FORM_I!r} or {FORM_II!r}, got {form!r}")
+        if type(m) is not int:  # bool is an int subclass
+            raise TypeError(f"m must be an integer, got {m!r}")
+        if m < 0:
+            raise ValueError(f"m must be a nonnegative integer, got {m!r}")
+        if type(s) is not int:
+            raise TypeError(f"s must be an integer, got {s!r}")
+        if s < 1:
+            raise ValueError(f"s must be a positive integer, got {s!r}")
+        points = sigmas if nums is None else nums
+        if len(points) != s + 1:
+            raise ValueError(f"s = {s} needs {s + 1} breakpoints, got {len(points)}")
+        if nums is None:
+            nums = breakpoint_ints(sigmas)
+            if type(sigmas) is not tuple or not all(type(t) is Fraction for t in sigmas):
+                sigmas = None
+        else:
+            nums = reduced_breakpoint_ints(nums)
+        if form == FORM_II:
+            if m < s - 1:
+                raise ValueError(f"form ii needs m >= s - 1, got m = {m}, s = {s}")
+            if m == s - 1 > 0:
                 # the first direction would be y_0 = x_0, which only the
                 # straight path holds
                 raise ValueError(
-                    f"form ii with m = s - 1 starts at the identity y_0, got m = {self.m}, s = {self.s}"
+                    f"form ii with m = s - 1 starts at the identity y_0, got m = {m}, s = {s}"
                 )
-            if self.m == 0:
+            if m == 0:
                 # the straight identity path; canonical spelling is form i
-                object.__setattr__(self, "form", FORM_I)
+                form = FORM_I
+        object.__setattr__(self, "form", form)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "nums", nums)
+        object.__setattr__(self, "_sigmas", sigmas)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is not ExplicitPath:
+            return NotImplemented
+        return self.m == other.m and self.form == other.form and self.nums == other.nums
+
+    def __hash__(self):
+        return hash((self.form, self.m, self.nums))
+
+    def __reduce__(self):
+        return ExplicitPath, (self.form, self.m, self.s, self.sigmas)
+
+    @property
+    def s(self) -> int:
+        return len(self.nums) - 1
+
+    @property
+    def den(self) -> int:
+        """The least common denominator of the breakpoints."""
+        return self.nums[-1]
+
+    @property
+    def sigmas(self) -> tuple[Fraction, ...]:
+        if self._sigmas is not None:
+            return self._sigmas
+        den = self.nums[-1]
+        return tuple([Fraction(n, den) for n in self.nums])
+
+    @property
+    def keys(self) -> tuple[int, ...]:
+        """Order keys of the directions: m + s - 1 down to m on form i,
+        -(m - s + 1) down to -m on form ii."""
+        top = self.m + self.s - 1 if self.form == FORM_I else self.s - 1 - self.m
+        return tuple(range(top, top - self.s, -1))
 
     def directions(self) -> tuple[WeylElement, ...]:
-        if self.form == FORM_I:
-            return tuple(x(self.m + self.s - j) for j in range(1, self.s + 1))
-        return tuple(y(self.m - self.s + j) for j in range(1, self.s + 1))
+        return tuple([BY_ORDER_KEY[k] for k in self.keys])
+
+    def __repr__(self):
+        return f"ExplicitPath(form={self.form!r}, m={self.m!r}, s={self.s!r}, sigmas={self.sigmas!r})"
 
     def __str__(self):
         times = ", ".join(str(t) for t in self.sigmas)
@@ -128,18 +187,25 @@ def _off_grid(ep: ExplicitPath, u: int, den: int) -> ValueError:
     return ValueError(f"breakpoint {u} = {ep.sigmas[u]} is not a multiple of 1/{name} = 1/{den}")
 
 
-def validate_explicit(form: str, m: int, s: int, sigmas, gcm: GCM) -> ExplicitPath:
-    """Build a fully checked path: shape first, then breakpoint integrality."""
-    _require_deep(gcm)
-    ep = ExplicitPath(form, m, s, sigmas)
-    for u, den in enumerate(_grid(ep.form, ep.m, ep.s, pq_table(gcm, ep.m + ep.s)), 1):
-        if den % ep.sigmas[u].denominator:
-            raise _off_grid(ep, u, den)
+def _on_grid(ep: ExplicitPath, gcm: GCM) -> ExplicitPath:
+    """ep, once every interior breakpoint n_u/D is a multiple of
+    1/grid_u, that is once D divides n_u * grid_u."""
+    m, s, nums = ep.m, ep.s, ep.nums
+    den = nums[-1]
+    for u, g in enumerate(_grid(ep.form, m, s, pq_table(gcm, m + s)), 1):
+        if nums[u] * g % den:
+            raise _off_grid(ep, u, g)
     return ep
 
 
+def validate_explicit(form: str, m: int, s: int, sigmas, gcm: GCM) -> ExplicitPath:
+    """Build a fully checked path: shape first, then breakpoint integrality."""
+    _require_deep(gcm)
+    return _on_grid(ExplicitPath(form, m, s, sigmas), gcm)
+
+
 def to_ls_path(ep: ExplicitPath) -> LSPath:
-    return LSPath(ep.directions(), ep.sigmas)
+    return LSPath(keys=ep.keys, nums=ep.nums)
 
 
 def from_ls_path(pi: LSPath) -> ExplicitPath:
@@ -149,22 +215,20 @@ def from_ls_path(pi: LSPath) -> ExplicitPath:
     this never fires, which is exactly the classification statement the
     oracle checks.
     """
-    # LSPath keeps its directions strictly decreasing and every x_k lies
-    # above every y_l, so the run mixes families exactly when its ends
-    # differ, and a one-family run is consecutive exactly when its ends
-    # are s - 1 apart
-    s = len(pi.dirs)
-    first, last = pi.dirs[0], pi.dirs[-1]
-    if first.family != last.family:
+    # LSPath keeps its direction keys strictly decreasing, and x_k has
+    # key k >= 0 while y_k has key -k < 0, so the run mixes families
+    # exactly when its end keys differ in sign, and a one-family run is
+    # consecutive exactly when its end keys are s - 1 apart
+    keys = pi.keys
+    s = len(keys)
+    first, last = keys[0], keys[-1]
+    if (first >= 0) != (last >= 0):
         raise ValueError(f"directions mix families: {pi}")
-    m = last.m
-    if first.family == X:
-        if first.m != m + s - 1:
-            raise ValueError(f"direction indices are not consecutive: {pi}")
-        return ExplicitPath(FORM_I, m, s, pi.times)
-    if first.m != m - s + 1:
+    if first - last != s - 1:
         raise ValueError(f"direction indices are not consecutive: {pi}")
-    return ExplicitPath(FORM_II, m, s, pi.times)
+    if last >= 0:
+        return ExplicitPath(FORM_I, last, s, nums=pi.nums)
+    return ExplicitPath(FORM_II, -last, s, nums=pi.nums)
 
 
 def _slopes(ep: ExplicitPath, i: int, table: PQTable) -> list[int]:
@@ -185,25 +249,26 @@ def _slopes(ep: ExplicitPath, i: int, table: PQTable) -> list[int]:
     return [(-1) ** (k + 1) * q[k + xi(k)] for k in range(m - s + 1, m + 1)]
 
 
-def _heights(ep: ExplicitPath, slopes: list[int], grid: tuple[int, ...]) -> list[tuple[int, int]]:
-    """H_i at sigma_0..sigma_s as (numerator, positive denominator) pairs.
+def _heights(ep: ExplicitPath, slopes: list[int], grid: tuple[int, ...]) -> list[int]:
+    """D*H_i at sigma_0..sigma_s, D the path's denominator.
 
     Uses H_i(sigma_u) = N_u + sigma_u c_u from the module docstring.
-    sigma_u = n/d with d dividing its grid denominator, which divides
-    the slope jump there, so N_u stays an integer.  A breakpoint off its
-    grid raises ValueError.
+    sigma_u = n_u/D is a multiple of 1/grid_u, and grid_u divides the
+    slope jump there, so D divides n_u times the jump and N_u stays an
+    integer.  A breakpoint off its grid raises ValueError.
     """
-    heights = [(0, 1)]
+    nums = ep.nums
+    den = nums[-1]
+    heights = [0]
     whole = 0
-    for u in range(1, ep.s):
-        t = ep.sigmas[u]
-        n, d = t.numerator, t.denominator
-        if grid[u - 1] % d:
+    for u in range(1, len(nums) - 1):
+        n = nums[u]
+        if n * grid[u - 1] % den:
             raise _off_grid(ep, u, grid[u - 1])
         c = slopes[u - 1]
-        heights.append((whole * d + n * c, d))
-        whole -= n * ((slopes[u] - c) // d)
-    heights.append((whole + slopes[-1], 1))
+        heights.append(whole * den + n * c)
+        whole -= n * (slopes[u] - c) // den
+    heights.append((whole + slopes[-1]) * den)
     return heights
 
 
@@ -216,7 +281,7 @@ def partial_sums(ep: ExplicitPath, gcm: GCM) -> tuple[tuple[Fraction, ...], tupl
     table = pq_table(gcm, ep.m + ep.s)
     grid = _grid(ep.form, ep.m, ep.s, table)
     h1, h2 = (
-        tuple(Fraction(n, d) for n, d in _heights(ep, _slopes(ep, i, table), grid))
+        tuple(Fraction(h, ep.nums[-1]) for h in _heights(ep, _slopes(ep, i, table), grid))
         for i in (1, 2)
     )
     return h1, h2
@@ -224,7 +289,7 @@ def partial_sums(ep: ExplicitPath, gcm: GCM) -> tuple[tuple[Fraction, ...], tupl
 
 def _straight(w: WeylElement) -> ExplicitPath:
     form = FORM_I if w.family == X else FORM_II
-    return ExplicitPath(form, w.m, 1, (ZERO, ONE))
+    return ExplicitPath(form, w.m, 1, nums=(0, 1))
 
 
 def _check_index(i: int):
@@ -236,15 +301,12 @@ def _search(ep: ExplicitPath, i: int, gcm: GCM, last: bool) -> tuple[int, list[i
     """The first (or last) breakpoint where H_i is lowest, and the slopes."""
     _require_deep(gcm)
     _check_index(i)
-    table = pq_table(gcm, ep.m + ep.s)
+    m, s = ep.m, ep.s
+    table = pq_table(gcm, m + s)
     slopes = _slopes(ep, i, table)
-    heights = _heights(ep, slopes, _grid(ep.form, ep.m, ep.s, table))
-    best, (bn, bd) = 0, heights[0]
-    for u in range(1, len(heights)):
-        n, d = heights[u]
-        lhs, rhs = n * bd, bn * d
-        if lhs < rhs or last and lhs == rhs:
-            best, bn, bd = u, n, d
+    heights = _heights(ep, slopes, _grid(ep.form, m, s, table))
+    low = min(heights)
+    best = len(heights) - 1 - heights[::-1].index(low) if last else heights.index(low)
     return best, slopes
 
 
@@ -257,23 +319,26 @@ def f_explicit(ep: ExplicitPath, i: int, gcm: GCM) -> ExplicitPath | None:
     breakpoint of ep off its grid raises ValueError.
     """
     u0, slopes = _search(ep, i, gcm, last=True)
-    form, m, s, sig = ep.form, ep.m, ep.s, ep.sigmas
+    form, m, s, nums = ep.form, ep.m, ep.s, ep.nums
+    den = nums[-1]
     # m moves by step when the last piece, x_m or y_m, is used up
     step = 1 if form == FORM_I else -1
     if u0 == s:
         return None
-    # H_i climbs one level on piece u0 + 1 in time 1/den; new = sig[u0] + 1/den
-    den = abs(slopes[u0])
-    t, nxt = sig[u0], sig[u0 + 1]
-    num, dd = t.numerator * den + t.denominator, t.denominator * den
-    new = Fraction(num, dd) if num * nxt.denominator < nxt.numerator * dd else None
-    if u0 == 0 and new is not None:
-        return validate_explicit(form, m, s + 1, (ZERO, new) + sig[1:], gcm)
+    # H_i climbs one level on piece u0 + 1 in time 1/c: the moved
+    # breakpoint sigma_u0 + 1/c has numerator n_u0 * c + D over D * c
+    c = abs(slopes[u0])
+    new = nums[u0] * c + den
+    fits = new < nums[u0 + 1] * c
+    if u0 == 0 and fits:
+        # a new first piece, up to sigma_1 = 1/c
+        grown = (0, new, *[n * c for n in nums[1:]])
+        return _on_grid(ExplicitPath(form, m, s + 1, nums=grown), gcm)
     if u0 == 0:
         return _straight(ep.directions()[-1].reflected(i))
-    if new is not None:
-        return validate_explicit(form, m, s, sig[:u0] + (new,) + sig[u0 + 1 :], gcm)
-    return validate_explicit(form, m + step, s - 1, sig[: s - 1] + (ONE,), gcm)
+    if fits:
+        return _on_grid(ExplicitPath(form, m, s, nums=_scaled(nums, c, u0, new)), gcm)
+    return _on_grid(ExplicitPath(form, m + step, s - 1, nums=nums[: s - 1] + (den,)), gcm)
 
 
 def e_explicit(ep: ExplicitPath, i: int, gcm: GCM) -> ExplicitPath | None:
@@ -283,23 +348,33 @@ def e_explicit(ep: ExplicitPath, i: int, gcm: GCM) -> ExplicitPath | None:
     step.  A breakpoint of ep off its grid raises ValueError.
     """
     u1, slopes = _search(ep, i, gcm, last=False)
-    form, m, s, sig = ep.form, ep.m, ep.s, ep.sigmas
+    form, m, s, nums = ep.form, ep.m, ep.s, ep.nums
+    den = nums[-1]
     # m moves by -step when a piece is added after the last one, x_m or y_m
     step = 1 if form == FORM_I else -1
     if u1 == 0:
         return None
-    # H_i falls one level on piece u1 in time 1/den; new = sig[u1] - 1/den
-    den = abs(slopes[u1 - 1])
-    t, prev = sig[u1], sig[u1 - 1]
-    num, dd = t.numerator * den - t.denominator, t.denominator * den
-    new = Fraction(num, dd) if prev.numerator * dd < num * prev.denominator else None
-    if u1 == s and new is not None:
-        return validate_explicit(form, m - step, s + 1, sig[:s] + (new, ONE), gcm)
+    # H_i falls one level on piece u1 in time 1/c: the moved breakpoint
+    # sigma_u1 - 1/c has numerator n_u1 * c - D over D * c
+    c = abs(slopes[u1 - 1])
+    new = nums[u1] * c - den
+    fits = nums[u1 - 1] * c < new
+    if u1 == s and fits:
+        # a new last piece, from sigma_s = 1 - 1/c
+        grown = (*[n * c for n in nums[:s]], new, den * c)
+        return _on_grid(ExplicitPath(form, m - step, s + 1, nums=grown), gcm)
     if u1 == s:
         return _straight(ep.directions()[-1].reflected(i))
-    if new is not None:
-        return validate_explicit(form, m, s, sig[:u1] + (new,) + sig[u1 + 1 :], gcm)
-    return validate_explicit(form, m, s - 1, (ZERO,) + sig[2:], gcm)
+    if fits:
+        return _on_grid(ExplicitPath(form, m, s, nums=_scaled(nums, c, u1, new)), gcm)
+    return _on_grid(ExplicitPath(form, m, s - 1, nums=(0,) + nums[2:]), gcm)
+
+
+def _scaled(nums: tuple[int, ...], c: int, u: int, new: int) -> tuple[int, ...]:
+    """nums times c, with entry u replaced by new."""
+    out = [n * c for n in nums]
+    out[u] = new
+    return tuple(out)
 
 
 def enumerate_explicit(gcm: GCM, m_max: int, s_max: int) -> set[ExplicitPath]:
@@ -316,26 +391,23 @@ def enumerate_explicit(gcm: GCM, m_max: int, s_max: int) -> set[ExplicitPath]:
     for m in range(m_max + 1):
         for s in range(1, s_max + 1):
             for form in (FORM_I, FORM_II) if m >= s else (FORM_I,):
-                for sig in _interior_choices(_grid(form, m, s, table)):
-                    found.add(validate_explicit(form, m, s, sig, gcm))
+                for nums in _interior_choices(_grid(form, m, s, table)):
+                    found.add(_on_grid(ExplicitPath(form, m, s, nums=nums), gcm))
     return found
 
 
 def _interior_choices(dens: tuple[int, ...]):
-    """All (0, t_1, ..., t_k, 1) with t_u a multiple of 1/dens[u-1], increasing.
+    """All increasing (0, n_1, ..., n_k, D) over D = lcm(dens) with n_u/D
+    a multiple of 1/dens[u-1]: the breakpoints as ints, not reduced."""
+    den = lcm(*dens)
+    steps = [den // d for d in dens]
 
-    The walk runs over integer numerators; each grid point j/dens[u] is
-    made a Fraction once per call and shared by every tuple holding it.
-    """
-    points = [[Fraction(j, den) for j in range(den)] for den in dens]
-
-    def extend(prefix: tuple[Fraction, ...], u: int, num: int, den: int):
-        # the last breakpoint of prefix is num/den
+    def extend(prefix: tuple[int, ...], u: int):
         if u == len(dens):
-            yield prefix + (ONE,)
+            yield prefix + (den,)
             return
-        d = dens[u]
-        for j in range(num * d // den + 1, d):
-            yield from extend(prefix + (points[u][j],), u + 1, j, d)
+        step = steps[u]
+        for n in range((prefix[-1] // step + 1) * step, den, step):
+            yield from extend(prefix + (n,), u + 1)
 
-    yield from extend((ZERO,), 0, 0, 1)
+    yield from extend((0,), 0)

@@ -54,6 +54,7 @@ from .paths import (
     weight,
 )
 from .weyl import (
+    BY_ORDER_KEY,
     EQUAL,
     GREATER,
     IDENTITY,
@@ -106,10 +107,6 @@ class SearchBounds:
         return 2 * self.m_max + 2
 
 
-def _elt(key: int) -> WeylElement:
-    return x(key) if key >= 0 else y(-key)
-
-
 @lru_cache(maxsize=None)
 def _chain_roots(gcm: GCM) -> tuple[PositiveRoot, ...]:
     """Positive roots with coefficient height c + d <= ROOT_HEIGHT_MAX.
@@ -136,7 +133,7 @@ def _down_steps(
     root with negative pairing whose reflection stays in the interval.
     """
     roots = _chain_roots(gcm)
-    weights = {k: orbit_weight(_elt(k), gcm).weight for k in range(lo, hi + 1)}
+    weights = {k: orbit_weight(BY_ORDER_KEY[k], gcm).weight for k in range(lo, hi + 1)}
     by_weight = {wt: k for k, wt in weights.items()}
     if len(by_weight) != len(weights):
         raise ValueError("orbit weights repeat in this window; the chain search needs a, b >= 2")
@@ -151,7 +148,7 @@ def _down_steps(
             if k2 is None:
                 continue
             if k2 >= k:
-                raise ValueError(f"reflection by {beta} failed to decrease {_elt(k)}")
+                raise ValueError(f"reflection by {beta} failed to decrease {BY_ORDER_KEY[k]}")
             out.append((k2, beta, val))
         steps.append(tuple(out))
     return tuple(steps)
@@ -197,7 +194,8 @@ def _dist1_graph(
     for k in range(lo, hi + 1):
         row = []
         for k2 in range(lo, k):
-            if dist(orbit_weight(_elt(k), gcm), orbit_weight(_elt(k2), gcm), gcm, bounds) != 1:
+            upper, lower = orbit_weight(BY_ORDER_KEY[k], gcm), orbit_weight(BY_ORDER_KEY[k2], gcm)
+            if dist(upper, lower, gcm, bounds) != 1:
                 continue
             links = [
                 (t, beta, val)
@@ -206,7 +204,7 @@ def _dist1_graph(
             ]
             if len(links) != 1:
                 raise ValueError(
-                    f"{len(links)} reflecting roots between {_elt(k)} and {_elt(k2)}; "
+                    f"{len(links)} reflecting roots between {BY_ORDER_KEY[k]} and {BY_ORDER_KEY[k2]}; "
                     "expected exactly one"
                 )
             row.append(links[0])
@@ -263,14 +261,9 @@ def sigma_chain_exists(
 def is_ls_path_oracle(dirs, times, gcm: GCM, bounds: SearchBounds) -> bool:
     """Validity per the definition: every turn admits a sigma-chain."""
     pi = LSPath(tuple(dirs), tuple(times))
+    dirs, times = pi.dirs, pi.times
     return all(
-        sigma_chain_exists(
-            orbit_weight(pi.dirs[k - 1], gcm),
-            orbit_weight(pi.dirs[k], gcm),
-            pi.times[k],
-            gcm,
-            bounds,
-        )
+        sigma_chain_exists(orbit_weight(dirs[k - 1], gcm), orbit_weight(dirs[k], gcm), times[k], gcm, bounds)
         for k in range(1, pi.s)
     )
 
@@ -285,11 +278,13 @@ def denominator_policy(gcm: GCM, bounds: SearchBounds) -> tuple[Fraction, ...]:
     """
     n = max(bounds.m_max + bounds.s_max, 1)
     table = pq_table(gcm, n)
-    values = set()
-    for d in set(table.p) | set(table.q):
-        for j in range(1, d):
-            values.add(Fraction(j, d))
-    return tuple(sorted(values))
+    # only d >= 2 has values in (0, 1); boundary matrices also give 0
+    dens = {d for d in table.p + table.q if d > 1}
+    # j/d is j * (L // d) / L over the common denominator L, so the int
+    # numerators sort and deduplicate the values exactly
+    common = math.lcm(*dens)
+    nums = sorted({j * (common // d) for d in dens for j in range(1, d)})
+    return tuple(Fraction(k, common) for k in nums)
 
 
 def _denominators(policy: tuple[Fraction, ...]) -> tuple[int, ...]:
@@ -313,7 +308,8 @@ def enumerate_ls_paths(gcm: GCM, bounds: SearchBounds) -> set[LSPath]:
     dens = _denominators(policy)
     window = window_elements(bounds.m_max)
     admissible: dict[tuple[WeylElement, WeylElement], tuple[Fraction, ...]] = {}
-    for i, u in enumerate(window):
+    # the turns' breakpoints; paths of one piece have none
+    for i, u in enumerate(window if bounds.s_max >= 2 else ()):
         uw = orbit_weight(u, gcm)
         for v in window[i + 1 :]:
             ok = _admissible_denominators(uw, orbit_weight(v, gcm), dens, gcm, bounds)
@@ -485,7 +481,7 @@ def check_connectedness(gcm: GCM, bounds: SearchBounds) -> VerificationReport:
     # expansion stays near the window (a little slack in s); any node
     # reached still counts for coverage
     def near(pi: LSPath, level: int) -> bool:
-        return max(abs(d.order_key) for d in pi.dirs) <= bounds.m_max and pi.s <= bounds.s_max + 2
+        return max(map(abs, pi.keys)) <= bounds.m_max and pi.s <= bounds.s_max + 2
 
     targets = set(paths)
     uncovered = targets - set(crystal_bfs(gcm, near)[0])

@@ -8,56 +8,118 @@ where the height function H_i crosses one integer level, which on this
 representation is purely combinatorial: the direction of every piece
 inside the section steps to its r_i-neighbour and nothing else moves.
 
+A path is stored in ints: the order keys of its directions and the
+breakpoint numerators n_u = s_u * D over their least common denominator
+D, so gcd(D, *numerators) = 1; D itself is the last numerator, as
+s_s = 1.  That form is canonical, so equality and hashing compare ints
+only; the breakpoints as reduced Fractions (times) and the directions
+as WeylElements (dirs) are derived when read.
+
 The engine here is the semantics: it computes the section boundaries
 t_0, t_1 by exact root-finding on H_i and makes no use of the
 closed-form normal-form operators (those live in explicit.py and are
 checked against this module).  It assumes nothing about the
-breakpoints beyond their order: with D the lcm of the path's own
-breakpoint denominators, D*H_i at the breakpoints and the piece slopes
-<orbit weight, alpha_i^vee> are plain ints, the minimum and the climb
-back to min + 1 are searched on those, and a Fraction is made only for
-a crossing inside a piece.  The section is then found by index: t_0
-(for f) or t_1 (for e) is a breakpoint, the other end is a breakpoint
-or splits one known piece.  Breakpoints stay reduced Fractions, and
-h_function/eval_path/weight stay on Fraction as an independent witness
-of the int heights (epsilon = -min H_i is checked against it).
+breakpoints beyond their order: D*H_i at the breakpoints and the piece
+slopes <orbit weight, alpha_i^vee> are plain ints, and the minimum and
+the climb back to min + 1 are searched on those.  The section is then
+found by index: t_0 (for f) or t_1 (for e) is a breakpoint, the other
+end is a breakpoint or splits one known piece, which puts the result
+over D*|slope| before it is reduced.  h_function/eval_path/weight stay
+on Fraction as an independent witness of the int heights (epsilon =
+-min H_i is checked against it).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
-from math import lcm
+from functools import lru_cache
+from itertools import accumulate
+from operator import gt, mul, sub
 
-from .cartan import GCM, Weight, breakpoints, pairing, rationals_from_json
-from .weyl import IDENTITY, WeylElement, orbit_weight
+from .cartan import (
+    GCM,
+    Weight,
+    breakpoint_ints,
+    pairing,
+    rationals_from_json,
+    reduced_breakpoint_ints,
+)
+from .weyl import BY_ORDER_KEY, IDENTITY, WeylElement, orbit_weight
 
 
-@dataclass(frozen=True)
 class LSPath:
-    dirs: tuple[WeylElement, ...]
-    times: tuple[Fraction, ...]
+    """Directions and breakpoints, stored as (keys, nums).
 
-    def __post_init__(self):
-        dirs = self.dirs
-        if type(dirs) is not tuple:
-            dirs = tuple(dirs)
-            object.__setattr__(self, "dirs", dirs)
-        if len(dirs) < 1:
+    LSPath(dirs, times) takes WeylElements and breakpoints as Fractions,
+    ints or decimal strings; LSPath(keys=..., nums=...) takes the
+    directions' order keys and the breakpoint numerators over their
+    last entry, and divides out their gcd.  Either way the directions
+    must strictly decrease and the breakpoints strictly increase from 0
+    to 1.  Instances are immutable.
+    """
+
+    __slots__ = ("keys", "nums")
+
+    def __init__(self, dirs=None, times=None, *, keys=None, nums=None):
+        if keys is None:
+            keys = tuple([d.order_key for d in dirs])
+            points = times
+        else:
+            points = nums
+        if len(keys) < 1:
             raise ValueError("a path needs at least one direction")
-        if len(self.times) != len(dirs) + 1:
+        if len(points) != len(keys) + 1:
             raise ValueError(
-                f"{len(dirs)} directions need {len(dirs) + 1} "
-                f"breakpoints, got {len(self.times)}"
+                f"{len(keys)} directions need {len(keys) + 1} "
+                f"breakpoints, got {len(points)}"
             )
-        object.__setattr__(self, "times", breakpoints(self.times))
-        for u, v in zip(dirs, dirs[1:]):
-            if u.order_key <= v.order_key:
-                raise ValueError(f"directions not strictly decreasing: {u} !> {v}")
+        nums = breakpoint_ints(times) if nums is None else reduced_breakpoint_ints(nums)
+        if not all(map(gt, keys, keys[1:])):
+            u, v = next((u, v) for u, v in zip(keys, keys[1:]) if u <= v)
+            raise ValueError(
+                f"directions not strictly decreasing: {BY_ORDER_KEY[u]} !> {BY_ORDER_KEY[v]}"
+            )
+        object.__setattr__(self, "keys", keys)
+        object.__setattr__(self, "nums", nums)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is not LSPath:
+            return NotImplemented
+        return self.keys == other.keys and self.nums == other.nums
+
+    def __hash__(self):
+        return hash((self.keys, self.nums))
+
+    def __reduce__(self):
+        return LSPath, (self.dirs, self.times)
+
+    @property
+    def dirs(self) -> tuple[WeylElement, ...]:
+        return tuple([BY_ORDER_KEY[k] for k in self.keys])
+
+    @property
+    def den(self) -> int:
+        """The least common denominator of the breakpoints."""
+        return self.nums[-1]
+
+    @property
+    def times(self) -> tuple[Fraction, ...]:
+        den = self.nums[-1]
+        return tuple([Fraction(n, den) for n in self.nums])
 
     @property
     def s(self) -> int:
-        return len(self.dirs)
+        return len(self.keys)
+
+    def __repr__(self):
+        return f"LSPath(dirs={self.dirs!r}, times={self.times!r})"
 
     def __str__(self):
         dirs = ", ".join(str(d) for d in self.dirs)
@@ -77,7 +139,7 @@ class LSPath:
 
 
 def straight_path(w: WeylElement = IDENTITY) -> LSPath:
-    return LSPath((w,), (Fraction(0), Fraction(1)))
+    return LSPath(keys=(w.order_key,), nums=(0, 1))
 
 
 @dataclass(frozen=True)
@@ -112,9 +174,10 @@ def eval_path(pi: LSPath, t, gcm: GCM) -> Weight:
     t = Fraction(t)
     if not 0 <= t <= 1:
         raise ValueError(f"path parameter must lie in [0, 1], got {t}")
+    times = pi.times
     acc = Weight(0, 0)
     for k, d in enumerate(pi.dirs):
-        lo, hi = pi.times[k], pi.times[k + 1]
+        lo, hi = times[k], times[k + 1]
         if t >= hi:
             acc = acc + (hi - lo) * orbit_weight(d, gcm).weight
         else:
@@ -132,9 +195,10 @@ def weight(pi: LSPath, gcm: GCM) -> Weight:
 
 def _breakpoint_values(pi: LSPath, i: int, gcm: GCM) -> list[Fraction]:
     """H_i at the breakpoints (prefix sums of gap * direction pairing)."""
+    times = pi.times
     vals = [Fraction(0)]
     for k, d in enumerate(pi.dirs):
-        gap = pi.times[k + 1] - pi.times[k]
+        gap = times[k + 1] - times[k]
         vals.append(vals[-1] + gap * pairing(orbit_weight(d, gcm).weight, i))
     return vals
 
@@ -144,40 +208,63 @@ def h_function(pi: LSPath, i: int, gcm: GCM) -> PiecewiseLinear:
     return PiecewiseLinear(tuple(zip(pi.times, vals)))
 
 
-def _int_heights(pi: LSPath, i: int, gcm: GCM) -> tuple[int, list[int], list[int], list[int]]:
-    """D, D*t at the breakpoints, the piece slopes and D*H_i at the breakpoints.
+class _Slopes(dict):
+    """Order key -> <orbit weight of that direction, alpha_i^vee>, as int,
+    each looked up once."""
 
-    D is the lcm of the path's own breakpoint denominators, so every
-    value is an int; the slopes are the ints <orbit weight, alpha_i^vee>.
+    def __init__(self, gcm: GCM, i: int):
+        super().__init__()
+        self.gcm, self.i = gcm, i
+
+    def __missing__(self, key: int) -> int:
+        c = self[key] = pairing(orbit_weight(BY_ORDER_KEY[key], self.gcm).weight, self.i).numerator
+        return c
+
+
+@lru_cache(maxsize=None)
+def _slope_table(gcm: GCM, i: int) -> _Slopes:
+    return _Slopes(gcm, i)
+
+
+def _int_heights(pi: LSPath, i: int, gcm: GCM) -> tuple[int, tuple[int, ...], list[int], list[int]]:
+    """D, the breakpoint numerators, the piece slopes and D*H_i at the breakpoints.
+
+    Every value is an int: the path stores its breakpoints over D, and
+    the slopes are the ints <orbit weight, alpha_i^vee>.
     """
-    times = pi.times
-    den = lcm(*[t.denominator for t in times])
-    num = [t.numerator * (den // t.denominator) for t in times]
-    slopes = [pairing(orbit_weight(d, gcm).weight, i).numerator for d in pi.dirs]
-    heights = [0]
-    acc = 0
-    for k, c in enumerate(slopes):
-        acc += (num[k + 1] - num[k]) * c
-        heights.append(acc)
-    return den, num, slopes, heights
+    nums = pi.nums
+    slopes = list(map(_slope_table(gcm, i).__getitem__, pi.keys))
+    # prefix sums of (gap numerator) * slope
+    heights = list(accumulate(map(mul, map(sub, nums[1:], nums), slopes), initial=0))
+    return nums[-1], nums, slopes, heights
 
 
-def _reflect_pieces(dirs: list[WeylElement], times: list[Fraction], i: int, lo: int, hi: int) -> LSPath:
+def _reflected_key(key: int, i: int) -> int:
+    """The order key of BY_ORDER_KEY[key].reflected(i).
+
+    The two neighbours of key in the chain are key + 1 and key - 1, and
+    the edge from k to k + 1 is an r_1-edge for even k, an r_2-edge for
+    odd k.
+    """
+    return key + 1 if (key - i) % 2 else key - 1
+
+
+def _reflect_pieces(keys: list[int], nums: list[int], i: int, lo: int, hi: int) -> LSPath:
     """Step pieces lo..hi-1 to their r_i-neighbours and make the path.
 
     The prefix keeps its values and the suffix is rigidly shifted, so
-    on the (dirs, times) representation nothing outside the section
-    changes at all.  Reflection is a bijection on directions, so equal
-    neighbours can only appear across the two ends of the section;
-    those pieces are merged.
+    on the (directions, breakpoints) representation nothing outside the
+    section changes at all.  Reflection is a bijection on directions, so
+    equal neighbours can only appear across the two ends of the
+    section; those pieces are merged.
     """
     for k in range(lo, hi):
-        dirs[k] = dirs[k].reflected(i)
+        keys[k] = _reflected_key(keys[k], i)
     for k in (hi, lo):
-        if 0 < k < len(dirs) and dirs[k - 1] == dirs[k]:
-            del dirs[k]
-            del times[k]
-    return LSPath(tuple(dirs), tuple(times))
+        if 0 < k < len(keys) and keys[k - 1] == keys[k]:
+            del keys[k]
+            del nums[k]
+    return LSPath(keys=tuple(keys), nums=tuple(nums))
 
 
 def f_generic(pi: LSPath, i: int, gcm: GCM) -> LSPath | None:
@@ -199,13 +286,15 @@ def f_generic(pi: LSPath, i: int, gcm: GCM) -> LSPath | None:
     else:
         # H ends at least one above its min, so a crossing must exist
         raise RuntimeError(f"f_{i}: H_{i} never climbs back from its minimum on {pi}")
-    dirs, times = list(pi.dirs), list(pi.times)
+    keys, nums = list(pi.keys), list(num)
     if h[u] > level:
-        # t_1 lies inside piece u - 1: split it there
+        # t_1 lies inside piece u - 1, where H climbs with slope c > 0:
+        # split it there, over the denominator D*c
         c = slopes[u - 1]
-        dirs.insert(u - 1, dirs[u - 1])
-        times.insert(u, Fraction(num[u - 1] * c + level - h[u - 1], den * c))
-    return _reflect_pieces(dirs, times, i, j0, u)
+        nums = [n * c for n in nums]
+        keys.insert(u - 1, keys[u - 1])
+        nums.insert(u, num[u - 1] * c + level - h[u - 1])
+    return _reflect_pieces(keys, nums, i, j0, u)
 
 
 def e_generic(pi: LSPath, i: int, gcm: GCM) -> LSPath | None:
@@ -226,15 +315,17 @@ def e_generic(pi: LSPath, i: int, gcm: GCM) -> LSPath | None:
     else:
         # H starts at 0 > min, so a crossing must exist
         raise RuntimeError(f"e_{i}: H_{i} never falls from 0 to its minimum on {pi}")
-    dirs, times = list(pi.dirs), list(pi.times)
+    keys, nums = list(pi.keys), list(num)
     if h[u] > level:
-        # t_0 lies inside piece u: split it there
-        c = slopes[u]
-        dirs.insert(u, dirs[u])
-        times.insert(u + 1, Fraction(num[u] * c + level - h[u], den * c))
+        # t_0 lies inside piece u, where H falls with slope -c < 0:
+        # split it there, over the denominator D*c
+        c = -slopes[u]
+        nums = [n * c for n in nums]
+        keys.insert(u, keys[u])
+        nums.insert(u + 1, num[u] * c + h[u] - level)
         u += 1
         j1 += 1
-    return _reflect_pieces(dirs, times, i, u, j1)
+    return _reflect_pieces(keys, nums, i, u, j1)
 
 
 def _string(op, pi: LSPath, i: int, gcm: GCM) -> tuple[int, LSPath]:

@@ -119,6 +119,17 @@ def y(m: int) -> WeylElement:
 IDENTITY = x(0)
 
 
+class _ByOrderKey(dict):
+    def __missing__(self, key: int) -> WeylElement:
+        w = self[key] = x(key) if key >= 0 else y(-key)
+        return w
+
+
+# order key -> its element, each built once: paths store their directions
+# as order keys and read the elements back through this table
+BY_ORDER_KEY = _ByOrderKey()
+
+
 def orbit_compare(u: WeylElement, v: WeylElement) -> str:
     """Compare positions in the linear order on the orbit."""
     if u.order_key > v.order_key:
