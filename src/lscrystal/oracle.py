@@ -45,11 +45,9 @@ from .paths import (
     crystal_bfs,
     e_generic,
     e_max,
-    epsilon,
     f_generic,
     f_max,
     h_function,
-    phi,
     straight_path,
     weight,
 )
@@ -268,6 +266,18 @@ def is_ls_path_oracle(dirs, times, gcm: GCM, bounds: SearchBounds) -> bool:
     )
 
 
+def _string(op, pi: LSPath, i: int, gcm: GCM) -> tuple[int, LSPath]:
+    """Apply op until it returns null: the number of steps and the last
+    path.  The ground truth for paths.epsilon/phi/e_max/f_max, which read
+    the string ends off H_i instead."""
+    n, cur = 0, pi
+    nxt = op(cur, i, gcm)
+    while nxt is not None:
+        n, cur = n + 1, nxt
+        nxt = op(cur, i, gcm)
+    return n, cur
+
+
 def denominator_policy(gcm: GCM, bounds: SearchBounds) -> tuple[Fraction, ...]:
     """Candidate interior breakpoints: reduced fractions in (0, 1) whose
     denominator divides some p_k or q_k with k <= m_max + s_max.
@@ -300,11 +310,15 @@ def _admissible_denominators(
     return frozenset(d for d in dens if sigma_chain_exists(mu, nu, Fraction(1, d), gcm, bounds))
 
 
-def enumerate_ls_paths(gcm: GCM, bounds: SearchBounds) -> set[LSPath]:
+def enumerate_ls_paths(
+    gcm: GCM, bounds: SearchBounds, policy: tuple[Fraction, ...] | None = None
+) -> set[LSPath]:
     """Every LS path with directions in the window and at most s_max pieces,
     breakpoints drawn from the denominator policy, validity from the
-    definition."""
-    policy = denominator_policy(gcm, bounds)
+    definition.  A caller that already holds denominator_policy(gcm,
+    bounds) passes it in."""
+    if policy is None:
+        policy = denominator_policy(gcm, bounds)
     dens = _denominators(policy)
     window = window_elements(bounds.m_max)
     admissible: dict[tuple[WeylElement, WeylElement], tuple[Fraction, ...]] = {}
@@ -405,7 +419,7 @@ def check_classification(gcm: GCM, bounds: SearchBounds) -> VerificationReport:
                         }
     length_result = CheckResult("sigma-chain-length-one", bad is None, chains, bad)
 
-    oracle_set = enumerate_ls_paths(gcm, bounds)
+    oracle_set = enumerate_ls_paths(gcm, bounds, policy)
     normal_set = {to_ls_path(ep) for ep in _normal_forms_in_window(gcm, bounds)}
     ce = None
     extra = oracle_set - normal_set
@@ -436,14 +450,14 @@ def check_straight_through_lambda(gcm: GCM, bounds: SearchBounds) -> Verificatio
         ww = orbit_weight(w, gcm)
         upper, lower = (ww, lam) if w.order_key > 0 else (lam, ww)
         ok = _admissible_denominators(upper, lower, dens, gcm, bounds)
-        for t in policy:
-            checked += 1
-            if t.denominator in ok and bad is None:
-                bad = {"upper": str(upper.elt), "lower": str(lower.elt), "sigma": str(t)}
+        checked += len(policy)
+        if ok and bad is None:
+            t = next(t for t in policy if t.denominator in ok)
+            bad = {"upper": str(upper.elt), "lower": str(lower.elt), "sigma": str(t)}
     turn_result = CheckResult("no-turn-at-lambda", bad is None, checked, bad)
 
     ce = None
-    paths = enumerate_ls_paths(gcm, bounds)
+    paths = enumerate_ls_paths(gcm, bounds, policy)
     for pi in sorted(paths, key=str):
         if pi.s >= 2 and any(d.is_identity for d in pi.dirs):
             ce = {"path": pi.to_json()}
@@ -505,31 +519,30 @@ def check_crystal_axioms(gcm: GCM, bounds: SearchBounds) -> VerificationReport:
     bad = {name: None for name in names}
     counts = {name: 0 for name in names}
 
-    def note(name: str, ok: bool, payload):
+    def note(name: str, ok: bool, pi: LSPath, i: int):
         counts[name] += 1
         if not ok and bad[name] is None:
-            bad[name] = payload
+            bad[name] = {"path": pi.to_json(), "i": i}
 
     for pi in paths:
         wt = weight(pi, gcm)
         for i in (1, 2):
-            payload = {"path": pi.to_json(), "i": i}
             h = h_function(pi, i, gcm)
             mi = h.minimum()
-            note("integral-local-minima", all(v.denominator == 1 for v in h.local_min_values()), payload)
-            eps = epsilon(pi, i, gcm)
-            ph = phi(pi, i, gcm)
-            note("epsilon-is-minus-min", mi.denominator == 1 and eps == -mi, payload)
-            note("phi-is-endpoint-minus-min", ph == h.points[-1][1] - mi, payload)
-            note("string-balance", ph - eps == pairing(wt, i), payload)
+            note("integral-local-minima", all(v.denominator == 1 for v in h.local_min_values()), pi, i)
+            eps = _string(e_generic, pi, i, gcm)[0]
+            ph = _string(f_generic, pi, i, gcm)[0]
+            note("epsilon-is-minus-min", mi.denominator == 1 and eps == -mi, pi, i)
+            note("phi-is-endpoint-minus-min", ph == h.points[-1][1] - mi, pi, i)
+            note("string-balance", ph - eps == pairing(wt, i), pi, i)
             fi = f_generic(pi, i, gcm)
             if fi is not None:
-                note("weight-step", weight(fi, gcm) == wt - simple_root(i, gcm), payload)
-                note("inverse-pair", e_generic(fi, i, gcm) == pi, payload)
+                note("weight-step", weight(fi, gcm) == wt - simple_root(i, gcm), pi, i)
+                note("inverse-pair", e_generic(fi, i, gcm) == pi, pi, i)
             ei = e_generic(pi, i, gcm)
             if ei is not None:
-                note("weight-step", weight(ei, gcm) == wt + simple_root(i, gcm), payload)
-                note("inverse-pair", f_generic(ei, i, gcm) == pi, payload)
+                note("weight-step", weight(ei, gcm) == wt + simple_root(i, gcm), pi, i)
+                note("inverse-pair", f_generic(ei, i, gcm) == pi, pi, i)
     results = tuple(
         CheckResult(name, bad[name] is None, counts[name], bad[name]) for name in names
     )

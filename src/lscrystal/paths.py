@@ -24,9 +24,18 @@ slopes <orbit weight, alpha_i^vee> are plain ints, and the minimum and
 the climb back to min + 1 are searched on those.  The section is then
 found by index: t_0 (for f) or t_1 (for e) is a breakpoint, the other
 end is a breakpoint or splits one known piece, which puts the result
-over D*|slope| before it is reduced.  h_function/eval_path/weight stay
-on Fraction as an independent witness of the int heights (epsilon =
--min H_i is checked against it).
+over D*|slope| before it is reduced.
+
+The string data need no iteration.  epsilon = -min H_i and phi = H_i(1)
+- min H_i (Littelmann, Ann. Math. 142, 1995), and e_max/f_max are the
+Pitman transform and its dual (Biane, Bougerol, O'Connell, Duke Math.
+J. 130, 2005): every stretch where H_i sets a new running minimum,
+scanning from the left for e and from the right for f, is reflected.
+All four read the int heights, in O(s); the iterated strings are kept
+in the oracle as their ground truth.  weight sums the gap numerators
+times the int orbit-weight coordinates over D.  h_function and
+eval_path stay on Fraction as an independent witness of the int
+heights (epsilon = -min H_i is checked against it).
 """
 
 from __future__ import annotations
@@ -35,6 +44,7 @@ from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
+from math import lcm
 from operator import gt, mul, sub
 
 from .cartan import (
@@ -186,13 +196,6 @@ def eval_path(pi: LSPath, t, gcm: GCM) -> Weight:
     return acc
 
 
-def weight(pi: LSPath, gcm: GCM) -> Weight:
-    wt = eval_path(pi, 1, gcm)
-    if not wt.is_integral:
-        raise ValueError(f"path endpoint {wt!r} is not integral; corrupt path")
-    return wt
-
-
 def _breakpoint_values(pi: LSPath, i: int, gcm: GCM) -> list[Fraction]:
     """H_i at the breakpoints (prefix sums of gap * direction pairing)."""
     times = pi.times
@@ -237,6 +240,19 @@ def _int_heights(pi: LSPath, i: int, gcm: GCM) -> tuple[int, tuple[int, ...], li
     # prefix sums of (gap numerator) * slope
     heights = list(accumulate(map(mul, map(sub, nums[1:], nums), slopes), initial=0))
     return nums[-1], nums, slopes, heights
+
+
+def weight(pi: LSPath, gcm: GCM) -> Weight:
+    """The endpoint pi(1), in int: D^-1 times the sum over the pieces of
+    (gap numerator) * (c1, c2) of the piece's orbit weight.  Coordinate
+    i of a weight is its pairing with alpha_i^vee, so that sum is
+    D*H_i(1) for i = 1, 2."""
+    den = pi.nums[-1]
+    c1, c2 = [_int_heights(pi, i, gcm)[3][-1] for i in (1, 2)]
+    if c1 % den or c2 % den:
+        wt = Weight(Fraction(c1, den), Fraction(c2, den))
+        raise ValueError(f"path endpoint {wt!r} is not integral; corrupt path")
+    return Weight(c1 // den, c2 // den)
 
 
 def _reflected_key(key: int, i: int) -> int:
@@ -328,30 +344,99 @@ def e_generic(pi: LSPath, i: int, gcm: GCM) -> LSPath | None:
     return _reflect_pieces(keys, nums, i, u, j1)
 
 
-def _string(op, pi: LSPath, i: int, gcm: GCM) -> tuple[int, LSPath]:
-    """Apply op until it returns null: the number of steps and the last path."""
-    n, cur = 0, pi
-    nxt = op(cur, i, gcm)
-    while nxt is not None:
-        n, cur = n + 1, nxt
-        nxt = op(cur, i, gcm)
-    return n, cur
+def _string_heights(pi: LSPath, i: int, gcm: GCM) -> tuple[int, tuple[int, ...], list[int], list[int], int]:
+    """_int_heights and the minimum of D*H_i.  On an LS path both it and
+    D*H_i(1) are multiples of D; otherwise the string data raise
+    ValueError."""
+    den, nums, slopes, h = _int_heights(pi, i, gcm)
+    low = min(h)
+    if low % den or h[-1] % den:
+        raise ValueError(
+            f"H_{i} has minimum {Fraction(low, den)} and endpoint {Fraction(h[-1], den)}, "
+            f"not both integers; {pi} is not an LS path"
+        )
+    return den, nums, slopes, h, low
 
 
 def epsilon(pi: LSPath, i: int, gcm: GCM) -> int:
-    return _string(e_generic, pi, i, gcm)[0]
+    """The length of the e_i-string through pi: -min H_i."""
+    den, _, _, _, low = _string_heights(pi, i, gcm)
+    return -low // den
 
 
 def phi(pi: LSPath, i: int, gcm: GCM) -> int:
-    return _string(f_generic, pi, i, gcm)[0]
+    """The length of the f_i-string through pi: H_i(1) - min H_i."""
+    den, _, _, h, low = _string_heights(pi, i, gcm)
+    return (h[-1] - low) // den
+
+
+def _pitman(pi: LSPath, i: int, gcm: GCM, from_left: bool) -> LSPath:
+    """Reflect every stretch where H_i sets a new running minimum.
+
+    Scanning from the left this is e_i^max pi(t) = pi(t) - min_{u<=t}
+    H_i(u) alpha_i, scanning from the right f_i^max, the dual transform.
+    A piece sets a new minimum over all of its length or from the point
+    where it crosses the running minimum on; such a piece is split
+    there, over D times the lcm of the |slopes| of the split pieces.
+    Equal neighbours are then merged.
+    """
+    _, nums, slopes, h, _ = _string_heights(pi, i, gcm)
+    # piece -> the running minimum it falls below, for each piece that
+    # sets a new one; as seen from the scan, the piece starts at h[k]
+    # (from the left) or at h[k + 1] (from the right)
+    marks = {}
+    if from_left:
+        low = 0
+        for k in range(len(slopes)):
+            if h[k + 1] < low:
+                marks[k] = low
+                low = h[k + 1]
+    else:
+        low = h[-1]
+        for k in range(len(slopes) - 1, -1, -1):
+            if h[k] < low:
+                marks[k] = low
+                low = h[k]
+    if not marks:
+        return pi
+    start = h if from_left else h[1:]
+    split = {k for k, level in marks.items() if start[k] != level}
+    scale = lcm(*[abs(slopes[k]) for k in split])
+    keys, out = [], [0]
+    for k, key in enumerate(pi.keys):
+        end = nums[k + 1] * scale
+        if k not in marks:
+            pieces = ((key, end),)
+        elif k not in split:
+            pieces = ((_reflected_key(key, i), end),)
+        else:
+            # H_i meets the running minimum inside the piece
+            cut = nums[k] * scale + abs(h[k] - marks[k]) * (scale // abs(slopes[k]))
+            r = _reflected_key(key, i)
+            pieces = ((key, cut), (r, end)) if from_left else ((r, cut), (key, end))
+        for d, n in pieces:
+            if keys and keys[-1] == d:
+                out[-1] = n
+            else:
+                keys.append(d)
+                out.append(n)
+    return LSPath(keys=tuple(keys), nums=tuple(out))
 
 
 def e_max(pi: LSPath, i: int, gcm: GCM) -> LSPath:
-    return _string(e_generic, pi, i, gcm)[1]
+    """The top of the e_i-string through pi, by the Pitman transform."""
+    top = _pitman(pi, i, gcm, True)
+    if e_generic(top, i, gcm) is not None:
+        raise RuntimeError(f"e_{i} does not vanish on e_{i}^max({pi}) = {top}")
+    return top
 
 
 def f_max(pi: LSPath, i: int, gcm: GCM) -> LSPath:
-    return _string(f_generic, pi, i, gcm)[1]
+    """The bottom of the f_i-string through pi, by the dual Pitman transform."""
+    bottom = _pitman(pi, i, gcm, False)
+    if f_generic(bottom, i, gcm) is not None:
+        raise RuntimeError(f"f_{i} does not vanish on f_{i}^max({pi}) = {bottom}")
+    return bottom
 
 
 def crystal_bfs(gcm: GCM, expand) -> tuple[list[LSPath], list[tuple[int, int, int]]]:

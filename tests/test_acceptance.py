@@ -106,6 +106,25 @@ def test_criterion_4_connectedness_at_desk_scale():
         assert report.all_passed, report.to_json_lines()
 
 
+# (reduction-to-straight, bfs-coverage) checked counts at m <= 5,
+# recorded with the iterated e_max/f_max
+WIDE_CONNECTEDNESS_COUNTS = {
+    (2, 3): (83, 83),
+    (3, 2): (83, 83),
+    (2, 5): (1151, 1151),
+    (3, 3): (559, 559),
+}
+
+
+def test_criterion_4_connectedness_at_m_5():
+    for a, b in GRIDS:
+        report = check_connectedness(GCM(a, b), SearchBounds(M_MAX + 1, S_MAX))
+        assert report.all_passed, report.to_json_lines()
+        by_name = {r.name: r.checked for r in report.results}
+        counts = (by_name["reduction-to-straight"], by_name["bfs-coverage"])
+        assert counts == WIDE_CONNECTEDNESS_COUNTS[(a, b)]
+
+
 def test_criterion_5_crystal_axioms():
     for a, b in GRIDS:
         report = check_crystal_axioms(GCM(a, b), _bounds())
