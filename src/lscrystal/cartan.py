@@ -132,14 +132,21 @@ def rationals_from_json(values) -> tuple[Fraction, ...]:
 
     Floats are refused rather than read exactly (0.1 would become
     3602879701896397/36028797018963968), and so are booleans; a wrong
-    type raises TypeError, a malformed string ValueError.
+    type raises TypeError, a malformed string or a zero denominator
+    ValueError.
     """
     if not isinstance(values, list):
         raise TypeError(f"breakpoints must be a list, got {values!r}")
     for t in values:
         if type(t) not in (str, int):  # bool is an int subclass
             raise TypeError(f"breakpoint must be a string or an integer, got {t!r}")
-    return tuple(Fraction(t) for t in values)
+    out = []
+    for t in values:
+        try:
+            out.append(Fraction(t))
+        except ZeroDivisionError:
+            raise ValueError(f"breakpoint {t!r} has denominator 0") from None
+    return tuple(out)
 
 
 def breakpoint_ints(times) -> tuple[int, ...]:

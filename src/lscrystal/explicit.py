@@ -36,6 +36,7 @@ a form ii spelling of it normalizes to that in the constructor.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from math import lcm
@@ -378,7 +379,18 @@ def _scaled(nums: tuple[int, ...], c: int, u: int, new: int) -> tuple[int, ...]:
 
 
 def enumerate_explicit(gcm: GCM, m_max: int, s_max: int) -> set[ExplicitPath]:
-    """All valid normal forms with m <= m_max and s <= s_max.
+    """All valid normal forms with m <= m_max and s <= s_max."""
+    _require_deep(gcm)
+    found: set[ExplicitPath] = set()
+    for m in range(m_max + 1):
+        for s in range(1, s_max + 1):
+            for form in (FORM_I, FORM_II) if m >= s else (FORM_I,):
+                found.update(normal_forms_of_shape(gcm, form, m, s))
+    return found
+
+
+def normal_forms_of_shape(gcm: GCM, form: str, m: int, s: int) -> Iterator[ExplicitPath]:
+    """Every valid normal form of one shape (form, m, s).
 
     Breakpoints are generated as exact multiples of the integrality
     denominators, so every candidate is valid by construction; a
@@ -386,14 +398,8 @@ def enumerate_explicit(gcm: GCM, m_max: int, s_max: int) -> set[ExplicitPath]:
     no interior breakpoint choices.
     """
     _require_deep(gcm)
-    found: set[ExplicitPath] = set()
-    table = pq_table(gcm, m_max + s_max)
-    for m in range(m_max + 1):
-        for s in range(1, s_max + 1):
-            for form in (FORM_I, FORM_II) if m >= s else (FORM_I,):
-                for nums in _interior_choices(_grid(form, m, s, table)):
-                    found.add(_on_grid(ExplicitPath(form, m, s, nums=nums), gcm))
-    return found
+    for nums in _interior_choices(_grid(form, m, s, pq_table(gcm, m + s))):
+        yield _on_grid(ExplicitPath(form, m, s, nums=nums), gcm)
 
 
 def _interior_choices(dens: tuple[int, ...]):

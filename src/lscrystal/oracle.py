@@ -15,6 +15,16 @@ callers that scan the denominator policy therefore search once per
 window pair and distinct denominator, with 1/d standing in for every
 policy value over d, and read the per-breakpoint answers off that.
 
+Each fact is computed once.  The reflections of an orbit element
+(root, pairing, image) depend on the element alone, so they are cached
+per element and every order interval only looks its images up.  The
+string ends are iterated per check, one walk per window path and op,
+and a walk stops at the first window path whose count is already
+known: op is a function, so from there it would repeat a walk already
+made step for step, and the count read off that shared tail is exact.
+The classification check builds the window's normal forms shape by
+shape instead of filtering a larger enumeration.
+
 Apart from check_structure, which also knows the two degenerate orbit
 identities of the a = 1 / b = 1 edge, everything here effectively needs
 a, b >= 2: once orbit weights repeat, the chain search refuses to run
@@ -39,7 +49,15 @@ from .cartan import (
     pairing,
     simple_root,
 )
-from .explicit import ExplicitPath, FORM_II, enumerate_explicit, from_ls_path, to_ls_path
+from .explicit import (
+    FORM_I,
+    FORM_II,
+    ExplicitPath,
+    enumerate_explicit,
+    from_ls_path,
+    normal_forms_of_shape,
+    to_ls_path,
+)
 from .paths import (
     LSPath,
     crystal_bfs,
@@ -122,6 +140,23 @@ def _chain_roots(gcm: GCM) -> tuple[PositiveRoot, ...]:
 
 
 @lru_cache(maxsize=None)
+def _reflections(gcm: GCM, key: int) -> tuple[tuple[PositiveRoot, Fraction, Weight], ...]:
+    """(beta, val, r_beta(weight)) for every bounded root beta whose
+    pairing val with the orbit weight of element key is negative.
+
+    This depends on the element only, not on the interval around it, so
+    every order interval that holds the element reads it from here.
+    """
+    wt = orbit_weight(BY_ORDER_KEY[key], gcm).weight
+    out = []
+    for beta in _chain_roots(gcm):
+        val = root_pairing(wt, beta, gcm)
+        if val < 0:
+            out.append((beta, val, reflect_by_root(wt, beta, gcm)))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
 def _down_steps(
     gcm: GCM, lo: int, hi: int
 ) -> tuple[tuple[tuple[int, PositiveRoot, Fraction], ...], ...]:
@@ -130,7 +165,6 @@ def _down_steps(
     Entry key - lo lists (target key, root, pairing) for every bounded
     root with negative pairing whose reflection stays in the interval.
     """
-    roots = _chain_roots(gcm)
     weights = {k: orbit_weight(BY_ORDER_KEY[k], gcm).weight for k in range(lo, hi + 1)}
     by_weight = {wt: k for k, wt in weights.items()}
     if len(by_weight) != len(weights):
@@ -138,11 +172,8 @@ def _down_steps(
     steps = []
     for k in range(lo, hi + 1):
         out = []
-        for beta in roots:
-            val = root_pairing(weights[k], beta, gcm)
-            if val >= 0:
-                continue
-            k2 = by_weight.get(reflect_by_root(weights[k], beta, gcm))
+        for beta, val, image in _reflections(gcm, k):
+            k2 = by_weight.get(image)
             if k2 is None:
                 continue
             if k2 >= k:
@@ -266,16 +297,42 @@ def is_ls_path_oracle(dirs, times, gcm: GCM, bounds: SearchBounds) -> bool:
     )
 
 
-def _string(op, pi: LSPath, i: int, gcm: GCM) -> tuple[int, LSPath]:
-    """Apply op until it returns null: the number of steps and the last
-    path.  The ground truth for paths.epsilon/phi/e_max/f_max, which read
-    the string ends off H_i instead."""
-    n, cur = 0, pi
-    nxt = op(cur, i, gcm)
-    while nxt is not None:
-        n, cur = n + 1, nxt
+def _strings(op, paths, i: int, gcm: GCM) -> dict[LSPath, tuple[int, LSPath]]:
+    """Apply op to each path until it returns null: for every path, the
+    number of steps and the last path.  The ground truth for
+    paths.epsilon/phi/e_max/f_max, which read the string ends off H_i
+    instead.
+
+    A walk also stops at a path of paths whose (steps, end) it already
+    knows: op is a function, so the rest of the walk would repeat one
+    already made, and the counts add up exactly.  Only paths of paths
+    are recorded, the ones a walk meets on its way included.
+    """
+    wanted = set(paths)
+    known: dict[LSPath, tuple[int, LSPath]] = {}
+    for pi in paths:
+        if pi in known:
+            continue
+        met = [(pi, 0)]
+        n, cur = 0, pi
         nxt = op(cur, i, gcm)
-    return n, cur
+        while nxt is not None:
+            n, cur = n + 1, nxt
+            if cur in known:
+                rest, cur = known[cur]
+                n += rest
+                break
+            if cur in wanted:
+                met.append((cur, n))
+            nxt = op(cur, i, gcm)
+        for p, k in met:
+            known[p] = (n - k, cur)
+    return known
+
+
+def _string(op, pi: LSPath, i: int, gcm: GCM) -> tuple[int, LSPath]:
+    """The steps and the end of the i-string walk of op from pi alone."""
+    return _strings(op, (pi,), i, gcm)[pi]
 
 
 def denominator_policy(gcm: GCM, bounds: SearchBounds) -> tuple[Fraction, ...]:
@@ -327,7 +384,7 @@ def enumerate_ls_paths(
         uw = orbit_weight(u, gcm)
         for v in window[i + 1 :]:
             ok = _admissible_denominators(uw, orbit_weight(v, gcm), dens, gcm, bounds)
-            admissible[(u, v)] = tuple(t for t in policy if t.denominator in ok)
+            admissible[(u, v)] = tuple(t for t in policy if t.denominator in ok) if ok else ()
     position = {w: i for i, w in enumerate(window)}
     out: set[LSPath] = set()
 
@@ -388,9 +445,15 @@ def combine(*reports: VerificationReport) -> VerificationReport:
 
 
 def _normal_forms_in_window(gcm: GCM, bounds: SearchBounds) -> set[ExplicitPath]:
-    """Valid normal forms whose directions all fit inside the window."""
-    eps = enumerate_explicit(gcm, bounds.m_max, bounds.s_max)
-    return {ep for ep in eps if ep.form == FORM_II or ep.m + ep.s - 1 <= bounds.m_max}
+    """Valid normal forms whose directions all fit inside the window:
+    form i with m + s - 1 <= m_max, form ii with s <= m <= m_max."""
+    found: set[ExplicitPath] = set()
+    for s in range(1, bounds.s_max + 1):
+        for m in range(bounds.m_max - s + 2):
+            found.update(normal_forms_of_shape(gcm, FORM_I, m, s))
+        for m in range(s, bounds.m_max + 1):
+            found.update(normal_forms_of_shape(gcm, FORM_II, m, s))
+    return found
 
 
 def check_classification(gcm: GCM, bounds: SearchBounds) -> VerificationReport:
@@ -524,14 +587,15 @@ def check_crystal_axioms(gcm: GCM, bounds: SearchBounds) -> VerificationReport:
         if not ok and bad[name] is None:
             bad[name] = {"path": pi.to_json(), "i": i}
 
+    strings = {(op, i): _strings(op, paths, i, gcm) for op in (e_generic, f_generic) for i in (1, 2)}
     for pi in paths:
         wt = weight(pi, gcm)
         for i in (1, 2):
             h = h_function(pi, i, gcm)
             mi = h.minimum()
             note("integral-local-minima", all(v.denominator == 1 for v in h.local_min_values()), pi, i)
-            eps = _string(e_generic, pi, i, gcm)[0]
-            ph = _string(f_generic, pi, i, gcm)[0]
+            eps = strings[e_generic, i][pi][0]
+            ph = strings[f_generic, i][pi][0]
             note("epsilon-is-minus-min", mi.denominator == 1 and eps == -mi, pi, i)
             note("phi-is-endpoint-minus-min", ph == h.points[-1][1] - mi, pi, i)
             note("string-balance", ph - eps == pairing(wt, i), pi, i)

@@ -131,6 +131,31 @@ def test_criterion_5_crystal_axioms():
         assert report.all_passed, report.to_json_lines()
 
 
+# (weight-step and inverse-pair, each string and minima row) checked
+# counts at m <= 5, recorded with one iterated walk per path and string
+WIDE_AXIOM_COUNTS = {
+    (2, 3): (223, 166),
+    (3, 2): (223, 166),
+    (2, 5): (3385, 2302),
+    (3, 3): (1624, 1118),
+}
+
+
+def test_criterion_5_crystal_axioms_at_m_5():
+    for a, b in GRIDS:
+        report = check_crystal_axioms(GCM(a, b), SearchBounds(M_MAX + 1, S_MAX))
+        assert report.all_passed, report.to_json_lines()
+        steps, strings = WIDE_AXIOM_COUNTS[(a, b)]
+        assert {r.name: r.checked for r in report.results} == {
+            "weight-step": steps,
+            "inverse-pair": steps,
+            "string-balance": strings,
+            "epsilon-is-minus-min": strings,
+            "phi-is-endpoint-minus-min": strings,
+            "integral-local-minima": strings,
+        }
+
+
 def test_criterion_6_structural_invariants():
     start = time.monotonic()
     for a, b in GRIDS:

@@ -51,7 +51,7 @@ PATH_PAYLOADS = (
     '{"dirs": [{"family": "x", "m": 3}, {"family": "x", "m": 1}], "sigmas": ["0", "1/2", "1"]}',
     '{"dirs": [{"family": "x", "m": 1}, {"family": "x", "m": 2}], "sigmas": ["0", "1/2", "1"]}',
 )
-# wrongly typed and non-JSON payloads: one op, every mode
+# wrongly typed, zero-denominator and non-JSON payloads: one op, every mode
 BAD_PAYLOADS = (
     '{"form": "i", "m": true, "s": 1, "sigmas": ["0", "1"]}',
     '{"form": "i", "m": 0, "s": 2, "sigmas": ["0", 0.5, "1"]}',
@@ -61,6 +61,8 @@ BAD_PAYLOADS = (
     '{"dirs": [{"family": "z", "m": 1}], "sigmas": ["0", "1"]}',
     '{"dirs": [{"family": "x", "m": 0}], "sigmas": [0, true]}',
     '{"dirs": [], "sigmas": ["0"]}',
+    '{"dirs": [{"family": "x", "m": 1}], "sigmas": ["0", "1/0"]}',
+    '{"form": "i", "m": 0, "s": 2, "sigmas": ["0", "1/0", "1"]}',
     '{"weird": 1}',
     "[1, 2]",
     "not json",

@@ -3,10 +3,15 @@ from fractions import Fraction as F
 import pytest
 
 from lscrystal.cartan import GCM
-from lscrystal.explicit import FORM_I, ExplicitPath, enumerate_explicit, to_ls_path
+from lscrystal.explicit import FORM_I, FORM_II, ExplicitPath, enumerate_explicit, to_ls_path
 from lscrystal.oracle import (
     OracleBoundError,
     SearchBounds,
+    _chain_roots,
+    _down_steps,
+    _normal_forms_in_window,
+    _string,
+    _strings,
     check_classification,
     check_connectedness,
     check_crystal_axioms,
@@ -22,7 +27,16 @@ from lscrystal.oracle import (
     sigma_chain_lengths,
 )
 from lscrystal.paths import LSPath, e_generic, f_generic, straight_path
-from lscrystal.weyl import IDENTITY, orbit_weight, window_elements, x, y
+from lscrystal.weyl import (
+    BY_ORDER_KEY,
+    IDENTITY,
+    orbit_weight,
+    reflect_by_root,
+    root_pairing,
+    window_elements,
+    x,
+    y,
+)
 
 G33 = GCM(3, 3)
 G23 = GCM(2, 3)
@@ -210,3 +224,68 @@ def test_failing_check_reports_counterexample():
     )
     assert not fake.all_passed
     assert '"counterexample"' in fake.to_json_lines()[0]
+
+
+# ---------------------------------------------------------------------------
+# each fact computed once: reflections per element, strings per window,
+# the window's normal forms built directly
+
+DEEP_MATRICES = ((2, 3), (3, 2), (2, 5), (3, 3))
+
+
+def _down_steps_per_interval(gcm, lo, hi):
+    """_down_steps recomputed for one interval alone, pairing by pairing."""
+    weights = {k: orbit_weight(BY_ORDER_KEY[k], gcm).weight for k in range(lo, hi + 1)}
+    by_weight = {wt: k for k, wt in weights.items()}
+    steps = []
+    for k in range(lo, hi + 1):
+        row = []
+        for beta in _chain_roots(gcm):
+            val = root_pairing(weights[k], beta, gcm)
+            if val < 0:
+                k2 = by_weight.get(reflect_by_root(weights[k], beta, gcm))
+                if k2 is not None:
+                    row.append((k2, beta, val))
+        steps.append(tuple(row))
+    return tuple(steps)
+
+
+@pytest.mark.parametrize("ab", DEEP_MATRICES)
+def test_down_steps_equal_per_interval_recomputation(ab):
+    gcm = GCM(*ab)
+    intervals = [(lo, hi) for lo in range(-5, 6) for hi in range(lo + 1, 6)]
+    assert len(intervals) == 55
+    for lo, hi in intervals:
+        assert _down_steps(gcm, lo, hi) == _down_steps_per_interval(gcm, lo, hi), (lo, hi)
+
+
+@pytest.mark.parametrize("ab", ((3, 3), (2, 3)))
+def test_strings_equal_one_walk_per_path(ab):
+    gcm = GCM(*ab)
+    paths = sorted(enumerate_ls_paths(gcm, SearchBounds(5, 3)), key=str)
+    held = 0
+    for op in (e_generic, f_generic):
+        for i in (1, 2):
+            memo = _strings(op, paths, i, gcm)
+            # every window path is recorded, and nothing outside the window
+            assert set(memo) == set(paths)
+            held += len(memo)
+            for pi in paths:
+                assert memo[pi] == _string(op, pi, i, gcm), (str(pi), op.__name__, i)
+    assert held <= 4 * len(paths)
+
+
+@pytest.mark.parametrize("ab", DEEP_MATRICES)
+def test_window_normal_forms_are_the_fitting_enumerated_ones(ab):
+    gcm = GCM(*ab)
+    every = enumerate_explicit(gcm, 5, 3)
+    for m_max in range(6):
+        for s_max in range(1, 4):
+            fitting = {
+                ep
+                for ep in every
+                if ep.m <= m_max
+                and ep.s <= s_max
+                and (ep.form == FORM_II or ep.m + ep.s - 1 <= m_max)
+            }
+            assert _normal_forms_in_window(gcm, SearchBounds(m_max, s_max)) == fitting, (m_max, s_max)
