@@ -7,6 +7,7 @@ from .explicit import (
     e_explicit,
     enumerate_explicit,
     f_explicit,
+    fe_explicit,
     from_ls_path,
     to_ls_path,
     validate_explicit,
@@ -36,6 +37,7 @@ from .paths import (
     epsilon,
     f_generic,
     f_max,
+    fe_generic,
     h_function,
     phi,
     straight_path,

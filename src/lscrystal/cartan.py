@@ -140,13 +140,15 @@ def rationals_from_json(values) -> tuple[Fraction, ...]:
     for t in values:
         if type(t) not in (str, int):  # bool is an int subclass
             raise TypeError(f"breakpoint must be a string or an integer, got {t!r}")
-    out = []
-    for t in values:
-        try:
-            out.append(Fraction(t))
-        except ZeroDivisionError:
-            raise ValueError(f"breakpoint {t!r} has denominator 0") from None
-    return tuple(out)
+    return tuple([_breakpoint(t) for t in values])
+
+
+def _breakpoint(t) -> Fraction:
+    """Fraction(t), with a zero denominator ("1/0") a ValueError."""
+    try:
+        return Fraction(t)
+    except ZeroDivisionError:
+        raise ValueError(f"breakpoint {t!r} has denominator 0") from None
 
 
 def breakpoint_ints(times) -> tuple[int, ...]:
@@ -154,11 +156,12 @@ def breakpoint_ints(times) -> tuple[int, ...]:
     common denominator D, which is the last entry (t_s = 1).
 
     times are Fractions, ints or decimal strings and must run strictly
-    upward from 0 to 1; ValueError otherwise.  The caller checks the
-    count first, so times has at least two entries.
+    upward from 0 to 1; ValueError otherwise, also for a string with a
+    zero denominator.  The caller checks the count first, so times has
+    at least two entries.
     """
     if type(times) is not tuple or not all(type(t) is Fraction for t in times):
-        times = tuple(Fraction(t) for t in times)
+        times = tuple([_breakpoint(t) for t in times])
     den = lcm(*[t.denominator for t in times])
     nums = tuple([t.numerator * (den // t.denominator) for t in times])
     if nums[-1] != den:

@@ -21,6 +21,15 @@ root operators in representation theory").  Summing by parts,
 and every term of N_u is an integer.  So each height is an integer plus
 one breakpoint times one slope, and no Fraction is built.
 
+f_i acts after the last breakpoint where H_i is lowest and e_i before
+the first, so one height profile serves both: f_explicit and
+e_explicit each compute it and take their own branch, and fe_explicit
+computes it once and takes both.  What depends on the shape
+(form, m, s) alone, the grid of integrality denominators and the
+slopes c_j for i = 1 and i = 2, is one cached table per matrix and
+shape, built once from the p/q tables; the direction keys need no
+matrix and are cached by shape alone.
+
 Like LSPath, an ExplicitPath stores its breakpoints as the int
 numerators n_u = sigma_u * D over their least common denominator D,
 with gcd(D, *numerators) = 1 and D = n_s.  D is the path's own, not
@@ -39,11 +48,13 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
+from typing import NamedTuple
 
 from .cartan import GCM, breakpoint_ints, rationals_from_json, reduced_breakpoint_ints
 from .paths import LSPath
-from .weyl import BY_ORDER_KEY, PQTable, WeylElement, X, pq_table
+from .weyl import BY_ORDER_KEY, WeylElement, X, pq_table
 
 FORM_I = "i"
 FORM_II = "ii"
@@ -145,8 +156,7 @@ class ExplicitPath:
     def keys(self) -> tuple[int, ...]:
         """Order keys of the directions: m + s - 1 down to m on form i,
         -(m - s + 1) down to -m on form ii."""
-        top = self.m + self.s - 1 if self.form == FORM_I else self.s - 1 - self.m
-        return tuple(range(top, top - self.s, -1))
+        return _shape_keys(self.form, self.m, len(self.nums) - 1)
 
     def directions(self) -> tuple[WeylElement, ...]:
         return tuple([BY_ORDER_KEY[k] for k in self.keys])
@@ -176,11 +186,45 @@ def _require_deep(gcm: GCM):
         raise ValueError(f"normal forms need a >= 2 and b >= 2, got ({gcm.a}, {gcm.b})")
 
 
-def _grid(form: str, m: int, s: int, table: PQTable) -> tuple[int, ...]:
-    """Integrality denominators of breakpoints 1..s-1: p_{m+s-u} or q_{m-s+u+1}."""
+class _ShapeTable(NamedTuple):
+    """What the closed forms read off one shape (form, m, s) of a matrix.
+
+    grid holds the integrality denominators of breakpoints 1..s-1,
+    p_{m+s-u} on form i and q_{m-s+u+1} on form ii; slopes[i - 1] holds
+    the slopes c_1..c_s of H_i, c_j = <direction of piece j,
+    alpha_i^vee>.  The direction keys need no matrix: _shape_keys.
+    """
+
+    grid: tuple[int, ...]
+    slopes: tuple[tuple[int, ...], tuple[int, ...]]
+
+
+@lru_cache(maxsize=None)
+def _shape_keys(form: str, m: int, s: int) -> tuple[int, ...]:
+    """The order keys of the directions of one shape."""
+    top = m + s - 1 if form == FORM_I else s - 1 - m
+    return tuple(range(top, top - s, -1))
+
+
+@lru_cache(maxsize=None)
+def _shape_table(gcm: GCM, form: str, m: int, s: int) -> _ShapeTable:
+    """The table of one shape, built once per matrix from the p/q tables.
+
+    Piece j is x_k with k = m + s - j on form i and y_k with
+    k = m - s + j on form ii.
+    """
+    table = pq_table(gcm, m + s)
     if form == FORM_I:
-        return table.p[m + s - 1 : m : -1]
-    return table.q[m - s + 2 : m + 1]
+        p, run = table.p, range(m + s - 1, m - 1, -1)
+        grid = p[m + s - 1 : m : -1]
+        h1 = [(-1) ** k * p[k + xi(k)] for k in run]
+        h2 = [(-1) ** (k + 1) * p[k + xi(k + 1)] for k in run]
+    else:
+        q, run = table.q, range(m - s + 1, m + 1)
+        grid = q[m - s + 2 : m + 1]
+        h1 = [(-1) ** k * q[k + xi(k + 1)] for k in run]
+        h2 = [(-1) ** (k + 1) * q[k + xi(k)] for k in run]
+    return _ShapeTable(grid, (tuple(h1), tuple(h2)))
 
 
 def _off_grid(ep: ExplicitPath, u: int, den: int) -> ValueError:
@@ -191,9 +235,9 @@ def _off_grid(ep: ExplicitPath, u: int, den: int) -> ValueError:
 def _on_grid(ep: ExplicitPath, gcm: GCM) -> ExplicitPath:
     """ep, once every interior breakpoint n_u/D is a multiple of
     1/grid_u, that is once D divides n_u * grid_u."""
-    m, s, nums = ep.m, ep.s, ep.nums
+    nums = ep.nums
     den = nums[-1]
-    for u, g in enumerate(_grid(ep.form, m, s, pq_table(gcm, m + s)), 1):
+    for u, g in enumerate(_shape_table(gcm, ep.form, ep.m, len(nums) - 1).grid, 1):
         if nums[u] * g % den:
             raise _off_grid(ep, u, g)
     return ep
@@ -232,25 +276,7 @@ def from_ls_path(pi: LSPath) -> ExplicitPath:
     return ExplicitPath(FORM_II, -last, s, nums=pi.nums)
 
 
-def _slopes(ep: ExplicitPath, i: int, table: PQTable) -> list[int]:
-    """<direction of piece j, alpha_i^vee> for j = 1..s, from the p/q tables.
-
-    Piece j is x_k with k = m + s - j on form i and y_k with
-    k = m - s + j on form ii.
-    """
-    m, s = ep.m, ep.s
-    if ep.form == FORM_I:
-        p = table.p
-        if i == 1:
-            return [(-1) ** k * p[k + xi(k)] for k in range(m + s - 1, m - 1, -1)]
-        return [(-1) ** (k + 1) * p[k + xi(k + 1)] for k in range(m + s - 1, m - 1, -1)]
-    q = table.q
-    if i == 1:
-        return [(-1) ** k * q[k + xi(k + 1)] for k in range(m - s + 1, m + 1)]
-    return [(-1) ** (k + 1) * q[k + xi(k)] for k in range(m - s + 1, m + 1)]
-
-
-def _heights(ep: ExplicitPath, slopes: list[int], grid: tuple[int, ...]) -> list[int]:
+def _heights(ep: ExplicitPath, slopes: tuple[int, ...], grid: tuple[int, ...]) -> list[int]:
     """D*H_i at sigma_0..sigma_s, D the path's denominator.
 
     Uses H_i(sigma_u) = N_u + sigma_u c_u from the module docstring.
@@ -279,11 +305,10 @@ def partial_sums(ep: ExplicitPath, gcm: GCM) -> tuple[tuple[Fraction, ...], tupl
     The last entries are the weight coordinates.  A breakpoint off its
     grid raises ValueError.
     """
-    table = pq_table(gcm, ep.m + ep.s)
-    grid = _grid(ep.form, ep.m, ep.s, table)
+    table = _shape_table(gcm, ep.form, ep.m, len(ep.nums) - 1)
+    den = ep.nums[-1]
     h1, h2 = (
-        tuple(Fraction(h, ep.nums[-1]) for h in _heights(ep, _slopes(ep, i, table), grid))
-        for i in (1, 2)
+        tuple([Fraction(h, den) for h in _heights(ep, slopes, table.grid)]) for slopes in table.slopes
     )
     return h1, h2
 
@@ -298,17 +323,14 @@ def _check_index(i: int):
         raise ValueError(f"simple root index must be 1 or 2, got {i}")
 
 
-def _search(ep: ExplicitPath, i: int, gcm: GCM, last: bool) -> tuple[int, list[int]]:
-    """The first (or last) breakpoint where H_i is lowest, and the slopes."""
+def _profile(ep: ExplicitPath, i: int, gcm: GCM) -> tuple[list[int], tuple[int, ...]]:
+    """D*H_i at sigma_0..sigma_s and the slopes of H_i: the one height
+    profile that f_i and e_i both read."""
     _require_deep(gcm)
     _check_index(i)
-    m, s = ep.m, ep.s
-    table = pq_table(gcm, m + s)
-    slopes = _slopes(ep, i, table)
-    heights = _heights(ep, slopes, _grid(ep.form, m, s, table))
-    low = min(heights)
-    best = len(heights) - 1 - heights[::-1].index(low) if last else heights.index(low)
-    return best, slopes
+    table = _shape_table(gcm, ep.form, ep.m, len(ep.nums) - 1)
+    slopes = table.slopes[i - 1]
+    return _heights(ep, slopes, table.grid), slopes
 
 
 def f_explicit(ep: ExplicitPath, i: int, gcm: GCM) -> ExplicitPath | None:
@@ -319,8 +341,34 @@ def f_explicit(ep: ExplicitPath, i: int, gcm: GCM) -> ExplicitPath | None:
     fails loudly instead of producing a malformed normal form; a
     breakpoint of ep off its grid raises ValueError.
     """
-    u0, slopes = _search(ep, i, gcm, last=True)
-    form, m, s, nums = ep.form, ep.m, ep.s, ep.nums
+    heights, slopes = _profile(ep, i, gcm)
+    return _lowered(ep, i, gcm, slopes, len(heights) - 1 - heights[::-1].index(min(heights)))
+
+
+def e_explicit(ep: ExplicitPath, i: int, gcm: GCM) -> ExplicitPath | None:
+    """Raising operator in closed form; null when H_i never dips below 0.
+
+    Both forms take the same branches and differ only in the sign of
+    step.  A breakpoint of ep off its grid raises ValueError.
+    """
+    heights, slopes = _profile(ep, i, gcm)
+    return _raised(ep, i, gcm, slopes, heights.index(min(heights)))
+
+
+def fe_explicit(ep: ExplicitPath, i: int, gcm: GCM) -> tuple[ExplicitPath | None, ExplicitPath | None]:
+    """(f_explicit, e_explicit) of ep from one height profile."""
+    heights, slopes = _profile(ep, i, gcm)
+    low = min(heights)
+    return (
+        _lowered(ep, i, gcm, slopes, len(heights) - 1 - heights[::-1].index(low)),
+        _raised(ep, i, gcm, slopes, heights.index(low)),
+    )
+
+
+def _lowered(ep: ExplicitPath, i: int, gcm: GCM, slopes: tuple[int, ...], u0: int) -> ExplicitPath | None:
+    """f_i of ep, u0 the last breakpoint where H_i is lowest."""
+    form, m, nums = ep.form, ep.m, ep.nums
+    s = len(nums) - 1
     den = nums[-1]
     # m moves by step when the last piece, x_m or y_m, is used up
     step = 1 if form == FORM_I else -1
@@ -342,14 +390,10 @@ def f_explicit(ep: ExplicitPath, i: int, gcm: GCM) -> ExplicitPath | None:
     return _on_grid(ExplicitPath(form, m + step, s - 1, nums=nums[: s - 1] + (den,)), gcm)
 
 
-def e_explicit(ep: ExplicitPath, i: int, gcm: GCM) -> ExplicitPath | None:
-    """Raising operator in closed form; null when H_i never dips below 0.
-
-    Both forms take the same branches and differ only in the sign of
-    step.  A breakpoint of ep off its grid raises ValueError.
-    """
-    u1, slopes = _search(ep, i, gcm, last=False)
-    form, m, s, nums = ep.form, ep.m, ep.s, ep.nums
+def _raised(ep: ExplicitPath, i: int, gcm: GCM, slopes: tuple[int, ...], u1: int) -> ExplicitPath | None:
+    """e_i of ep, u1 the first breakpoint where H_i is lowest."""
+    form, m, nums = ep.form, ep.m, ep.nums
+    s = len(nums) - 1
     den = nums[-1]
     # m moves by -step when a piece is added after the last one, x_m or y_m
     step = 1 if form == FORM_I else -1
@@ -380,13 +424,17 @@ def _scaled(nums: tuple[int, ...], c: int, u: int, new: int) -> tuple[int, ...]:
 
 def enumerate_explicit(gcm: GCM, m_max: int, s_max: int) -> set[ExplicitPath]:
     """All valid normal forms with m <= m_max and s <= s_max."""
+    return set(normal_forms_by_shape(gcm, m_max, s_max))
+
+
+def normal_forms_by_shape(gcm: GCM, m_max: int, s_max: int) -> Iterator[ExplicitPath]:
+    """The normal forms of enumerate_explicit, shape by shape: m from 0
+    up, then s from 1 up, form i before form ii (which needs m >= s)."""
     _require_deep(gcm)
-    found: set[ExplicitPath] = set()
     for m in range(m_max + 1):
         for s in range(1, s_max + 1):
             for form in (FORM_I, FORM_II) if m >= s else (FORM_I,):
-                found.update(normal_forms_of_shape(gcm, form, m, s))
-    return found
+                yield from normal_forms_of_shape(gcm, form, m, s)
 
 
 def normal_forms_of_shape(gcm: GCM, form: str, m: int, s: int) -> Iterator[ExplicitPath]:
@@ -398,7 +446,7 @@ def normal_forms_of_shape(gcm: GCM, form: str, m: int, s: int) -> Iterator[Expli
     no interior breakpoint choices.
     """
     _require_deep(gcm)
-    for nums in _interior_choices(_grid(form, m, s, pq_table(gcm, m + s))):
+    for nums in _interior_choices(_shape_table(gcm, form, m, s).grid):
         yield _on_grid(ExplicitPath(form, m, s, nums=nums), gcm)
 
 

@@ -53,8 +53,8 @@ from .explicit import (
     FORM_I,
     FORM_II,
     ExplicitPath,
-    enumerate_explicit,
     from_ls_path,
+    normal_forms_by_shape,
     normal_forms_of_shape,
     to_ls_path,
 )
@@ -65,6 +65,7 @@ from .paths import (
     e_max,
     f_generic,
     f_max,
+    fe_generic,
     h_function,
     straight_path,
     weight,
@@ -615,22 +616,21 @@ def check_crystal_axioms(gcm: GCM, bounds: SearchBounds) -> VerificationReport:
 
 def check_operator_equivalence(gcm: GCM, m_max: int, s_max: int) -> VerificationReport:
     """Closed-form operators against the piecewise-linear engine on every
-    normal form with m <= m_max and s <= s_max, nulls included."""
-    from .explicit import e_explicit, f_explicit
+    normal form with m <= m_max and s <= s_max, nulls included.
 
-    eps = sorted(enumerate_explicit(gcm, m_max, s_max), key=str)
+    The forms are walked shape by shape, each through both pair
+    functions; the counterexample is the first disagreement in the
+    order of str(path), then f1, e1, f2, e2.
+    """
+    from .explicit import fe_explicit
+
     checked = 0
-    ce = None
-    for ep in eps:
+    ce = first = None
+    for ep in normal_forms_by_shape(gcm, m_max, s_max):
         pi = to_ls_path(ep)
         for i in (1, 2):
-            for label, op_closed, op_engine in (
-                ("f", f_explicit, f_generic),
-                ("e", e_explicit, e_generic),
-            ):
+            for label, closed, engine in zip("fe", fe_explicit(ep, i, gcm), fe_generic(pi, i, gcm)):
                 checked += 1
-                closed = op_closed(ep, i, gcm)
-                engine = op_engine(pi, i, gcm)
                 agree = (
                     closed is None
                     and engine is None
@@ -639,7 +639,8 @@ def check_operator_equivalence(gcm: GCM, m_max: int, s_max: int) -> Verification
                     and to_ls_path(closed) == engine
                     and from_ls_path(engine) == closed
                 )
-                if not agree and ce is None:
+                if not agree and (first is None or str(ep) < first):
+                    first = str(ep)
                     ce = {
                         "path": ep.to_json(),
                         "op": f"{label}{i}",

@@ -26,6 +26,11 @@ found by index: t_0 (for f) or t_1 (for e) is a breakpoint, the other
 end is a breakpoint or splits one known piece, which puts the result
 over D*|slope| before it is reduced.
 
+f_i reflects after the last minimum of H_i and e_i before the first,
+so one height profile serves both: f_generic and e_generic each
+compute it and run their own branch, and fe_generic computes it once
+and runs both, for callers that need the pair.
+
 The string data need no iteration.  epsilon = -min H_i and phi = H_i(1)
 - min H_i (Littelmann, Ann. Math. 142, 1995), and e_max/f_max are the
 Pitman transform and its dual (Biane, Bougerol, O'Connell, Duke Math.
@@ -229,11 +234,16 @@ def _slope_table(gcm: GCM, i: int) -> _Slopes:
     return _Slopes(gcm, i)
 
 
-def _int_heights(pi: LSPath, i: int, gcm: GCM) -> tuple[int, tuple[int, ...], list[int], list[int]]:
+# D, the breakpoint numerators, the piece slopes and D*H_i at the breakpoints
+_Profile = tuple[int, tuple[int, ...], list[int], list[int]]
+
+
+def _int_heights(pi: LSPath, i: int, gcm: GCM) -> _Profile:
     """D, the breakpoint numerators, the piece slopes and D*H_i at the breakpoints.
 
     Every value is an int: the path stores its breakpoints over D, and
-    the slopes are the ints <orbit weight, alpha_i^vee>.
+    the slopes are the ints <orbit weight, alpha_i^vee>.  This is the
+    one height profile that f_i, e_i and the string data all read.
     """
     nums = pi.nums
     slopes = list(map(_slope_table(gcm, i).__getitem__, pi.keys))
@@ -290,8 +300,30 @@ def f_generic(pi: LSPath, i: int, gcm: GCM) -> LSPath | None:
     first time after it where H_i returns to min + 1; the section in
     between is reflected.
     """
-    den, num, slopes, h = _int_heights(pi, i, gcm)
-    m = min(h)
+    profile = _int_heights(pi, i, gcm)
+    return _lowered(pi, i, profile, min(profile[3]))
+
+
+def e_generic(pi: LSPath, i: int, gcm: GCM) -> LSPath | None:
+    """Raising operator: null when the minimum of H_i is 0.
+
+    Otherwise t_1 is the first time the minimum is attained and t_0 the
+    last time before it where H_i was still at min + 1.
+    """
+    profile = _int_heights(pi, i, gcm)
+    return _raised(pi, i, profile, min(profile[3]))
+
+
+def fe_generic(pi: LSPath, i: int, gcm: GCM) -> tuple[LSPath | None, LSPath | None]:
+    """(f_generic, e_generic) of pi from one height profile."""
+    profile = _int_heights(pi, i, gcm)
+    m = min(profile[3])
+    return _lowered(pi, i, profile, m), _raised(pi, i, profile, m)
+
+
+def _lowered(pi: LSPath, i: int, profile: _Profile, m: int) -> LSPath | None:
+    """f_i of pi from its _int_heights profile, m the minimum of D*H_i."""
+    den, num, slopes, h = profile
     if h[-1] == m:
         return None
     j0 = len(h) - 1 - h[::-1].index(m)
@@ -313,14 +345,9 @@ def f_generic(pi: LSPath, i: int, gcm: GCM) -> LSPath | None:
     return _reflect_pieces(keys, nums, i, j0, u)
 
 
-def e_generic(pi: LSPath, i: int, gcm: GCM) -> LSPath | None:
-    """Raising operator: null when the minimum of H_i is 0.
-
-    Otherwise t_1 is the first time the minimum is attained and t_0 the
-    last time before it where H_i was still at min + 1.
-    """
-    den, num, slopes, h = _int_heights(pi, i, gcm)
-    m = min(h)
+def _raised(pi: LSPath, i: int, profile: _Profile, m: int) -> LSPath | None:
+    """e_i of pi from its _int_heights profile, m the minimum of D*H_i."""
+    den, num, slopes, h = profile
     if m == 0:
         return None
     j1 = h.index(m)

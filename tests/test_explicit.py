@@ -13,6 +13,7 @@ from lscrystal.explicit import (
     e_explicit,
     enumerate_explicit,
     f_explicit,
+    fe_explicit,
     from_ls_path,
     partial_sums,
     to_ls_path,
@@ -164,7 +165,7 @@ def test_int_heights_match_engine_along_deep_walks():
     assert deepest >= 25 and widest >= 10**12
 
 
-@pytest.mark.parametrize("op", [f_explicit, e_explicit])
+@pytest.mark.parametrize("op", [f_explicit, e_explicit, fe_explicit])
 @pytest.mark.parametrize("i", [1, 2])
 @pytest.mark.parametrize(
     "ab, ep",

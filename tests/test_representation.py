@@ -244,3 +244,16 @@ def test_denominator_policy_is_the_sorted_definition(ab, m_max, s_max):
     table = pq_table(gcm, max(m_max + s_max, 1))
     values = {F(j, d) for d in set(table.p) | set(table.q) for j in range(1, d)}
     assert denominator_policy(gcm, SearchBounds(m_max, s_max)) == tuple(sorted(values))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: ExplicitPath(FORM_I, 0, 2, ["0", "1/0", "1"]),
+        lambda: LSPath((x(1),), ("0", "1/0")),
+    ],
+)
+def test_zero_denominator_breakpoint_is_a_value_error(build):
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == "breakpoint '1/0' has denominator 0"
