@@ -205,9 +205,14 @@ def cmd_apply(args, gcm: GCM) -> int:
     engine = op_g(pi, i, gcm)
     closed_pi = None if closed is None else to_ls_path(closed)
     if closed_pi != engine:
+        # everything needed to rerun this apply call and see it again
         print(
             json.dumps(
                 {
+                    "a": gcm.a,
+                    "b": gcm.b,
+                    "op": args.op,
+                    "input": (pi if given is None else given).to_json(),
                     "explicit": None if closed is None else closed.to_json(),
                     "generic": None if engine is None else engine.to_json(),
                 }

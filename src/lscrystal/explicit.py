@@ -19,7 +19,17 @@ root operators in representation theory").  Summing by parts,
     H_i(sigma_u) = N_u + sigma_u c_u,   N_u = -sum_{j<u} sigma_j (c_{j+1} - c_j),
 
 and every term of N_u is an integer.  So each height is an integer plus
-one breakpoint times one slope, and no Fraction is built.
+one breakpoint times one slope, and no Fraction is built.  The slopes
+and their jumps depend on the shape alone and are read from its table;
+over the path's denominator D the heights are
+
+    D*H_i(sigma_u) = n_u c_u - sum_{j<u} n_j (c_{j+1} - c_j),
+
+a running sum of int products with no division.  The integrality that
+makes N_u an integer is the grid condition D | n_u * grid_u, which
+_on_grid tests before any height is used.  A path remembers the matrix
+it passed that test for, so a path that an operator returned, already
+through _on_grid, is not tested again when it is the next input.
 
 f_i acts after the last breakpoint where H_i is lowest and e_i before
 the first, so one height profile serves both: f_explicit and
@@ -39,6 +49,18 @@ search compares plain ints, and a moved breakpoint is built in int over
 D times one slope before it is reduced.  The conversions to and from
 LSPath hand the numerators across unchanged.
 
+The conversions build their results with the private constructors
+LSPath._from_valid and ExplicitPath._from_valid, which store fields
+without checking them, because the source's invariant already implies
+the target's.  An ExplicitPath's nums start at 0, rise strictly and
+have gcd 1, and its keys are a strictly decreasing run of length s: a
+valid LSPath.  An LSPath whose keys are one consecutive run of one
+family is a valid ExplicitPath: form i takes any m >= 0 and s >= 1,
+and a form ii run with both end keys negative has m >= s >= 1, which
+is all the constructor asks of form ii.  Every operator result, on
+either side, still goes through its class's validating constructor,
+and on this side through _on_grid.
+
 The straight path through the identity is spelled form i with m = 0;
 a form ii spelling of it normalizes to that in the constructor.
 """
@@ -50,6 +72,7 @@ from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
+from operator import sub
 from typing import NamedTuple
 
 from .cartan import GCM, breakpoint_ints, rationals_from_json, reduced_breakpoint_ints
@@ -77,10 +100,11 @@ class ExplicitPath:
     The constructor checks everything that does not need the matrix
     (types, shapes, monotonicity, m >= s for form ii except the straight
     path m = 0, s = 1); breakpoint integrality does need it and lives in
-    validate_explicit.
+    validate_explicit.  ExplicitPath._from_valid skips these checks and
+    is only for from_ls_path (see the module docstring).
     """
 
-    __slots__ = ("form", "m", "nums", "_sigmas")
+    __slots__ = ("form", "m", "nums", "_sigmas", "_on_grid_of")
 
     def __init__(self, form, m, s, sigmas=None, *, nums=None):
         if form not in (FORM_I, FORM_II):
@@ -118,6 +142,18 @@ class ExplicitPath:
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "nums", nums)
         object.__setattr__(self, "_sigmas", sigmas)
+        object.__setattr__(self, "_on_grid_of", None)
+
+    @classmethod
+    def _from_valid(cls, form: str, m: int, nums: tuple[int, ...]) -> "ExplicitPath":
+        """The path of already-valid fields, form in its canonical spelling."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "form", form)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "nums", nums)
+        object.__setattr__(self, "_sigmas", None)
+        object.__setattr__(self, "_on_grid_of", None)
+        return self
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -192,11 +228,13 @@ class _ShapeTable(NamedTuple):
     grid holds the integrality denominators of breakpoints 1..s-1,
     p_{m+s-u} on form i and q_{m-s+u+1} on form ii; slopes[i - 1] holds
     the slopes c_1..c_s of H_i, c_j = <direction of piece j,
-    alpha_i^vee>.  The direction keys need no matrix: _shape_keys.
+    alpha_i^vee>, and jumps[i - 1] their jumps c_{u+1} - c_u at
+    breakpoints 1..s-1.  The direction keys need no matrix: _shape_keys.
     """
 
     grid: tuple[int, ...]
     slopes: tuple[tuple[int, ...], tuple[int, ...]]
+    jumps: tuple[tuple[int, ...], tuple[int, ...]]
 
 
 @lru_cache(maxsize=None)
@@ -224,7 +262,8 @@ def _shape_table(gcm: GCM, form: str, m: int, s: int) -> _ShapeTable:
         grid = q[m - s + 2 : m + 1]
         h1 = [(-1) ** k * q[k + xi(k + 1)] for k in run]
         h2 = [(-1) ** (k + 1) * q[k + xi(k)] for k in run]
-    return _ShapeTable(grid, (tuple(h1), tuple(h2)))
+    jumps = tuple(tuple(map(sub, h[1:], h)) for h in (h1, h2))
+    return _ShapeTable(grid, (tuple(h1), tuple(h2)), jumps)
 
 
 def _off_grid(ep: ExplicitPath, u: int, den: int) -> ValueError:
@@ -234,12 +273,20 @@ def _off_grid(ep: ExplicitPath, u: int, den: int) -> ValueError:
 
 def _on_grid(ep: ExplicitPath, gcm: GCM) -> ExplicitPath:
     """ep, once every interior breakpoint n_u/D is a multiple of
-    1/grid_u, that is once D divides n_u * grid_u."""
+    1/grid_u, that is once D divides n_u * grid_u.
+
+    The answer depends only on the immutable ep and gcm, so a path
+    that passed remembers the matrix object it passed for and is not
+    checked again for it; an equal but distinct GCM checks again.
+    """
+    if ep._on_grid_of is gcm:
+        return ep
     nums = ep.nums
     den = nums[-1]
     for u, g in enumerate(_shape_table(gcm, ep.form, ep.m, len(nums) - 1).grid, 1):
         if nums[u] * g % den:
             raise _off_grid(ep, u, g)
+    object.__setattr__(ep, "_on_grid_of", gcm)
     return ep
 
 
@@ -250,7 +297,7 @@ def validate_explicit(form: str, m: int, s: int, sigmas, gcm: GCM) -> ExplicitPa
 
 
 def to_ls_path(ep: ExplicitPath) -> LSPath:
-    return LSPath(keys=ep.keys, nums=ep.nums)
+    return LSPath._from_valid(ep.keys, ep.nums)
 
 
 def from_ls_path(pi: LSPath) -> ExplicitPath:
@@ -271,31 +318,27 @@ def from_ls_path(pi: LSPath) -> ExplicitPath:
         raise ValueError(f"directions mix families: {pi}")
     if first - last != s - 1:
         raise ValueError(f"direction indices are not consecutive: {pi}")
+    # form ii here has m = -last >= s, so it is neither the straight
+    # path nor a run from y_0
     if last >= 0:
-        return ExplicitPath(FORM_I, last, s, nums=pi.nums)
-    return ExplicitPath(FORM_II, -last, s, nums=pi.nums)
+        return ExplicitPath._from_valid(FORM_I, last, pi.nums)
+    return ExplicitPath._from_valid(FORM_II, -last, pi.nums)
 
 
-def _heights(ep: ExplicitPath, slopes: tuple[int, ...], grid: tuple[int, ...]) -> list[int]:
+def _heights(ep: ExplicitPath, slopes: tuple[int, ...], jumps: tuple[int, ...]) -> list[int]:
     """D*H_i at sigma_0..sigma_s, D the path's denominator.
 
-    Uses H_i(sigma_u) = N_u + sigma_u c_u from the module docstring.
-    sigma_u = n_u/D is a multiple of 1/grid_u, and grid_u divides the
-    slope jump there, so D divides n_u times the jump and N_u stays an
-    integer.  A breakpoint off its grid raises ValueError.
+    D*H_i(sigma_u) = n_u c_u - sum_{j<u} n_j (c_{j+1} - c_j), from the
+    module docstring.  The caller has passed ep through _on_grid: off
+    its grid the integer N_u of the closed form does not exist.
     """
     nums = ep.nums
-    den = nums[-1]
     heights = [0]
-    whole = 0
-    for u in range(1, len(nums) - 1):
-        n = nums[u]
-        if n * grid[u - 1] % den:
-            raise _off_grid(ep, u, grid[u - 1])
-        c = slopes[u - 1]
-        heights.append(whole * den + n * c)
-        whole -= n * (slopes[u] - c) // den
-    heights.append((whole + slopes[-1]) * den)
+    below = 0  # -D*N_u
+    for n, c, jump in zip(nums[1:], slopes, jumps):
+        heights.append(n * c - below)
+        below += n * jump
+    heights.append(nums[-1] * slopes[-1] - below)
     return heights
 
 
@@ -306,9 +349,10 @@ def partial_sums(ep: ExplicitPath, gcm: GCM) -> tuple[tuple[Fraction, ...], tupl
     grid raises ValueError.
     """
     table = _shape_table(gcm, ep.form, ep.m, len(ep.nums) - 1)
-    den = ep.nums[-1]
+    den = _on_grid(ep, gcm).nums[-1]
     h1, h2 = (
-        tuple([Fraction(h, den) for h in _heights(ep, slopes, table.grid)]) for slopes in table.slopes
+        tuple([Fraction(h, den) for h in _heights(ep, slopes, jumps)])
+        for slopes, jumps in zip(table.slopes, table.jumps)
     )
     return h1, h2
 
@@ -328,9 +372,10 @@ def _profile(ep: ExplicitPath, i: int, gcm: GCM) -> tuple[list[int], tuple[int, 
     profile that f_i and e_i both read."""
     _require_deep(gcm)
     _check_index(i)
+    _on_grid(ep, gcm)
     table = _shape_table(gcm, ep.form, ep.m, len(ep.nums) - 1)
     slopes = table.slopes[i - 1]
-    return _heights(ep, slopes, table.grid), slopes
+    return _heights(ep, slopes, table.jumps[i - 1]), slopes
 
 
 def f_explicit(ep: ExplicitPath, i: int, gcm: GCM) -> ExplicitPath | None:

@@ -72,6 +72,15 @@ class LSPath:
     last entry, and divides out their gcd.  Either way the directions
     must strictly decrease and the breakpoints strictly increase from 0
     to 1.  Instances are immutable.
+
+    LSPath._from_valid(keys, nums) stores the two tuples as they are,
+    without any of these checks.  It is only for a caller that holds
+    them from a path object whose own invariant already implies this
+    one (keys a strictly decreasing int tuple, nums a tuple of ints
+    from 0 strictly up to D with gcd 1, one more entry than keys);
+    explicit.to_ls_path is that caller.  Everything else, the operators
+    here included, builds its results through the validating
+    constructor.
     """
 
     __slots__ = ("keys", "nums")
@@ -97,6 +106,14 @@ class LSPath:
             )
         object.__setattr__(self, "keys", keys)
         object.__setattr__(self, "nums", nums)
+
+    @classmethod
+    def _from_valid(cls, keys: tuple[int, ...], nums: tuple[int, ...]) -> "LSPath":
+        """The path of already-valid keys and nums; see the class docstring."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "keys", keys)
+        object.__setattr__(self, "nums", nums)
+        return self
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")

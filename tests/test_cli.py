@@ -196,6 +196,32 @@ def test_apply_reports_engine_disagreement(capsys, monkeypatch):
     payload = json.loads(out)
     assert payload["generic"] is None
     assert payload["explicit"] == {"form": "i", "m": 1, "s": 1, "sigmas": ["0", "1"]}
+    assert (payload["a"], payload["b"], payload["op"]) == (3, 3, "f1")
+    assert payload["input"] == json.loads(STRAIGHT_LS)
+    # the payload alone reproduces the disagreement
+    argv = ["apply", "--a", str(payload["a"]), "--b", str(payload["b"]), "--op", payload["op"]]
+    again = run(capsys, *argv, "--mode", "both", stdin=json.dumps(payload["input"]), monkeypatch=monkeypatch)
+    assert again[:2] == (code, out)
+
+
+def test_engine_disagreement_payload_keeps_a_normal_form_input(capsys, monkeypatch):
+    monkeypatch.setitem(cli._OPS_GENERIC, "e2", (lambda pi, i, gcm: None, 2))
+    stdin = '{"form": "ii", "m": 3, "s": 2, "sigmas": ["0", "1/4", "1"]}'
+    code, out, _ = run(
+        capsys, "apply", "--a", "2", "--b", "5", "--op", "e2", "--mode", "both",
+        stdin=stdin, monkeypatch=monkeypatch,
+    )
+    assert code == 4
+    payload = json.loads(out)
+    assert (payload["a"], payload["b"], payload["op"]) == (2, 5, "e2")
+    assert payload["input"] == json.loads(stdin)
+    assert payload["explicit"] == {"form": "ii", "m": 3, "s": 1, "sigmas": ["0", "1"]}
+    assert payload["generic"] is None
+    again = run(
+        capsys, "apply", "--a", "2", "--b", "5", "--op", "e2", "--mode", "both",
+        stdin=json.dumps(payload["input"]), monkeypatch=monkeypatch,
+    )
+    assert again[:2] == (code, out)
 
 
 def test_validate_accepts_and_echoes_normal_form(capsys, monkeypatch):

@@ -183,6 +183,47 @@ def test_operators_reject_off_grid_paths(op, i, ab, ep):
         partial_sums(ep, GCM(*ab))
 
 
+@pytest.mark.parametrize(
+    "ab, form, m, sigmas, message",
+    [
+        # both interior breakpoints off their grids (1/5 and 1/2)
+        ((3, 3), FORM_I, 1, (0, F(1, 3), F(3, 4), 1), "breakpoint 1 = 1/3 is not a multiple of 1/p_3 = 1/5"),
+        # breakpoint 1 on its grid 1/13, breakpoints 2 and 3 off theirs
+        (
+            (3, 3),
+            FORM_I,
+            1,
+            (0, F(1, 13), F(1, 3), F(3, 4), 1),
+            "breakpoint 2 = 1/3 is not a multiple of 1/p_3 = 1/5",
+        ),
+        ((2, 5), FORM_II, 4, (0, F(1, 3), F(2, 3), 1), "breakpoint 1 = 1/3 is not a multiple of 1/q_3 = 1/4"),
+    ],
+)
+def test_off_grid_error_names_the_first_off_grid_breakpoint(ab, form, m, sigmas, message):
+    gcm = GCM(*ab)
+    ep = ExplicitPath(form, m, len(sigmas) - 1, sigmas)
+    calls = [partial_sums, lambda p, g: validate_explicit(p.form, p.m, p.s, p.sigmas, g)]
+    for op in (f_explicit, e_explicit, fe_explicit):
+        calls += [lambda p, g, op=op, i=i: op(p, i, g) for i in (1, 2)]
+    for call in calls:
+        with pytest.raises(ValueError) as err:
+            call(ep, gcm)
+        assert str(err.value) == message
+
+
+def test_grid_check_is_remembered_only_for_its_matrix():
+    ep = validate_explicit(FORM_I, 2, 2, (0, F(1, 5), 1), G33)
+    # passing for (3,3) says nothing about the grid of (2,5)
+    with pytest.raises(ValueError, match=r"^breakpoint 1 = 1/5 is not a multiple of 1/p_3 = 1/7$"):
+        f_explicit(ep, 1, G25)
+    with pytest.raises(ValueError, match="1/p_3 = 1/7"):
+        partial_sums(ep, G25)
+    # the remembered check is no part of the value
+    fresh = ExplicitPath(FORM_I, 2, 2, (0, F(1, 5), 1))
+    assert ep == fresh and hash(ep) == hash(fresh)
+    assert f_explicit(ep, 1, G33) == f_explicit(fresh, 1, GCM(3, 3))
+
+
 def test_operator_frozen_values_on_straight():
     s = straight_explicit()
     assert f_explicit(s, 1, G33) == ExplicitPath(FORM_I, 1, 1, (0, 1))

@@ -1,0 +1,110 @@
+"""The conversions between the two path classes hand their fields across
+without validating them again.
+
+to_ls_path and from_ls_path build their results with the private
+constructors LSPath._from_valid and ExplicitPath._from_valid.  That is
+only sound if what they build is exactly what the validating public
+constructors would build from the same fields: the same tuples, equal,
+with the same hash, and just as frozen, copyable and picklable.
+"""
+
+import ast
+import copy
+import pickle
+import random
+from dataclasses import FrozenInstanceError
+from pathlib import Path
+
+import pytest
+
+from lscrystal.cartan import GCM
+from lscrystal.explicit import (
+    FORM_I,
+    ExplicitPath,
+    e_explicit,
+    f_explicit,
+    from_ls_path,
+    normal_forms_by_shape,
+    to_ls_path,
+)
+from lscrystal import paths
+from lscrystal.paths import LSPath, e_generic, f_generic
+
+G25 = GCM(2, 5)
+
+
+def _assert_same_value(got, want):
+    assert type(got) is type(want)
+    assert type(got.nums) is tuple and got.nums == want.nums
+    assert got == want and want == got
+    assert hash(got) == hash(want)
+    assert repr(got) == repr(want) and got.to_json() == want.to_json()
+
+
+def _assert_frozen_and_portable(path):
+    for name in path.__slots__:
+        with pytest.raises(FrozenInstanceError):
+            setattr(path, name, getattr(path, name))
+    for again in (copy.copy(path), pickle.loads(pickle.dumps(path))):
+        assert again == path and hash(again) == hash(path)
+        assert again.nums == path.nums
+
+
+def _assert_handoff(ep: ExplicitPath, pi: LSPath):
+    """Both conversions of one path match the validating constructors."""
+    ls = to_ls_path(ep)
+    want_ls = LSPath(keys=ep.keys, nums=ep.nums)
+    _assert_same_value(ls, want_ls)
+    assert type(ls.keys) is tuple and ls.keys == want_ls.keys
+    _assert_frozen_and_portable(ls)
+
+    closed = from_ls_path(pi)
+    want_ep = ExplicitPath(closed.form, closed.m, closed.s, nums=pi.nums)
+    _assert_same_value(closed, want_ep)
+    assert (closed.form, closed.m, closed.s) == (ep.form, ep.m, ep.s)
+    assert closed.sigmas == want_ep.sigmas
+    _assert_frozen_and_portable(closed)
+
+
+@pytest.mark.parametrize("ab", [(2, 3), (2, 5), (3, 3)])
+def test_handoff_matches_validating_constructors_on_normal_forms(ab):
+    gcm = GCM(*ab)
+    count = 0
+    for ep in normal_forms_by_shape(gcm, 4, 3):
+        _assert_handoff(ep, LSPath(keys=ep.keys, nums=ep.nums))
+        count += 1
+    assert count > 100
+
+
+def test_handoff_matches_validating_constructors_along_deep_walks():
+    widest = 0
+    for seed in range(20):
+        rng = random.Random(seed)
+        ep = ExplicitPath(FORM_I, 0, 1, (0, 1))
+        pi = to_ls_path(ep)
+        for _ in range(256):
+            is_f, i = rng.random() < 0.5, rng.choice((1, 2))
+            closed = (f_explicit if is_f else e_explicit)(ep, i, G25)
+            engine = (f_generic if is_f else e_generic)(pi, i, G25)
+            if closed is None:
+                assert engine is None
+                continue
+            _assert_handoff(closed, engine)
+            ep, pi = closed, engine
+            widest = max(widest, pi.den)
+    # the walks reach 13-digit denominators and both families
+    assert widest >= 10**12
+
+
+def test_paths_imports_nothing_from_explicit():
+    # the generic engine is the semantics the closed forms are checked
+    # against, so the private constructor must not tie it to them
+    tree = ast.parse(Path(paths.__file__).read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names.add(node.module or "")
+            names.update(a.name for a in node.names)
+        elif isinstance(node, ast.Import):
+            names.update(a.name for a in node.names)
+    assert not any(name.split(".")[-1] == "explicit" for name in names), sorted(names)
