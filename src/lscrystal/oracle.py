@@ -10,10 +10,11 @@ forms, the crystal graph is connected) over finite windows and report
 counterexamples when anything fails.
 
 Whether a sigma-chain exists, and how long it is, depends on sigma only
-through its reduced denominator d (see sigma_chain_lengths).  The
-callers that scan the denominator policy therefore search once per
-window pair and distinct denominator, with 1/d standing in for every
-policy value over d, and read the per-breakpoint answers off that.
+through its reduced denominator d (see sigma_chain_lengths), so there
+is one search and one cache, _sigma_chain_cached, keyed by the pair and
+d.  The checks and the path enumeration read the policy grouped by
+denominator, count a denominator's values at once, and report 1/d for
+the largest failing d, the smallest failing value of a pair.
 
 Each fact is computed once.  The reflections of an orbit element
 (root, pairing, image) depend on the element alone, so they are cached
@@ -113,6 +114,9 @@ class SearchBounds:
     s_max: int
 
     def __post_init__(self):
+        for name in ("m_max", "s_max"):
+            if type(getattr(self, name)) is not int:  # bool is an int subclass
+                raise TypeError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.m_max < 0:
             raise ValueError(f"m_max must be nonnegative, got {self.m_max}")
         if self.s_max < 1:
@@ -214,8 +218,9 @@ def dist(mu: OrbitWeight, nu: OrbitWeight, gcm: GCM, bounds: SearchBounds) -> in
 @lru_cache(maxsize=None)
 def _dist1_graph(
     gcm: GCM, lo: int, hi: int, bounds: SearchBounds
-) -> tuple[tuple[tuple[int, PositiveRoot, Fraction], ...], ...]:
-    """Distance-1 steps inside the interval, each with its unique root.
+) -> tuple[tuple[tuple[int, PositiveRoot, int], ...], ...]:
+    """Distance-1 steps inside the interval, each with its unique root
+    and its pairing as an int (orbit weights are integral).
 
     Uniqueness of the reflecting root is asserted, not assumed: two
     bounded roots linking the same pair would be a finding, not a detail.
@@ -237,7 +242,8 @@ def _dist1_graph(
                     f"{len(links)} reflecting roots between {BY_ORDER_KEY[k]} and {BY_ORDER_KEY[k2]}; "
                     "expected exactly one"
                 )
-            row.append(links[0])
+            (t, beta, val), = links
+            row.append((t, beta, int(val)))
         graph.append(tuple(row))
     return tuple(graph)
 
@@ -251,14 +257,22 @@ def sigma_chain_lengths(
     pairing turned into a negative integer by sigma.  Every step's
     pairing val is itself a negative integer and sigma = n/d is reduced,
     so sigma * val is an integer exactly when d divides val: the result
-    depends on sigma only through d, and 1/d gives the same answer.
+    depends on sigma only through d, and is read from the one search
+    per (pair, d).
     """
     if orbit_compare(mu.elt, nu.elt) != GREATER:
         raise ValueError(f"sigma-chains need {mu.elt} strictly above {nu.elt}")
     sigma = Fraction(sigma)
     if not 0 < sigma < 1:
         raise ValueError(f"sigma must lie strictly between 0 and 1, got {sigma}")
-    lo, hi = nu.elt.order_key, mu.elt.order_key
+    return _sigma_chain_cached(gcm, bounds, mu.elt.order_key, nu.elt.order_key, sigma.denominator)
+
+
+@lru_cache(maxsize=None)
+def _sigma_chain_cached(gcm: GCM, bounds: SearchBounds, hi: int, lo: int, d: int) -> tuple[int, ...]:
+    """Lengths of all 1/d-chains from order key hi down to order key lo: the
+    oracle's one sigma-chain search, a step allowed when d divides its
+    pairing."""
     graph = _dist1_graph(gcm, lo, hi, bounds)
     memo: dict[int, frozenset[int]] = {lo: frozenset({0})}
 
@@ -266,8 +280,7 @@ def sigma_chain_lengths(
         if k not in memo:
             acc = set()
             for k2, _, val in graph[k - lo]:
-                scaled = sigma * val
-                if scaled < 0 and scaled.denominator == 1:
+                if val % d == 0:
                     acc.update(1 + n for n in lengths(k2))
             memo[k] = frozenset(acc)
         return memo[k]
@@ -275,17 +288,10 @@ def sigma_chain_lengths(
     return tuple(sorted(lengths(hi)))
 
 
-@lru_cache(maxsize=None)
-def _sigma_chain_cached(
-    u: WeylElement, v: WeylElement, sigma: Fraction, gcm: GCM, bounds: SearchBounds
-) -> bool:
-    return bool(sigma_chain_lengths(orbit_weight(u, gcm), orbit_weight(v, gcm), sigma, gcm, bounds))
-
-
 def sigma_chain_exists(
     mu: OrbitWeight, nu: OrbitWeight, sigma, gcm: GCM, bounds: SearchBounds
 ) -> bool:
-    return _sigma_chain_cached(mu.elt, nu.elt, Fraction(sigma), gcm, bounds)
+    return bool(sigma_chain_lengths(mu, nu, sigma, gcm, bounds))
 
 
 def is_ls_path_oracle(dirs, times, gcm: GCM, bounds: SearchBounds) -> bool:
@@ -336,6 +342,7 @@ def _string(op, pi: LSPath, i: int, gcm: GCM) -> tuple[int, LSPath]:
     return _strings(op, (pi,), i, gcm)[pi]
 
 
+@lru_cache(maxsize=None)
 def denominator_policy(gcm: GCM, bounds: SearchBounds) -> tuple[Fraction, ...]:
     """Candidate interior breakpoints: reduced fractions in (0, 1) whose
     denominator divides some p_k or q_k with k <= m_max + s_max.
@@ -355,37 +362,40 @@ def denominator_policy(gcm: GCM, bounds: SearchBounds) -> tuple[Fraction, ...]:
     return tuple(Fraction(k, common) for k in nums)
 
 
-def _denominators(policy: tuple[Fraction, ...]) -> tuple[int, ...]:
-    """The distinct denominators of the policy values, smallest first."""
-    return tuple(sorted({t.denominator for t in policy}))
+@lru_cache(maxsize=None)
+def _policy_by_denominator(gcm: GCM, bounds: SearchBounds) -> tuple[tuple[int, tuple[Fraction, ...]], ...]:
+    """(d, the policy values over d) for every reduced denominator d of
+    the policy, smallest d first.  1/d is the smallest value over d."""
+    by_den: dict[int, list[Fraction]] = {}
+    for t in denominator_policy(gcm, bounds):
+        by_den.setdefault(t.denominator, []).append(t)
+    return tuple((d, tuple(values)) for d, values in sorted(by_den.items()))
 
 
-def _admissible_denominators(
-    mu: OrbitWeight, nu: OrbitWeight, dens: tuple[int, ...], gcm: GCM, bounds: SearchBounds
-) -> frozenset[int]:
-    """The d in dens for which a 1/d-chain exists for (mu, nu); a policy
-    value admits a sigma-chain exactly when its denominator is one of them."""
-    return frozenset(d for d in dens if sigma_chain_exists(mu, nu, Fraction(1, d), gcm, bounds))
+def _chains_by_denominator(
+    gcm: GCM, bounds: SearchBounds, upper: WeylElement, lower: WeylElement
+) -> list[tuple[int, tuple[Fraction, ...], tuple[int, ...]]]:
+    """(d, the policy values over d, the 1/d-chain lengths for the pair)
+    for every policy denominator d, smallest d first: a policy value
+    admits a sigma-chain exactly when its row has lengths."""
+    return [
+        (d, values, _sigma_chain_cached(gcm, bounds, upper.order_key, lower.order_key, d))
+        for d, values in _policy_by_denominator(gcm, bounds)
+    ]
 
 
-def enumerate_ls_paths(
-    gcm: GCM, bounds: SearchBounds, policy: tuple[Fraction, ...] | None = None
-) -> set[LSPath]:
+def enumerate_ls_paths(gcm: GCM, bounds: SearchBounds) -> set[LSPath]:
     """Every LS path with directions in the window and at most s_max pieces,
     breakpoints drawn from the denominator policy, validity from the
-    definition.  A caller that already holds denominator_policy(gcm,
-    bounds) passes it in."""
-    if policy is None:
-        policy = denominator_policy(gcm, bounds)
-    dens = _denominators(policy)
+    definition.  A turn's breakpoints are the policy values over the
+    denominators whose 1/d-chain exists for its pair."""
     window = window_elements(bounds.m_max)
     admissible: dict[tuple[WeylElement, WeylElement], tuple[Fraction, ...]] = {}
     # the turns' breakpoints; paths of one piece have none
     for i, u in enumerate(window if bounds.s_max >= 2 else ()):
-        uw = orbit_weight(u, gcm)
         for v in window[i + 1 :]:
-            ok = _admissible_denominators(uw, orbit_weight(v, gcm), dens, gcm, bounds)
-            admissible[(u, v)] = tuple(t for t in policy if t.denominator in ok) if ok else ()
+            rows = _chains_by_denominator(gcm, bounds, u, v)
+            admissible[(u, v)] = tuple(t for _, values, found in rows if found for t in values)
     position = {w: i for i, w in enumerate(window)}
     out: set[LSPath] = set()
 
@@ -461,29 +471,20 @@ def check_classification(gcm: GCM, bounds: SearchBounds) -> VerificationReport:
     """Sigma-chains have length one, and the enumerated LS paths are
     exactly the normal forms living in the window."""
     window = window_elements(bounds.m_max)
-    policy = denominator_policy(gcm, bounds)
-    dens = _denominators(policy)
     chains = 0
     bad = None
     for i, u in enumerate(window):
-        uw = orbit_weight(u, gcm)
         for v in window[i + 1 :]:
-            vw = orbit_weight(v, gcm)
-            by_den = {d: sigma_chain_lengths(uw, vw, Fraction(1, d), gcm, bounds) for d in dens}
-            for t in policy:
-                found = by_den[t.denominator]
-                if found:
-                    chains += 1
-                    if set(found) != {1} and bad is None:
-                        bad = {
-                            "upper": str(u),
-                            "lower": str(v),
-                            "sigma": str(t),
-                            "lengths": list(found),
-                        }
+            rows = _chains_by_denominator(gcm, bounds, u, v)
+            chains += sum(len(values) for _, values, found in rows if found)
+            failing = [(d, found) for d, _, found in rows if found and set(found) != {1}]
+            if failing and bad is None:
+                # the pair's smallest failing value is 1/d for its largest failing d
+                d, found = failing[-1]
+                bad = {"upper": str(u), "lower": str(v), "sigma": f"1/{d}", "lengths": list(found)}
     length_result = CheckResult("sigma-chain-length-one", bad is None, chains, bad)
 
-    oracle_set = enumerate_ls_paths(gcm, bounds, policy)
+    oracle_set = enumerate_ls_paths(gcm, bounds)
     normal_set = {to_ls_path(ep) for ep in _normal_forms_in_window(gcm, bounds)}
     ce = None
     extra = oracle_set - normal_set
@@ -502,26 +503,21 @@ def check_straight_through_lambda(gcm: GCM, bounds: SearchBounds) -> Verificatio
     """The identity direction occurs only in the straight path: no turn
     next to it admits a sigma-chain, and no enumerated multi-piece path
     contains it."""
-    window = window_elements(bounds.m_max)
-    policy = denominator_policy(gcm, bounds)
-    dens = _denominators(policy)
-    lam = orbit_weight(IDENTITY, gcm)
     checked = 0
     bad = None
-    for w in window:
+    for w in window_elements(bounds.m_max):
         if w.is_identity:
             continue
-        ww = orbit_weight(w, gcm)
-        upper, lower = (ww, lam) if w.order_key > 0 else (lam, ww)
-        ok = _admissible_denominators(upper, lower, dens, gcm, bounds)
-        checked += len(policy)
+        upper, lower = (w, IDENTITY) if w.order_key > 0 else (IDENTITY, w)
+        rows = _chains_by_denominator(gcm, bounds, upper, lower)
+        checked += sum(len(values) for _, values, _ in rows)
+        ok = [d for d, _, found in rows if found]
         if ok and bad is None:
-            t = next(t for t in policy if t.denominator in ok)
-            bad = {"upper": str(upper.elt), "lower": str(lower.elt), "sigma": str(t)}
+            bad = {"upper": str(upper), "lower": str(lower), "sigma": f"1/{ok[-1]}"}
     turn_result = CheckResult("no-turn-at-lambda", bad is None, checked, bad)
 
     ce = None
-    paths = enumerate_ls_paths(gcm, bounds, policy)
+    paths = enumerate_ls_paths(gcm, bounds)
     for pi in sorted(paths, key=str):
         if pi.s >= 2 and any(d.is_identity for d in pi.dirs):
             ce = {"path": pi.to_json()}

@@ -4,12 +4,15 @@ import pytest
 
 from lscrystal.cartan import GCM
 from lscrystal.explicit import FORM_I, FORM_II, ExplicitPath, enumerate_explicit, to_ls_path
+from lscrystal import oracle
 from lscrystal.oracle import (
     OracleBoundError,
     SearchBounds,
     _chain_roots,
+    _dist1_graph,
     _down_steps,
     _normal_forms_in_window,
+    _sigma_chain_cached,
     _string,
     _strings,
     check_classification,
@@ -55,6 +58,13 @@ def test_bounds_validation():
         SearchBounds(2, 0)
 
 
+@pytest.mark.parametrize("m_max, s_max", [(True, 2), (2, True), (False, 1), (2.0, 2), (2, 2.0), ("2", 2), (2, None)])
+def test_bounds_reject_non_int_fields(m_max, s_max):
+    # the bounds are part of every oracle cache key: True must not run as 1
+    with pytest.raises(TypeError):
+        SearchBounds(m_max, s_max)
+
+
 def test_dist_frozen_values():
     assert dist(ow(IDENTITY), ow(IDENTITY), G33, B33) == 0
     assert dist(ow(x(1)), ow(IDENTITY), G33, B33) == 1
@@ -86,10 +96,30 @@ def test_sigma_chain_frozen_values():
         sigma_chain_exists(ow(x(2)), ow(x(1)), F(3, 2), G33, B33)
 
 
+def _lengths_per_value(gcm, bounds, hi, lo, sigma):
+    """The sigma-chain lengths from element hi down to lo, searched for
+    this sigma alone: a step is allowed when sigma * val is a negative
+    integer."""
+    graph = _dist1_graph(gcm, lo, hi, bounds)
+    memo = {lo: {0}}
+
+    def lengths(k):
+        if k not in memo:
+            memo[k] = set()
+            for k2, _, val in graph[k - lo]:
+                scaled = sigma * val
+                if scaled < 0 and scaled.denominator == 1:
+                    memo[k] |= {1 + n for n in lengths(k2)}
+        return memo[k]
+
+    return tuple(sorted(lengths(hi)))
+
+
 @pytest.mark.parametrize("ab", [(2, 3), (3, 3), (2, 5)])
 def test_sigma_chains_depend_only_on_the_denominator(ab):
     # the fact check_classification, check_straight_through_lambda and
-    # enumerate_ls_paths rest on: 1/d answers for every sigma over d
+    # enumerate_ls_paths rest on: 1/d answers for every sigma over d,
+    # against a search of each policy value on its own
     gcm = GCM(*ab)
     bounds = SearchBounds(4, 3)
     window = window_elements(bounds.m_max)
@@ -103,6 +133,7 @@ def test_sigma_chains_depend_only_on_the_denominator(ab):
             for t in policy:
                 found = sigma_chain_lengths(uw, vw, t, gcm, bounds)
                 assert found == by_den[t.denominator], (str(u), str(v), t)
+                assert found == _lengths_per_value(gcm, bounds, u.order_key, v.order_key, t), (str(u), str(v), t)
                 chains += bool(found)
     assert chains > 0
 
@@ -289,3 +320,95 @@ def test_window_normal_forms_are_the_fitting_enumerated_ones(ab):
                 and (ep.form == FORM_II or ep.m + ep.s - 1 <= m_max)
             }
             assert _normal_forms_in_window(gcm, SearchBounds(m_max, s_max)) == fitting, (m_max, s_max)
+
+
+# ---------------------------------------------------------------------------
+# one sigma-chain search per (pair, denominator)
+
+B34 = SearchBounds(4, 3)
+
+
+def test_one_search_per_pair_and_denominator():
+    _sigma_chain_cached.cache_clear()
+    check_classification(G33, B34)
+    window = window_elements(B34.m_max)
+    pairs = len(window) * (len(window) - 1) // 2
+    dens = {t.denominator for t in denominator_policy(G33, B34)}
+    assert pairs == 36 and len(dens) > 1
+    misses = _sigma_chain_cached.cache_info().misses
+    assert misses == pairs * len(dens)
+    check_straight_through_lambda(G33, B34)
+    enumerate_ls_paths(G33, B34)
+    assert _sigma_chain_cached.cache_info().misses == misses
+
+
+def _plant(monkeypatch, fault):
+    """Route the oracle's sigma-chain search through fault(hi, lo, d, lengths)."""
+    real = oracle._sigma_chain_cached
+
+    def planted(gcm, bounds, hi, lo, d):
+        return fault(hi, lo, d, real(gcm, bounds, hi, lo, d))
+
+    monkeypatch.setattr(oracle, "_sigma_chain_cached", planted)
+    return planted
+
+
+def _length_scan_per_value(search):
+    """sigma-chain-length-one at (3,3), m <= 4, s <= 3 as a scan of every
+    window pair and policy value, in policy order."""
+    window = window_elements(B34.m_max)
+    chains, bad = 0, None
+    for i, u in enumerate(window):
+        for v in window[i + 1 :]:
+            for t in denominator_policy(G33, B34):
+                found = search(G33, B34, u.order_key, v.order_key, t.denominator)
+                if found:
+                    chains += 1
+                    if set(found) != {1} and bad is None:
+                        bad = {"upper": str(u), "lower": str(v), "sigma": str(t), "lengths": list(found)}
+    return {"check": "sigma-chain-length-one", "status": "fail", "checked": chains, "counterexample": bad}
+
+
+def _lambda_scan_per_value(search):
+    """no-turn-at-lambda at (3,3), m <= 4, s <= 3 as a scan of every
+    identity pair and policy value, in policy order."""
+    checked, bad = 0, None
+    for w in window_elements(B34.m_max):
+        if w.is_identity:
+            continue
+        upper, lower = (w, IDENTITY) if w.order_key > 0 else (IDENTITY, w)
+        for t in denominator_policy(G33, B34):
+            checked += 1
+            if bad is None and search(G33, B34, upper.order_key, lower.order_key, t.denominator):
+                bad = {"upper": str(upper), "lower": str(lower), "sigma": str(t)}
+    return {"check": "no-turn-at-lambda", "status": "fail", "checked": checked, "counterexample": bad}
+
+
+def _faulty_denominators(which):
+    dens = sorted({t.denominator for t in denominator_policy(G33, B34)})
+    return {"smallest": dens[:1], "largest": dens[-1:], "two": dens[1:3], "every": dens}[which]
+
+
+@pytest.mark.parametrize("which", ["smallest", "largest", "two", "every"])
+def test_planted_chain_of_length_two_fails_like_a_per_value_scan(monkeypatch, which):
+    # (x3, x2) and (y2, y3) have chains of lengths (1, 2) at the faulty denominators
+    faulty = _faulty_denominators(which)
+    planted_pairs = {(3, 2), (-2, -3)}
+    search = _plant(monkeypatch, lambda hi, lo, d, found: (1, 2) if (hi, lo) in planted_pairs and d in faulty else found)
+    results = {r.name: r for r in check_classification(G33, B34).results}
+    expected = _length_scan_per_value(search)
+    assert results["sigma-chain-length-one"].to_json() == expected
+    assert expected["counterexample"]["sigma"] == f"1/{max(faulty)}"
+
+
+@pytest.mark.parametrize("which", ["smallest", "largest", "two"])
+def test_planted_turn_at_lambda_fails_like_a_per_value_scan(monkeypatch, which):
+    # (identity, y2) and (x3, identity) admit a chain at the faulty denominators
+    faulty = _faulty_denominators(which)
+    planted_pairs = {(0, -2), (3, 0)}
+    search = _plant(monkeypatch, lambda hi, lo, d, found: (1,) if (hi, lo) in planted_pairs and d in faulty else found)
+    results = {r.name: r for r in check_straight_through_lambda(G33, B34).results}
+    expected = _lambda_scan_per_value(search)
+    assert results["no-turn-at-lambda"].to_json() == expected
+    assert (expected["counterexample"]["upper"], expected["counterexample"]["sigma"]) == ("x3", f"1/{max(faulty)}")
+    assert not results["no-multi-piece-path-through-lambda"].passed
