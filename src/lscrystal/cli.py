@@ -73,7 +73,7 @@ def cmd_orbit(args, gcm: GCM) -> int:
         return BAD_PARAMS
     rows = []
     for w in window_elements(args.m_max):
-        wt = orbit_weight(w, gcm).weight
+        wt = orbit_weight(w, gcm)
         rows.append((str(w), str(wt), dominance_class(wt)))
     if args.json:
         print(json.dumps([{"element": e, "weight": w, "class": c} for e, w, c in rows]))

@@ -94,8 +94,7 @@ class ExplicitPath:
     ints or decimal strings; ExplicitPath(form, m, s, nums=...) takes
     their numerators over the last entry and divides out their gcd.
     The breakpoints are stored as those numerators; sigmas reads them
-    back as reduced Fractions, and is the given tuple itself when that
-    was a tuple of Fractions.  Instances are immutable.
+    back as reduced Fractions.  Instances are immutable.
 
     The constructor checks everything that does not need the matrix
     (types, shapes, monotonicity, m >= s for form ii except the straight
@@ -104,7 +103,7 @@ class ExplicitPath:
     is only for from_ls_path (see the module docstring).
     """
 
-    __slots__ = ("form", "m", "nums", "_sigmas", "_on_grid_of")
+    __slots__ = ("form", "m", "nums", "_on_grid_of")
 
     def __init__(self, form, m, s, sigmas=None, *, nums=None):
         if form not in (FORM_I, FORM_II):
@@ -120,12 +119,7 @@ class ExplicitPath:
         points = sigmas if nums is None else nums
         if len(points) != s + 1:
             raise ValueError(f"s = {s} needs {s + 1} breakpoints, got {len(points)}")
-        if nums is None:
-            nums = breakpoint_ints(sigmas)
-            if type(sigmas) is not tuple or not all(type(t) is Fraction for t in sigmas):
-                sigmas = None
-        else:
-            nums = reduced_breakpoint_ints(nums)
+        nums = breakpoint_ints(sigmas) if nums is None else reduced_breakpoint_ints(nums)
         if form == FORM_II:
             if m < s - 1:
                 raise ValueError(f"form ii needs m >= s - 1, got m = {m}, s = {s}")
@@ -141,7 +135,6 @@ class ExplicitPath:
         object.__setattr__(self, "form", form)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "nums", nums)
-        object.__setattr__(self, "_sigmas", sigmas)
         object.__setattr__(self, "_on_grid_of", None)
 
     @classmethod
@@ -151,7 +144,6 @@ class ExplicitPath:
         object.__setattr__(self, "form", form)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "nums", nums)
-        object.__setattr__(self, "_sigmas", None)
         object.__setattr__(self, "_on_grid_of", None)
         return self
 
@@ -183,8 +175,6 @@ class ExplicitPath:
 
     @property
     def sigmas(self) -> tuple[Fraction, ...]:
-        if self._sigmas is not None:
-            return self._sigmas
         den = self.nums[-1]
         return tuple([Fraction(n, den) for n in self.nums])
 

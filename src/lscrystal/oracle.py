@@ -1,13 +1,14 @@
 """Brute-force ground truth, straight from the definitions.
 
 Chains are rebuilt by reflecting through every positive root up to a
-height budget, dist is a maximal chain length, and sigma-chains,
-LS-path validity, and the exhaustive path enumeration follow the
-definitions with no help from the closed forms.  The check_* functions
-compare this ground truth against the statements the closed forms rest
-on (sigma-chains have length one, every path is one of two normal
-forms, the crystal graph is connected) over finite windows and report
-counterexamples when anything fails.
+height budget (the roots of weyl.positive_roots_weyl under the cap),
+dist is a maximal chain length, and sigma-chains, LS-path validity,
+and the exhaustive path enumeration follow the definitions with no help
+from the closed forms.  The check_* functions compare this ground truth
+against the statements the closed forms rest on (sigma-chains have
+length one, every path is one of two normal forms, the crystal graph is
+connected) over finite windows and report counterexamples when anything
+fails.
 
 Whether a sigma-chain exists, and how long it is, depends on sigma only
 through its reduced denominator d (see sigma_chain_lengths), so there
@@ -16,15 +17,18 @@ d.  The checks and the path enumeration read the policy grouped by
 denominator, count a denominator's values at once, and report 1/d for
 the largest failing d, the smallest failing value of a pair.
 
-Each fact is computed once.  The reflections of an orbit element
-(root, pairing, image) depend on the element alone, so they are cached
-per element and every order interval only looks its images up.  The
-string ends are iterated per check, one walk per window path and op,
-and a walk stops at the first window path whose count is already
-known: op is a function, so from there it would repeat a walk already
-made step for step, and the count read off that shared tail is exact.
-The classification check builds the window's normal forms shape by
-shape instead of filtering a larger enumeration.
+dist and the sigma-chain functions take Weyl elements and read their
+orbit weights themselves.  Each fact is computed once.  The reflections
+of an orbit element (root, pairing, image) depend on the element alone,
+so they are cached per element and every order interval only looks its
+images up.  An interval's steps are built once, in _down_steps, and its
+distance-1 graph is those steps filtered to dist 1.  The string ends
+are iterated per check, one walk per window path and op, and a walk
+stops at the first window path whose count is already known: op is a
+function, so from there it would repeat a walk already made step for
+step, and the count read off that shared tail is exact.  The
+classification check builds the window's normal forms shape by shape
+instead of filtering a larger enumeration.
 
 Apart from check_structure, which also knows the two degenerate orbit
 identities of the a = 1 / b = 1 edge, everything here effectively needs
@@ -54,6 +58,7 @@ from .explicit import (
     FORM_I,
     FORM_II,
     ExplicitPath,
+    fe_explicit,
     from_ls_path,
     normal_forms_by_shape,
     normal_forms_of_shape,
@@ -77,7 +82,6 @@ from .weyl import (
     GREATER,
     IDENTITY,
     LESS,
-    OrbitWeight,
     PositiveRoot,
     WeylElement,
     X,
@@ -85,7 +89,6 @@ from .weyl import (
     hasse_neighbors,
     orbit_compare,
     orbit_weight,
-    positive_root,
     positive_roots_recurrence,
     positive_roots_weyl,
     pq_table,
@@ -133,15 +136,11 @@ def _chain_roots(gcm: GCM) -> tuple[PositiveRoot, ...]:
     """Positive roots with coefficient height c + d <= ROOT_HEIGHT_MAX.
 
     Heights along each series grow without bound (the recurrence is
-    expanding for a*b > 4), so scanning word lengths up to the cap sees
-    every root under it.
+    expanding for a*b > 4), so the roots x_l(alpha_2) and y_l(alpha_1)
+    with l <= ROOT_HEIGHT_MAX + 1 include every root under the cap.
     """
-    by_coords = {}
-    for l in range(ROOT_HEIGHT_MAX + 1):
-        for beta in (positive_root(x(l), 2, gcm), positive_root(y(l), 1, gcm)):
-            if sum(beta.coords) <= ROOT_HEIGHT_MAX:
-                by_coords.setdefault(beta.coords, beta)
-    return tuple(by_coords.values())
+    roots = positive_roots_weyl(gcm, ROOT_HEIGHT_MAX // 2 + 1)
+    return tuple(beta for beta in roots if sum(beta.coords) <= ROOT_HEIGHT_MAX)
 
 
 @lru_cache(maxsize=None)
@@ -152,7 +151,7 @@ def _reflections(gcm: GCM, key: int) -> tuple[tuple[PositiveRoot, Fraction, Weig
     This depends on the element only, not on the interval around it, so
     every order interval that holds the element reads it from here.
     """
-    wt = orbit_weight(BY_ORDER_KEY[key], gcm).weight
+    wt = orbit_weight(BY_ORDER_KEY[key], gcm)
     out = []
     for beta in _chain_roots(gcm):
         val = root_pairing(wt, beta, gcm)
@@ -169,8 +168,12 @@ def _down_steps(
 
     Entry key - lo lists (target key, root, pairing) for every bounded
     root with negative pairing whose reflection stays in the interval.
+
+    Each linked pair has exactly one root.  That is asserted, not
+    assumed: two bounded roots linking the same pair would be a finding,
+    not a detail.
     """
-    weights = {k: orbit_weight(BY_ORDER_KEY[k], gcm).weight for k in range(lo, hi + 1)}
+    weights = {k: orbit_weight(BY_ORDER_KEY[k], gcm) for k in range(lo, hi + 1)}
     by_weight = {wt: k for k, wt in weights.items()}
     if len(by_weight) != len(weights):
         raise ValueError("orbit weights repeat in this window; the chain search needs a, b >= 2")
@@ -183,22 +186,28 @@ def _down_steps(
                 continue
             if k2 >= k:
                 raise ValueError(f"reflection by {beta} failed to decrease {BY_ORDER_KEY[k]}")
+            if any(t == k2 for t, _, _ in out):
+                raise ValueError(
+                    f"more than one reflecting root between {BY_ORDER_KEY[k]} and {BY_ORDER_KEY[k2]}; "
+                    "expected exactly one"
+                )
             out.append((k2, beta, val))
         steps.append(tuple(out))
     return tuple(steps)
 
 
-def dist(mu: OrbitWeight, nu: OrbitWeight, gcm: GCM, bounds: SearchBounds) -> int:
-    """Maximal length of a decreasing reflection chain from mu down to nu."""
-    cmp = orbit_compare(mu.elt, nu.elt)
+def dist(mu: WeylElement, nu: WeylElement, gcm: GCM, bounds: SearchBounds) -> int:
+    """Maximal length of a decreasing reflection chain from the orbit
+    weight of mu down to that of nu."""
+    cmp = orbit_compare(mu, nu)
     if cmp == LESS:
-        raise ValueError(f"{mu.elt} lies below {nu.elt}; chains only go down")
+        raise ValueError(f"{mu} lies below {nu}; chains only go down")
     if cmp == EQUAL:
         return 0
-    lo, hi = nu.elt.order_key, mu.elt.order_key
+    lo, hi = nu.order_key, mu.order_key
     if hi - lo > bounds.chain_len_max:
         raise OracleBoundError(
-            f"order interval [{nu.elt}, {mu.elt}] is longer than chain_len_max = "
+            f"order interval [{nu}, {mu}] is longer than chain_len_max = "
             f"{bounds.chain_len_max}"
         )
     steps = _down_steps(gcm, lo, hi)
@@ -209,7 +218,7 @@ def dist(mu: OrbitWeight, nu: OrbitWeight, gcm: GCM, bounds: SearchBounds) -> in
     top = best[hi - lo]
     if top is None:
         raise OracleBoundError(
-            f"no chain from {mu.elt} to {nu.elt} using roots of height <= "
+            f"no chain from {mu} to {nu} using roots of height <= "
             f"{ROOT_HEIGHT_MAX}"
         )
     return top
@@ -219,37 +228,26 @@ def dist(mu: OrbitWeight, nu: OrbitWeight, gcm: GCM, bounds: SearchBounds) -> in
 def _dist1_graph(
     gcm: GCM, lo: int, hi: int, bounds: SearchBounds
 ) -> tuple[tuple[tuple[int, PositiveRoot, int], ...], ...]:
-    """Distance-1 steps inside the interval, each with its unique root
-    and its pairing as an int (orbit weights are integral).
+    """The steps of _down_steps between pairs at distance 1, each with
+    its pairing as an int (orbit weights are integral).
 
-    Uniqueness of the reflecting root is asserted, not assumed: two
-    bounded roots linking the same pair would be a finding, not a detail.
+    An interval longer than chain_len_max raises OracleBoundError, as
+    dist of its two ends does: a chain search past the cap has no
+    answer.
     """
-    graph = []
-    for k in range(lo, hi + 1):
-        row = []
-        for k2 in range(lo, k):
-            upper, lower = orbit_weight(BY_ORDER_KEY[k], gcm), orbit_weight(BY_ORDER_KEY[k2], gcm)
-            if dist(upper, lower, gcm, bounds) != 1:
-                continue
-            links = [
-                (t, beta, val)
-                for t, beta, val in _down_steps(gcm, lo, hi)[k - lo]
-                if t == k2
-            ]
-            if len(links) != 1:
-                raise ValueError(
-                    f"{len(links)} reflecting roots between {BY_ORDER_KEY[k]} and {BY_ORDER_KEY[k2]}; "
-                    "expected exactly one"
-                )
-            (t, beta, val), = links
-            row.append((t, beta, int(val)))
-        graph.append(tuple(row))
-    return tuple(graph)
+    dist(BY_ORDER_KEY[hi], BY_ORDER_KEY[lo], gcm, bounds)
+    return tuple(
+        tuple(
+            (k2, beta, int(val))
+            for k2, beta, val in row
+            if dist(BY_ORDER_KEY[k], BY_ORDER_KEY[k2], gcm, bounds) == 1
+        )
+        for k, row in enumerate(_down_steps(gcm, lo, hi), lo)
+    )
 
 
 def sigma_chain_lengths(
-    mu: OrbitWeight, nu: OrbitWeight, sigma, gcm: GCM, bounds: SearchBounds
+    mu: WeylElement, nu: WeylElement, sigma, gcm: GCM, bounds: SearchBounds
 ) -> tuple[int, ...]:
     """Lengths of all sigma-chains for (mu, nu); empty when none exists.
 
@@ -260,12 +258,12 @@ def sigma_chain_lengths(
     depends on sigma only through d, and is read from the one search
     per (pair, d).
     """
-    if orbit_compare(mu.elt, nu.elt) != GREATER:
-        raise ValueError(f"sigma-chains need {mu.elt} strictly above {nu.elt}")
+    if orbit_compare(mu, nu) != GREATER:
+        raise ValueError(f"sigma-chains need {mu} strictly above {nu}")
     sigma = Fraction(sigma)
     if not 0 < sigma < 1:
         raise ValueError(f"sigma must lie strictly between 0 and 1, got {sigma}")
-    return _sigma_chain_cached(gcm, bounds, mu.elt.order_key, nu.elt.order_key, sigma.denominator)
+    return _sigma_chain_cached(gcm, bounds, mu.order_key, nu.order_key, sigma.denominator)
 
 
 @lru_cache(maxsize=None)
@@ -289,7 +287,7 @@ def _sigma_chain_cached(gcm: GCM, bounds: SearchBounds, hi: int, lo: int, d: int
 
 
 def sigma_chain_exists(
-    mu: OrbitWeight, nu: OrbitWeight, sigma, gcm: GCM, bounds: SearchBounds
+    mu: WeylElement, nu: WeylElement, sigma, gcm: GCM, bounds: SearchBounds
 ) -> bool:
     return bool(sigma_chain_lengths(mu, nu, sigma, gcm, bounds))
 
@@ -299,7 +297,7 @@ def is_ls_path_oracle(dirs, times, gcm: GCM, bounds: SearchBounds) -> bool:
     pi = LSPath(tuple(dirs), tuple(times))
     dirs, times = pi.dirs, pi.times
     return all(
-        sigma_chain_exists(orbit_weight(dirs[k - 1], gcm), orbit_weight(dirs[k], gcm), times[k], gcm, bounds)
+        sigma_chain_exists(dirs[k - 1], dirs[k], times[k], gcm, bounds)
         for k in range(1, pi.s)
     )
 
@@ -335,11 +333,6 @@ def _strings(op, paths, i: int, gcm: GCM) -> dict[LSPath, tuple[int, LSPath]]:
         for p, k in met:
             known[p] = (n - k, cur)
     return known
-
-
-def _string(op, pi: LSPath, i: int, gcm: GCM) -> tuple[int, LSPath]:
-    """The steps and the end of the i-string walk of op from pi alone."""
-    return _strings(op, (pi,), i, gcm)[pi]
 
 
 @lru_cache(maxsize=None)
@@ -516,12 +509,9 @@ def check_straight_through_lambda(gcm: GCM, bounds: SearchBounds) -> Verificatio
             bad = {"upper": str(upper), "lower": str(lower), "sigma": f"1/{ok[-1]}"}
     turn_result = CheckResult("no-turn-at-lambda", bad is None, checked, bad)
 
-    ce = None
     paths = enumerate_ls_paths(gcm, bounds)
-    for pi in sorted(paths, key=str):
-        if pi.s >= 2 and any(d.is_identity for d in pi.dirs):
-            ce = {"path": pi.to_json()}
-            break
+    through = min((pi for pi in paths if pi.s >= 2 and 0 in pi.keys), key=str, default=None)
+    ce = None if through is None else {"path": through.to_json()}
     scan_result = CheckResult("no-multi-piece-path-through-lambda", ce is None, len(paths), ce)
     return VerificationReport((turn_result, scan_result))
 
@@ -618,8 +608,6 @@ def check_operator_equivalence(gcm: GCM, m_max: int, s_max: int) -> Verification
     functions; the counterexample is the first disagreement in the
     order of str(path), then f1, e1, f2, e2.
     """
-    from .explicit import fe_explicit
-
     checked = 0
     ce = first = None
     for ep in normal_forms_by_shape(gcm, m_max, s_max):
@@ -654,12 +642,12 @@ def check_structure(gcm: GCM, bounds: SearchBounds) -> VerificationReport:
         ce = None
         if gcm.a == 1:
             checked += 1
-            wt = orbit_weight(y(1), gcm).weight
+            wt = orbit_weight(y(1), gcm)
             if wt != Weight(0, 1) or dominance_class(wt) != DOMINANT:
                 ce = {"element": "y1", "weight": str(wt)}
         if gcm.b == 1:
             checked += 1
-            wt = orbit_weight(x(1), gcm).weight
+            wt = orbit_weight(x(1), gcm)
             if ce is None and (wt != Weight(-1, 0) or dominance_class(wt) != ANTIDOMINANT):
                 ce = {"element": "x1", "weight": str(wt)}
         return VerificationReport(
@@ -723,7 +711,7 @@ def check_structure(gcm: GCM, bounds: SearchBounds) -> VerificationReport:
     for i, u in enumerate(window):
         for v in window[i + 1 :]:
             checked += 1
-            d = dist(orbit_weight(u, gcm), orbit_weight(v, gcm), gcm, bounds)
+            d = dist(u, v, gcm, bounds)
             adjacent = u.order_key - v.order_key == 1
             if (d == 1) != adjacent and ce is None:
                 ce = {"upper": str(u), "lower": str(v), "dist": d}
@@ -741,8 +729,8 @@ def check_structure(gcm: GCM, bounds: SearchBounds) -> VerificationReport:
 
     ce = None
     for m in range(31):
-        if dominance_class(orbit_weight(x(m), gcm).weight) != NEITHER or (
-            dominance_class(orbit_weight(y(m), gcm).weight) != NEITHER
+        if dominance_class(orbit_weight(x(m), gcm)) != NEITHER or (
+            dominance_class(orbit_weight(y(m), gcm)) != NEITHER
         ):
             ce = {"m": m}
             break

@@ -211,9 +211,9 @@ def eval_path(pi: LSPath, t, gcm: GCM) -> Weight:
     for k, d in enumerate(pi.dirs):
         lo, hi = times[k], times[k + 1]
         if t >= hi:
-            acc = acc + (hi - lo) * orbit_weight(d, gcm).weight
+            acc = acc + (hi - lo) * orbit_weight(d, gcm)
         else:
-            acc = acc + (t - lo) * orbit_weight(d, gcm).weight
+            acc = acc + (t - lo) * orbit_weight(d, gcm)
             break
     return acc
 
@@ -224,7 +224,7 @@ def _breakpoint_values(pi: LSPath, i: int, gcm: GCM) -> list[Fraction]:
     vals = [Fraction(0)]
     for k, d in enumerate(pi.dirs):
         gap = times[k + 1] - times[k]
-        vals.append(vals[-1] + gap * pairing(orbit_weight(d, gcm).weight, i))
+        vals.append(vals[-1] + gap * pairing(orbit_weight(d, gcm), i))
     return vals
 
 
@@ -242,7 +242,7 @@ class _Slopes(dict):
         self.gcm, self.i = gcm, i
 
     def __missing__(self, key: int) -> int:
-        c = self[key] = pairing(orbit_weight(BY_ORDER_KEY[key], self.gcm).weight, self.i).numerator
+        c = self[key] = pairing(orbit_weight(BY_ORDER_KEY[key], self.gcm), self.i).numerator
         return c
 
 

@@ -8,8 +8,10 @@ the induced order,
     ... > x_2.L > x_1.L > L > y_1.L > y_2.L > ...,
 
 and the integer sequences p_m, q_m below give every orbit weight in
-closed form.  Positive real roots are carried together with a Weyl
-witness w(alpha_i) so coroot pairings need no bilinear form.
+closed form: orbit_weight(w, gcm) is the Weight of w applied to L1 - L2.
+Positive real roots are carried together with a Weyl witness w(alpha_i)
+so coroot pairings need no bilinear form; positive_roots_weyl lists
+them by witness, and the oracle's chain search takes its roots from it.
 """
 
 from __future__ import annotations
@@ -176,16 +178,8 @@ def pq_table(gcm: GCM, n: int) -> PQTable:
     return PQTable(tuple(p[: n + 1]), tuple(q[: n + 1]))
 
 
-@dataclass(frozen=True)
-class OrbitWeight:
-    """A Weyl element together with its (integral) orbit weight."""
-
-    elt: WeylElement
-    weight: Weight
-
-
 @lru_cache(maxsize=None)
-def orbit_weight(w: WeylElement, gcm: GCM) -> OrbitWeight:
+def orbit_weight(w: WeylElement, gcm: GCM) -> Weight:
     """Closed-form weight of w applied to L1 - L2.
 
     x_m.L = p_{m+1} L1 - p_m L2 for even m and -p_m L1 + p_{m+1} L2 for
@@ -195,10 +189,8 @@ def orbit_weight(w: WeylElement, gcm: GCM) -> OrbitWeight:
     m = w.m
     t = pq_table(gcm, m + 1)
     if w.family == X:
-        wt = Weight(t.p[m + 1], -t.p[m]) if m % 2 == 0 else Weight(-t.p[m], t.p[m + 1])
-    else:
-        wt = Weight(t.q[m], -t.q[m + 1]) if m % 2 == 0 else Weight(-t.q[m + 1], t.q[m])
-    return OrbitWeight(w, wt)
+        return Weight(t.p[m + 1], -t.p[m]) if m % 2 == 0 else Weight(-t.p[m], t.p[m + 1])
+    return Weight(t.q[m], -t.q[m + 1]) if m % 2 == 0 else Weight(-t.q[m + 1], t.q[m])
 
 
 # ---------------------------------------------------------------------------

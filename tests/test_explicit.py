@@ -69,8 +69,6 @@ def test_shape_rejects_wrong_types(m, s):
 
 def test_constructor_keeps_given_fractions():
     sig = (F(0), F(1, 7), F(2, 3), F(1))
-    ep = ExplicitPath(FORM_I, 2, 3, sig)
-    assert all(a is b for a, b in zip(ep.sigmas, sig))
     assert ExplicitPath(FORM_I, 2, 3, [0, "1/7", F(2, 3), 1]).sigmas == sig
 
 

@@ -6,6 +6,7 @@ from lscrystal.cartan import GCM
 from lscrystal.explicit import FORM_I, FORM_II, ExplicitPath, enumerate_explicit, to_ls_path
 from lscrystal import oracle
 from lscrystal.oracle import (
+    ROOT_HEIGHT_MAX,
     OracleBoundError,
     SearchBounds,
     _chain_roots,
@@ -13,7 +14,6 @@ from lscrystal.oracle import (
     _down_steps,
     _normal_forms_in_window,
     _sigma_chain_cached,
-    _string,
     _strings,
     check_classification,
     check_connectedness,
@@ -34,6 +34,7 @@ from lscrystal.weyl import (
     BY_ORDER_KEY,
     IDENTITY,
     orbit_weight,
+    positive_root,
     reflect_by_root,
     root_pairing,
     window_elements,
@@ -44,10 +45,6 @@ from lscrystal.weyl import (
 G33 = GCM(3, 3)
 G23 = GCM(2, 3)
 B33 = SearchBounds(3, 3)
-
-
-def ow(elt, gcm=G33):
-    return orbit_weight(elt, gcm)
 
 
 def test_bounds_validation():
@@ -66,34 +63,37 @@ def test_bounds_reject_non_int_fields(m_max, s_max):
 
 
 def test_dist_frozen_values():
-    assert dist(ow(IDENTITY), ow(IDENTITY), G33, B33) == 0
-    assert dist(ow(x(1)), ow(IDENTITY), G33, B33) == 1
-    assert dist(ow(x(2)), ow(IDENTITY), G33, B33) == 2
-    assert dist(ow(x(2)), ow(y(2)), G33, B33) == 4
+    assert dist(IDENTITY, IDENTITY, G33, B33) == 0
+    assert dist(x(1), IDENTITY, G33, B33) == 1
+    assert dist(x(2), IDENTITY, G33, B33) == 2
+    assert dist(x(2), y(2), G33, B33) == 4
     with pytest.raises(ValueError):
-        dist(ow(IDENTITY), ow(x(1)), G33, B33)
+        dist(IDENTITY, x(1), G33, B33)
 
 
 def test_dist_saturation_is_loud():
     tight = SearchBounds(1, 1)
     with pytest.raises(OracleBoundError):
-        dist(ow(x(4)), ow(y(4)), G33, tight)
+        dist(x(4), y(4), G33, tight)
+
+
+def test_sigma_chain_past_the_cap_is_loud():
+    # x2 and y5 are 7 apart, past chain_len_max = 6, and no single root
+    # links them: the search must still refuse rather than answer ()
+    with pytest.raises(OracleBoundError):
+        sigma_chain_lengths(x(2), y(5), F(1, 2), GCM(2, 5), SearchBounds(2, 2))
 
 
 def test_sigma_chain_frozen_values():
-    assert not sigma_chain_exists(ow(x(1)), ow(IDENTITY), F(1, 2), G33, B33)
-    assert sigma_chain_exists(
-        ow(x(4), G23), ow(x(3), G23), F(1, 7), G23, SearchBounds(4, 3)
-    )
-    assert sigma_chain_lengths(ow(x(1)), ow(IDENTITY), F(1, 2), G33, B33) == ()
+    assert not sigma_chain_exists(x(1), IDENTITY, F(1, 2), G33, B33)
+    assert sigma_chain_exists(x(4), x(3), F(1, 7), G23, SearchBounds(4, 3))
+    assert sigma_chain_lengths(x(1), IDENTITY, F(1, 2), G33, B33) == ()
     # every chain between adjacent elements has length exactly 1
-    assert sigma_chain_lengths(
-        ow(x(2)), ow(x(1)), F(1, 2), G33, B33
-    ) == (1,)
+    assert sigma_chain_lengths(x(2), x(1), F(1, 2), G33, B33) == (1,)
     with pytest.raises(ValueError):
-        sigma_chain_exists(ow(x(1)), ow(x(1)), F(1, 2), G33, B33)
+        sigma_chain_exists(x(1), x(1), F(1, 2), G33, B33)
     with pytest.raises(ValueError):
-        sigma_chain_exists(ow(x(2)), ow(x(1)), F(3, 2), G33, B33)
+        sigma_chain_exists(x(2), x(1), F(3, 2), G33, B33)
 
 
 def _lengths_per_value(gcm, bounds, hi, lo, sigma):
@@ -128,10 +128,9 @@ def test_sigma_chains_depend_only_on_the_denominator(ab):
     chains = 0
     for i, u in enumerate(window):
         for v in window[i + 1 :]:
-            uw, vw = ow(u, gcm), ow(v, gcm)
-            by_den = {d: sigma_chain_lengths(uw, vw, F(1, d), gcm, bounds) for d in dens}
+            by_den = {d: sigma_chain_lengths(u, v, F(1, d), gcm, bounds) for d in dens}
             for t in policy:
-                found = sigma_chain_lengths(uw, vw, t, gcm, bounds)
+                found = sigma_chain_lengths(u, v, t, gcm, bounds)
                 assert found == by_den[t.denominator], (str(u), str(v), t)
                 assert found == _lengths_per_value(gcm, bounds, u.order_key, v.order_key, t), (str(u), str(v), t)
                 chains += bool(found)
@@ -140,7 +139,7 @@ def test_sigma_chains_depend_only_on_the_denominator(ab):
 
 def test_no_sigma_works_between_non_adjacent():
     for sigma in denominator_policy(G33, B33):
-        assert not sigma_chain_exists(ow(x(2)), ow(IDENTITY), sigma, G33, B33)
+        assert not sigma_chain_exists(x(2), IDENTITY, sigma, G33, B33)
 
 
 def test_is_ls_path_oracle():
@@ -266,7 +265,7 @@ DEEP_MATRICES = ((2, 3), (3, 2), (2, 5), (3, 3))
 
 def _down_steps_per_interval(gcm, lo, hi):
     """_down_steps recomputed for one interval alone, pairing by pairing."""
-    weights = {k: orbit_weight(BY_ORDER_KEY[k], gcm).weight for k in range(lo, hi + 1)}
+    weights = {k: orbit_weight(BY_ORDER_KEY[k], gcm) for k in range(lo, hi + 1)}
     by_weight = {wt: k for k, wt in weights.items()}
     steps = []
     for k in range(lo, hi + 1):
@@ -290,6 +289,73 @@ def test_down_steps_equal_per_interval_recomputation(ab):
         assert _down_steps(gcm, lo, hi) == _down_steps_per_interval(gcm, lo, hi), (lo, hi)
 
 
+def _dist1_graph_per_pair(gcm, lo, hi, bounds):
+    """_dist1_graph as a scan of every pair of the interval, rows as
+    sets: the pairs at dist 1, each with exactly one linking step."""
+    steps = _down_steps(gcm, lo, hi)
+    graph = []
+    for k in range(lo, hi + 1):
+        row = set()
+        for k2 in range(lo, k):
+            if dist(BY_ORDER_KEY[k], BY_ORDER_KEY[k2], gcm, bounds) == 1:
+                links = [(t, beta, int(val)) for t, beta, val in steps[k - lo] if t == k2]
+                assert len(links) == 1, (k, k2)
+                row |= set(links)
+        graph.append(row)
+    return graph
+
+
+@pytest.mark.parametrize("ab", DEEP_MATRICES)
+def test_dist1_graph_equals_per_pair_scan(ab):
+    gcm = GCM(*ab)
+    bounds = SearchBounds(5, 3)
+    intervals = [(lo, hi) for lo in range(-5, 6) for hi in range(lo + 1, 6)]
+    assert len(intervals) == 55
+    for lo, hi in intervals:
+        graph = [set(row) for row in _dist1_graph(gcm, lo, hi, bounds)]
+        assert graph == _dist1_graph_per_pair(gcm, lo, hi, bounds), (lo, hi)
+
+
+def _chain_roots_by_word_length(gcm):
+    """The bounded roots x_l(alpha_2) and y_l(alpha_1), l <= ROOT_HEIGHT_MAX,
+    keyed by coords, the first witness of each kept."""
+    by_coords = {}
+    for l in range(ROOT_HEIGHT_MAX + 1):
+        for beta in (positive_root(x(l), 2, gcm), positive_root(y(l), 1, gcm)):
+            if sum(beta.coords) <= ROOT_HEIGHT_MAX:
+                by_coords.setdefault(beta.coords, beta)
+    return by_coords
+
+
+@pytest.mark.parametrize("ab", DEEP_MATRICES + ((1, 5), (5, 1)))
+def test_chain_roots_equal_word_length_scan(ab):
+    gcm = GCM(*ab)
+    roots = _chain_roots(gcm)
+    assert len({beta.coords for beta in roots}) == len(roots)
+    assert {beta.coords: beta for beta in roots} == _chain_roots_by_word_length(gcm)
+
+
+def test_two_roots_linking_one_pair_are_refused(monkeypatch):
+    # plant a second root between x2 and x1: the step table must refuse it
+    real = oracle._reflections
+
+    def planted(gcm, key):
+        out = real(gcm, key)
+        if key == 2:
+            _, val, image = next(r for r in out if r[2] == orbit_weight(x(1), gcm))
+            out += ((_chain_roots(gcm)[-1], val, image),)
+        return out
+
+    monkeypatch.setattr(oracle, "_reflections", planted)
+    _down_steps.cache_clear()
+    try:
+        with pytest.raises(ValueError, match="more than one reflecting root between x2 and x1"):
+            dist(x(2), IDENTITY, G33, B33)
+    finally:
+        for cache in (_down_steps, _dist1_graph, _sigma_chain_cached):
+            cache.cache_clear()
+
+
 @pytest.mark.parametrize("ab", ((3, 3), (2, 3)))
 def test_strings_equal_one_walk_per_path(ab):
     gcm = GCM(*ab)
@@ -302,7 +368,7 @@ def test_strings_equal_one_walk_per_path(ab):
             assert set(memo) == set(paths)
             held += len(memo)
             for pi in paths:
-                assert memo[pi] == _string(op, pi, i, gcm), (str(pi), op.__name__, i)
+                assert memo[pi] == _strings(op, (pi,), i, gcm)[pi], (str(pi), op.__name__, i)
     assert held <= 4 * len(paths)
 
 

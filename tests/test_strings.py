@@ -2,7 +2,7 @@
 
 paths.epsilon/phi read the string lengths off min H_i, and e_max/f_max
 reflect the stretches where H_i sets a new running minimum; the
-oracle's _string applies e_i/f_i until it returns null.  The two must
+oracle's _strings applies e_i/f_i until it returns null.  The two must
 agree on every path below, and the int paths.weight must agree with the
 Fraction eval_path at t = 1.
 """
@@ -12,7 +12,7 @@ import random
 import pytest
 
 from lscrystal.cartan import GCM, simple_root
-from lscrystal.oracle import SearchBounds, _string, enumerate_ls_paths
+from lscrystal.oracle import SearchBounds, _strings, enumerate_ls_paths
 from lscrystal.paths import (
     LSPath,
     crystal_bfs,
@@ -54,7 +54,7 @@ def _assert_strings_iterate(pi, gcm, longest=LONGEST_ITERATED):
             n = count(pi, i, gcm)
             if n > longest:
                 continue
-            assert _string(op, pi, i, gcm) == (n, end(pi, i, gcm)), (str(pi), i, op.__name__)
+            assert _strings(op, (pi,), i, gcm)[pi] == (n, end(pi, i, gcm)), (str(pi), i, op.__name__)
             compared += 1
     return compared
 
