@@ -48,7 +48,6 @@ from .weyl import (
     WeylElement,
     apply_weyl,
     hasse_neighbors,
-    orbit_compare,
     orbit_weight,
     positive_root,
     positive_roots_recurrence,

@@ -185,7 +185,8 @@ def reduced_breakpoint_ints(nums: tuple[int, ...]) -> tuple[int, ...]:
         raise ValueError(f"breakpoints not strictly increasing: {times}")
     g = gcd(*nums)
     if g == 1:
-        return nums
+        # a tuple is returned as it is; a list is copied, so no path keeps it
+        return tuple(nums)
     # tuples of path data are built from lists: CPython builds a tuple
     # from a generator at a guessed size and then resizes it, which
     # leaves blocks stranded in its per-size tuple free lists

@@ -13,15 +13,19 @@ fails.
 Whether a sigma-chain exists, and how long it is, depends on sigma only
 through its reduced denominator d (see sigma_chain_lengths), so there
 is one search and one cache, _sigma_chain_cached, keyed by the pair and
-d.  The checks and the path enumeration read the policy grouped by
-denominator, count a denominator's values at once, and report 1/d for
-the largest failing d, the smallest failing value of a pair.
+d.  The policy is held in ints, in one cached table,
+_policy_by_denominator: its common denominator L and, per reduced
+denominator d, the numerators over L of the values over d.  The checks
+read that table, count a denominator's values at once, and report 1/d
+for the largest failing d, the smallest failing value of a pair.  The
+path enumeration builds each path from order keys and those
+numerators, with no Fraction and no Weyl element.
 
-dist and the sigma-chain functions take Weyl elements and read their
-orbit weights themselves.  Each fact is computed once.  The reflections
-of an orbit element (root, pairing, image) depend on the element alone,
-so they are cached per element and every order interval only looks its
-images up.  An interval's steps are built once, in _down_steps, and its
+dist and the sigma-chain functions take Weyl elements, compare them by
+order key and read their orbit weights themselves.  Each fact is
+computed once.  The reflections of an orbit element (root, pairing,
+image) depend on the element alone, so they are cached per element and
+every order interval only looks its images up.  An interval's steps are built once, in _down_steps, and its
 distance-1 graph is those steps filtered to dist 1.  The string ends
 are iterated per check, one walk per window path and op, and a walk
 stops at the first window path whose count is already known: op is a
@@ -78,16 +82,12 @@ from .paths import (
 )
 from .weyl import (
     BY_ORDER_KEY,
-    EQUAL,
-    GREATER,
     IDENTITY,
-    LESS,
     PositiveRoot,
     WeylElement,
     X,
     Y,
     hasse_neighbors,
-    orbit_compare,
     orbit_weight,
     positive_roots_recurrence,
     positive_roots_weyl,
@@ -199,12 +199,11 @@ def _down_steps(
 def dist(mu: WeylElement, nu: WeylElement, gcm: GCM, bounds: SearchBounds) -> int:
     """Maximal length of a decreasing reflection chain from the orbit
     weight of mu down to that of nu."""
-    cmp = orbit_compare(mu, nu)
-    if cmp == LESS:
-        raise ValueError(f"{mu} lies below {nu}; chains only go down")
-    if cmp == EQUAL:
-        return 0
     lo, hi = nu.order_key, mu.order_key
+    if hi < lo:
+        raise ValueError(f"{mu} lies below {nu}; chains only go down")
+    if hi == lo:
+        return 0
     if hi - lo > bounds.chain_len_max:
         raise OracleBoundError(
             f"order interval [{nu}, {mu}] is longer than chain_len_max = "
@@ -258,7 +257,7 @@ def sigma_chain_lengths(
     depends on sigma only through d, and is read from the one search
     per (pair, d).
     """
-    if orbit_compare(mu, nu) != GREATER:
+    if mu.order_key <= nu.order_key:
         raise ValueError(f"sigma-chains need {mu} strictly above {nu}")
     sigma = Fraction(sigma)
     if not 0 < sigma < 1:
@@ -336,73 +335,79 @@ def _strings(op, paths, i: int, gcm: GCM) -> dict[LSPath, tuple[int, LSPath]]:
 
 
 @lru_cache(maxsize=None)
+def _policy_by_denominator(gcm: GCM, bounds: SearchBounds) -> tuple[int, tuple[tuple[int, tuple[int, ...]], ...]]:
+    """The denominator policy as ints: its common denominator L and, for
+    every reduced denominator d of the policy, smallest d first, the
+    increasing numerators over L of the policy values over d.  1/d is
+    the smallest value over d."""
+    table = pq_table(gcm, bounds.m_max + bounds.s_max)
+    # only d >= 2 has values in (0, 1); boundary matrices also give 0
+    dens = {d for d in table.p + table.q if d > 1}
+    # j/d is j * (L // d) / L, and k / L has reduced denominator L // gcd(k, L)
+    common = math.lcm(*dens)
+    by_den: dict[int, list[int]] = {}
+    for k in sorted({j * (common // d) for d in dens for j in range(1, d)}):
+        by_den.setdefault(common // math.gcd(k, common), []).append(k)
+    return common, tuple((d, tuple(nums)) for d, nums in sorted(by_den.items()))
+
+
 def denominator_policy(gcm: GCM, bounds: SearchBounds) -> tuple[Fraction, ...]:
     """Candidate interior breakpoints: reduced fractions in (0, 1) whose
-    denominator divides some p_k or q_k with k <= m_max + s_max.
+    denominator divides some p_k or q_k with k <= m_max + s_max, in
+    increasing order.
 
     Every normal-form breakpoint in the window has this shape by the
     integrality conditions, so enumerating over the policy set cannot
     miss a classified path.
     """
-    n = max(bounds.m_max + bounds.s_max, 1)
-    table = pq_table(gcm, n)
-    # only d >= 2 has values in (0, 1); boundary matrices also give 0
-    dens = {d for d in table.p + table.q if d > 1}
-    # j/d is j * (L // d) / L over the common denominator L, so the int
-    # numerators sort and deduplicate the values exactly
-    common = math.lcm(*dens)
-    nums = sorted({j * (common // d) for d in dens for j in range(1, d)})
-    return tuple(Fraction(k, common) for k in nums)
-
-
-@lru_cache(maxsize=None)
-def _policy_by_denominator(gcm: GCM, bounds: SearchBounds) -> tuple[tuple[int, tuple[Fraction, ...]], ...]:
-    """(d, the policy values over d) for every reduced denominator d of
-    the policy, smallest d first.  1/d is the smallest value over d."""
-    by_den: dict[int, list[Fraction]] = {}
-    for t in denominator_policy(gcm, bounds):
-        by_den.setdefault(t.denominator, []).append(t)
-    return tuple((d, tuple(values)) for d, values in sorted(by_den.items()))
+    common, rows = _policy_by_denominator(gcm, bounds)
+    return tuple(Fraction(k, common) for k in sorted(k for _, nums in rows for k in nums))
 
 
 def _chains_by_denominator(
-    gcm: GCM, bounds: SearchBounds, upper: WeylElement, lower: WeylElement
-) -> list[tuple[int, tuple[Fraction, ...], tuple[int, ...]]]:
-    """(d, the policy values over d, the 1/d-chain lengths for the pair)
-    for every policy denominator d, smallest d first: a policy value
-    admits a sigma-chain exactly when its row has lengths."""
+    gcm: GCM, bounds: SearchBounds, hi: int, lo: int
+) -> list[tuple[int, tuple[int, ...], tuple[int, ...]]]:
+    """(d, the numerators of the policy values over d, the 1/d-chain
+    lengths from order key hi down to lo) for every policy denominator
+    d, smallest d first: a policy value admits a sigma-chain exactly
+    when its row has lengths."""
     return [
-        (d, values, _sigma_chain_cached(gcm, bounds, upper.order_key, lower.order_key, d))
-        for d, values in _policy_by_denominator(gcm, bounds)
+        (d, nums, _sigma_chain_cached(gcm, bounds, hi, lo, d))
+        for d, nums in _policy_by_denominator(gcm, bounds)[1]
     ]
 
 
 def enumerate_ls_paths(gcm: GCM, bounds: SearchBounds) -> set[LSPath]:
     """Every LS path with directions in the window and at most s_max pieces,
     breakpoints drawn from the denominator policy, validity from the
-    definition.  A turn's breakpoints are the policy values over the
+    definition.
+
+    Paths are built in ints: directions as order keys, from m_max down
+    to -m_max, and breakpoints as numerators over the policy's common
+    denominator L.  A turn's breakpoints are the numerators over the
     denominators whose 1/d-chain exists for its pair."""
-    window = window_elements(bounds.m_max)
-    admissible: dict[tuple[WeylElement, WeylElement], tuple[Fraction, ...]] = {}
+    common = _policy_by_denominator(gcm, bounds)[0]
+    bottom = -bounds.m_max - 1
+    window = range(bounds.m_max, bottom, -1)
+    admissible: dict[tuple[int, int], tuple[int, ...]] = {}
     # the turns' breakpoints; paths of one piece have none
-    for i, u in enumerate(window if bounds.s_max >= 2 else ()):
-        for v in window[i + 1 :]:
+    for u in window if bounds.s_max >= 2 else ():
+        for v in range(u - 1, bottom, -1):
             rows = _chains_by_denominator(gcm, bounds, u, v)
-            admissible[(u, v)] = tuple(t for _, values, found in rows if found for t in values)
-    position = {w: i for i, w in enumerate(window)}
+            admissible[u, v] = tuple(k for _, nums, found in rows if found for k in nums)
     out: set[LSPath] = set()
 
-    def extend(dirs: tuple[WeylElement, ...], times: tuple[Fraction, ...]):
-        out.add(LSPath(dirs, times + (Fraction(1),)))
-        if len(dirs) == bounds.s_max:
+    def extend(keys: tuple[int, ...], nums: tuple[int, ...]):
+        out.add(LSPath(keys=keys, nums=nums + (common,)))
+        if len(keys) == bounds.s_max:
             return
-        for v in window[position[dirs[-1]] + 1 :]:
-            for t in admissible[(dirs[-1], v)]:
-                if t > times[-1]:
-                    extend(dirs + (v,), times + (t,))
+        for v in range(keys[-1] - 1, bottom, -1):
+            for k in admissible[keys[-1], v]:
+                if k > nums[-1]:
+                    extend(keys + (v,), nums + (k,))
 
-    for w in window:
-        extend((w,), (Fraction(0),))
+    for u in window:
+        extend((u,), (0,))
     return out
 
 
@@ -468,8 +473,8 @@ def check_classification(gcm: GCM, bounds: SearchBounds) -> VerificationReport:
     bad = None
     for i, u in enumerate(window):
         for v in window[i + 1 :]:
-            rows = _chains_by_denominator(gcm, bounds, u, v)
-            chains += sum(len(values) for _, values, found in rows if found)
+            rows = _chains_by_denominator(gcm, bounds, u.order_key, v.order_key)
+            chains += sum(len(nums) for _, nums, found in rows if found)
             failing = [(d, found) for d, _, found in rows if found and set(found) != {1}]
             if failing and bad is None:
                 # the pair's smallest failing value is 1/d for its largest failing d
@@ -502,8 +507,8 @@ def check_straight_through_lambda(gcm: GCM, bounds: SearchBounds) -> Verificatio
         if w.is_identity:
             continue
         upper, lower = (w, IDENTITY) if w.order_key > 0 else (IDENTITY, w)
-        rows = _chains_by_denominator(gcm, bounds, upper, lower)
-        checked += sum(len(values) for _, values, _ in rows)
+        rows = _chains_by_denominator(gcm, bounds, upper.order_key, lower.order_key)
+        checked += sum(len(nums) for _, nums, _ in rows)
         ok = [d for d, _, found in rows if found]
         if ok and bad is None:
             bad = {"upper": str(upper), "lower": str(lower), "sigma": f"1/{ok[-1]}"}

@@ -104,7 +104,7 @@ class LSPath:
             raise ValueError(
                 f"directions not strictly decreasing: {BY_ORDER_KEY[u]} !> {BY_ORDER_KEY[v]}"
             )
-        object.__setattr__(self, "keys", keys)
+        object.__setattr__(self, "keys", tuple(keys))
         object.__setattr__(self, "nums", nums)
 
     @classmethod

@@ -24,10 +24,6 @@ from .cartan import GCM, Weight, pairing, simple_reflect
 X = "x"
 Y = "y"
 
-GREATER = "greater"
-EQUAL = "equal"
-LESS = "less"
-
 
 @dataclass(frozen=True)
 class WeylElement:
@@ -130,15 +126,6 @@ class _ByOrderKey(dict):
 # order key -> its element, each built once: paths store their directions
 # as order keys and read the elements back through this table
 BY_ORDER_KEY = _ByOrderKey()
-
-
-def orbit_compare(u: WeylElement, v: WeylElement) -> str:
-    """Compare positions in the linear order on the orbit."""
-    if u.order_key > v.order_key:
-        return GREATER
-    if u.order_key < v.order_key:
-        return LESS
-    return EQUAL
 
 
 def apply_weyl(w: WeylElement, mu: Weight, gcm: GCM) -> Weight:

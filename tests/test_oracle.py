@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -13,6 +14,7 @@ from lscrystal.oracle import (
     _dist1_graph,
     _down_steps,
     _normal_forms_in_window,
+    _policy_by_denominator,
     _sigma_chain_cached,
     _strings,
     check_classification,
@@ -35,6 +37,7 @@ from lscrystal.weyl import (
     IDENTITY,
     orbit_weight,
     positive_root,
+    pq_table,
     reflect_by_root,
     root_pairing,
     window_elements,
@@ -478,3 +481,86 @@ def test_planted_turn_at_lambda_fails_like_a_per_value_scan(monkeypatch, which):
     assert results["no-turn-at-lambda"].to_json() == expected
     assert (expected["counterexample"]["upper"], expected["counterexample"]["sigma"]) == ("x3", f"1/{max(faulty)}")
     assert not results["no-multi-piece-path-through-lambda"].passed
+
+
+# ---------------------------------------------------------------------------
+# the policy as one int table, and the enumeration built from it
+
+REFERENCE_WINDOWS = [(m_max, s_max) for m_max in range(5) for s_max in range(1, 4)]
+
+
+def _policy_as_fractions(gcm, bounds):
+    """The policy as reduced Fractions, sorted on int numerators over
+    their common denominator."""
+    table = pq_table(gcm, max(bounds.m_max + bounds.s_max, 1))
+    dens = {d for d in table.p + table.q if d > 1}
+    common = math.lcm(*dens)
+    nums = sorted({j * (common // d) for d in dens for j in range(1, d)})
+    return tuple(F(k, common) for k in nums)
+
+
+def _policy_by_fraction_denominator(gcm, bounds):
+    """(d, the policy values over d) per reduced denominator d, smallest
+    first, grouped by each Fraction's .denominator."""
+    by_den = {}
+    for t in _policy_as_fractions(gcm, bounds):
+        by_den.setdefault(t.denominator, []).append(t)
+    return tuple((d, tuple(values)) for d, values in sorted(by_den.items()))
+
+
+def _enumerate_on_fractions(gcm, bounds):
+    """The enumeration on WeylElements and Fraction breakpoints, each
+    turn's values read per denominator from the Fraction grouping."""
+    window = window_elements(bounds.m_max)
+    rows = _policy_by_fraction_denominator(gcm, bounds)
+    admissible = {}
+    for i, u in enumerate(window if bounds.s_max >= 2 else ()):
+        for v in window[i + 1 :]:
+            admissible[u, v] = tuple(
+                t
+                for d, values in rows
+                if _sigma_chain_cached(gcm, bounds, u.order_key, v.order_key, d)
+                for t in values
+            )
+    position = {w: i for i, w in enumerate(window)}
+    out = set()
+
+    def extend(dirs, times):
+        out.add(LSPath(dirs, times + (F(1),)))
+        if len(dirs) == bounds.s_max:
+            return
+        for v in window[position[dirs[-1]] + 1 :]:
+            for t in admissible[dirs[-1], v]:
+                if t > times[-1]:
+                    extend(dirs + (v,), times + (t,))
+
+    for w in window:
+        extend((w,), (F(0),))
+    return out
+
+
+@pytest.mark.parametrize("ab", [(2, 3), (3, 3), (2, 5), (4, 4)])
+def test_policy_table_equals_the_fraction_grouping(ab):
+    gcm = GCM(*ab)
+    for m_max, s_max in REFERENCE_WINDOWS:
+        bounds = SearchBounds(m_max, s_max)
+        common, rows = _policy_by_denominator(gcm, bounds)
+        assert all(type(k) is int for _, nums in rows for k in nums)
+        as_fractions = tuple((d, tuple(F(k, common) for k in nums)) for d, nums in rows)
+        assert as_fractions == _policy_by_fraction_denominator(gcm, bounds), (m_max, s_max)
+        assert denominator_policy(gcm, bounds) == _policy_as_fractions(gcm, bounds), (m_max, s_max)
+    # p = q = (1, 1): the one-piece window at the identity has no denominator
+    assert _policy_by_denominator(gcm, SearchBounds(0, 1)) == (1, ())
+
+
+@pytest.mark.parametrize("ab", [(2, 3), (3, 3), (2, 5), (4, 4)])
+def test_enumeration_equals_the_fraction_enumeration(ab):
+    gcm = GCM(*ab)
+    turns = 0
+    for m_max, s_max in REFERENCE_WINDOWS:
+        bounds = SearchBounds(m_max, s_max)
+        paths = enumerate_ls_paths(gcm, bounds)
+        assert paths == _enumerate_on_fractions(gcm, bounds), (m_max, s_max)
+        assert all(type(pi.keys) is tuple and type(pi.nums) is tuple for pi in paths)
+        turns += sum(pi.s - 1 for pi in paths)
+    assert turns > 0

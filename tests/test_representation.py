@@ -247,6 +247,25 @@ def test_denominator_policy_is_the_sorted_definition(ab, m_max, s_max):
 
 
 @pytest.mark.parametrize(
+    "as_list, as_tuple",
+    [
+        (lambda: LSPath(keys=[1, 0], nums=[0, 1, 2]), lambda: LSPath(keys=(1, 0), nums=(0, 1, 2))),
+        (lambda: LSPath(keys=[1, 0], nums=[0, 2, 4]), lambda: LSPath(keys=(1, 0), nums=(0, 1, 2))),
+        (
+            lambda: ExplicitPath(FORM_I, 1, 2, nums=[0, 1, 2]),
+            lambda: ExplicitPath(FORM_I, 1, 2, nums=(0, 1, 2)),
+        ),
+    ],
+)
+def test_list_spelling_stores_tuples(as_list, as_tuple):
+    # a path keeps no list it was given: its fields are tuples, so it is
+    # hashable, equal to its tuple spelling and cannot be changed in place
+    path, again = as_list(), as_tuple()
+    assert path == again and hash(path) == hash(again)
+    assert type(path.keys) is tuple and type(path.nums) is tuple
+
+
+@pytest.mark.parametrize(
     "build",
     [
         lambda: ExplicitPath(FORM_I, 0, 2, ["0", "1/0", "1"]),

@@ -6,14 +6,10 @@ from hypothesis import strategies as st
 
 from lscrystal.cartan import GCM, LAMBDA, Weight, pairing, simple_reflect
 from lscrystal.weyl import (
-    EQUAL,
-    GREATER,
     IDENTITY,
-    LESS,
     WeylElement,
     apply_weyl,
     hasse_neighbors,
-    orbit_compare,
     orbit_weight,
     positive_root,
     positive_roots_recurrence,
@@ -62,12 +58,13 @@ def test_inverse_undoes_action(w, ab, c1, c2):
 
 
 def test_linear_order():
-    assert orbit_compare(x(2), x(1)) == GREATER
-    assert orbit_compare(x(1), IDENTITY) == GREATER
-    assert orbit_compare(IDENTITY, y(1)) == GREATER
-    assert orbit_compare(y(1), y(2)) == GREATER
-    assert orbit_compare(y(3), y(3)) == EQUAL
-    assert orbit_compare(y(2), x(1)) == LESS
+    # positions in the order on the orbit are compared by order key
+    assert x(2).order_key > x(1).order_key
+    assert x(1).order_key > IDENTITY.order_key
+    assert IDENTITY.order_key > y(1).order_key
+    assert y(1).order_key > y(2).order_key
+    assert y(3).order_key == WeylElement("y", 3).order_key
+    assert y(2).order_key < x(1).order_key
 
 
 def test_descent_and_reflected():
