@@ -10,23 +10,100 @@ ints: the numerators n_u = t_u * D over the least common denominator D,
 which is the last numerator, so gcd(D, *numerators) = 1 and equal
 breakpoints have equal numerators.  breakpoint_ints and
 reduced_breakpoint_ints below make and check that form.
+
+The package's immutable value classes (the matrix, Weyl elements, the
+p/q tables, roots, both path classes, search bounds and reports) derive
+from Frozen below, a __slots__ base in place of @dataclass(frozen=True).
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from operator import lt
+from operator import attrgetter, lt
 
 DOMINANT = "dominant"
 ANTIDOMINANT = "antidominant"
 NEITHER = "neither"
 
 
-@dataclass(frozen=True)
-class GCM:
+def _frozen_error(message: str) -> Exception:
+    # dataclasses (with inspect, ast and dis behind it) is imported only
+    # when the error is raised
+    from dataclasses import FrozenInstanceError
+
+    return FrozenInstanceError(message)
+
+
+class Frozen:
+    """Base of the package's immutable value classes.
+
+    A subclass names its fields in __slots__, in constructor order;
+    slots whose names start with an underscore hold derived values (a
+    hash computed once, a cache) and are not fields.  Its __init__
+    validates and stores each field through that slot's member
+    descriptor setter, captured once at module level by slot_setters,
+    which skips __setattr__.  From the fields, the base gives what
+    @dataclass(frozen=True) gave:
+
+    - repr "Name(field=value, ...)";
+    - == between two instances of one class, field by field, and
+      NotImplemented against anything else;
+    - hash(field tuple), so sets and dicts keep their order;
+    - dataclasses.FrozenInstanceError on assignment or deletion of any
+      attribute;
+    - pickle and copy through __reduce__, which calls the class with
+      the field values, so a copy passes its constructor's checks;
+    - __match_args__, the fields, for class patterns.
+
+    A subclass may override any of these (both path classes print and
+    pickle their derived form).  dataclasses.fields, is_dataclass,
+    asdict and replace do not apply.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
+        cls.__match_args__ = fields
+        if len(fields) == 1:
+            get_one = attrgetter(fields[0])
+            cls._field_values = staticmethod(lambda obj: (get_one(obj),))
+        else:
+            cls._field_values = staticmethod(attrgetter(*fields))
+
+    def __repr__(self):
+        pairs = zip(self.__match_args__, self._field_values(self))
+        return f"{self.__class__.__qualname__}({', '.join(f'{k}={v!r}' for k, v in pairs)})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._field_values(self) == other._field_values(other)
+
+    def __hash__(self):
+        return hash(self._field_values(self))
+
+    def __reduce__(self):
+        return self.__class__, self._field_values(self)
+
+    def __setattr__(self, name, value):
+        raise _frozen_error(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise _frozen_error(f"cannot delete field {name!r}")
+
+
+def slot_setters(cls: type) -> tuple:
+    """The setters of the member descriptors of cls's own slots, in
+    __slots__ order: setter(obj, value) stores a slot without calling
+    __setattr__, which on a Frozen class raises."""
+    return tuple(vars(cls)[name].__set__ for name in cls.__slots__)
+
+
+class GCM(Frozen):
     """Generalized Cartan matrix [[2, -a], [-b, 2]] with a*b > 4.
 
     a = 1 or b = 1 is allowed (still hyperbolic when the product
@@ -35,21 +112,30 @@ class GCM:
     a, b >= 2 must check it.
     """
 
-    a: int
-    b: int
+    __slots__ = ("a", "b", "_hash")
 
-    def __post_init__(self):
-        if type(self.a) is not int or type(self.b) is not int:  # bool is an int subclass
+    def __init__(self, a: int, b: int):
+        if type(a) is not int or type(b) is not int:  # bool is an int subclass
             raise TypeError("matrix entries must be integers")
-        if self.a < 1 or self.b < 1:
-            raise ValueError(f"need a >= 1 and b >= 1, got ({self.a}, {self.b})")
-        if self.a * self.b <= 4:
-            raise ValueError(f"not hyperbolic: a*b = {self.a * self.b} <= 4")
+        if a < 1 or b < 1:
+            raise ValueError(f"need a >= 1 and b >= 1, got ({a}, {b})")
+        if a * b <= 4:
+            raise ValueError(f"not hyperbolic: a*b = {a * b} <= 4")
+        _set_a(self, a)
+        _set_b(self, b)
+        # a matrix keys most of the package's caches
+        _set_gcm_hash(self, hash((a, b)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def boundary(self) -> bool:
         """True when a = 1 or b = 1."""
         return self.a == 1 or self.b == 1
+
+
+_set_a, _set_b, _set_gcm_hash = slot_setters(GCM)
 
 
 class Weight:

@@ -54,16 +54,32 @@ CHECKS = {
 }
 
 
+def _too_many_digits(option: str) -> int:
+    """Report an int past the interpreter's int-to-string limit, which
+    str() refuses with ValueError; the limit is read, never changed."""
+    limit = sys.get_int_max_str_digits()
+    print(
+        f"error: an entry has more than {limit} digits, the limit of int-to-string "
+        f"conversion (sys.get_int_max_str_digits()); lower {option}",
+        file=sys.stderr,
+    )
+    return BAD_PARAMS
+
+
 def cmd_sequences(args, gcm: GCM) -> int:
     if args.n < 1:
         print("error: --n must be at least 1", file=sys.stderr)
         return BAD_PARAMS
     table = pq_table(gcm, args.n)
+    try:
+        p, q = [str(v) for v in table.p], [str(v) for v in table.q]
+    except ValueError:
+        return _too_many_digits("--n")
     if args.json:
-        print(json.dumps({"p": [str(v) for v in table.p], "q": [str(v) for v in table.q]}))
+        print(json.dumps({"p": p, "q": q}))
     else:
-        print("p: " + " ".join(str(v) for v in table.p))
-        print("q: " + " ".join(str(v) for v in table.q))
+        print("p: " + " ".join(p))
+        print("q: " + " ".join(q))
     return OK
 
 
@@ -74,7 +90,10 @@ def cmd_orbit(args, gcm: GCM) -> int:
     rows = []
     for w in window_elements(args.m_max):
         wt = orbit_weight(w, gcm)
-        rows.append((str(w), str(wt), dominance_class(wt)))
+        try:
+            rows.append((str(w), str(wt), dominance_class(wt)))
+        except ValueError:
+            return _too_many_digits("--m-max")
     if args.json:
         print(json.dumps([{"element": e, "weight": w, "class": c} for e, w, c in rows]))
     else:
@@ -93,11 +112,14 @@ def cmd_positive_roots(args, gcm: GCM) -> int:
     if stray:
         print(f"error: recurrence root {stray[0]} missing from the reflection orbit", file=sys.stderr)
         return CHECK_FAILED
-    if args.json:
-        print(json.dumps([list(coords) for coords in rec]))
-    else:
-        for c, d in rec:
-            print(f"({c}, {d})")
+    try:
+        if args.json:
+            lines = [json.dumps([list(coords) for coords in rec])]
+        else:
+            lines = [f"({c}, {d})" for c, d in rec]
+    except ValueError:
+        return _too_many_digits("--n")
+    print("\n".join(lines))
     return OK
 
 
@@ -105,7 +127,9 @@ def _read_path_json() -> tuple[dict | None, int]:
     raw = sys.stdin.read()
     try:
         data = json.loads(raw)
-    except json.JSONDecodeError as err:
+    except (ValueError, RecursionError) as err:
+        # JSONDecodeError is a ValueError, and so is an integer past the
+        # int-to-string digit limit; deep nesting exhausts the recursion limit
         print(f"error: stdin is not JSON: {err}", file=sys.stderr)
         return None, MALFORMED_INPUT
     if not isinstance(data, dict) or not ({"form", "dirs"} & set(data)):

@@ -68,14 +68,19 @@ a form ii spelling of it normalizes to that in the constructor.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 from operator import sub
-from typing import NamedTuple
 
-from .cartan import GCM, breakpoint_ints, rationals_from_json, reduced_breakpoint_ints
+from .cartan import (
+    GCM,
+    Frozen,
+    breakpoint_ints,
+    rationals_from_json,
+    reduced_breakpoint_ints,
+    slot_setters,
+)
 from .paths import LSPath
 from .weyl import BY_ORDER_KEY, WeylElement, X, pq_table
 
@@ -87,7 +92,7 @@ def xi(k: int) -> int:
     return 1 if k % 2 == 0 else 0
 
 
-class ExplicitPath:
+class ExplicitPath(Frozen):
     """One normal form: family, top index data (m, s), breakpoints.
 
     ExplicitPath(form, m, s, sigmas) takes the breakpoints as Fractions,
@@ -132,26 +137,20 @@ class ExplicitPath:
             if m == 0:
                 # the straight identity path; canonical spelling is form i
                 form = FORM_I
-        object.__setattr__(self, "form", form)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "nums", nums)
-        object.__setattr__(self, "_on_grid_of", None)
+        _set_form(self, form)
+        _set_m(self, m)
+        _set_nums(self, nums)
+        _set_on_grid_of(self, None)
 
     @classmethod
     def _from_valid(cls, form: str, m: int, nums: tuple[int, ...]) -> "ExplicitPath":
         """The path of already-valid fields, form in its canonical spelling."""
         self = object.__new__(cls)
-        object.__setattr__(self, "form", form)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "nums", nums)
-        object.__setattr__(self, "_on_grid_of", None)
+        _set_form(self, form)
+        _set_m(self, m)
+        _set_nums(self, nums)
+        _set_on_grid_of(self, None)
         return self
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __eq__(self, other):
         if type(other) is not ExplicitPath:
@@ -207,12 +206,15 @@ class ExplicitPath:
         return cls(data["form"], data["m"], data["s"], rationals_from_json(data["sigmas"]))
 
 
+_set_form, _set_m, _set_nums, _set_on_grid_of = slot_setters(ExplicitPath)
+
+
 def _require_deep(gcm: GCM):
     if gcm.boundary:
         raise ValueError(f"normal forms need a >= 2 and b >= 2, got ({gcm.a}, {gcm.b})")
 
 
-class _ShapeTable(NamedTuple):
+class _ShapeTable(Frozen):
     """What the closed forms read off one shape (form, m, s) of a matrix.
 
     grid holds the integrality denominators of breakpoints 1..s-1,
@@ -222,9 +224,20 @@ class _ShapeTable(NamedTuple):
     breakpoints 1..s-1.  The direction keys need no matrix: _shape_keys.
     """
 
-    grid: tuple[int, ...]
-    slopes: tuple[tuple[int, ...], tuple[int, ...]]
-    jumps: tuple[tuple[int, ...], tuple[int, ...]]
+    __slots__ = ("grid", "slopes", "jumps")
+
+    def __init__(
+        self,
+        grid: tuple[int, ...],
+        slopes: tuple[tuple[int, ...], tuple[int, ...]],
+        jumps: tuple[tuple[int, ...], tuple[int, ...]],
+    ):
+        _set_grid(self, grid)
+        _set_slopes(self, slopes)
+        _set_jumps(self, jumps)
+
+
+_set_grid, _set_slopes, _set_jumps = slot_setters(_ShapeTable)
 
 
 @lru_cache(maxsize=None)
@@ -276,7 +289,7 @@ def _on_grid(ep: ExplicitPath, gcm: GCM) -> ExplicitPath:
     for u, g in enumerate(_shape_table(gcm, ep.form, ep.m, len(nums) - 1).grid, 1):
         if nums[u] * g % den:
             raise _off_grid(ep, u, g)
-    object.__setattr__(ep, "_on_grid_of", gcm)
+    _set_on_grid_of(ep, gcm)
     return ep
 
 

@@ -15,11 +15,12 @@ through its reduced denominator d (see sigma_chain_lengths), so there
 is one search and one cache, _sigma_chain_cached, keyed by the pair and
 d.  The policy is held in ints, in one cached table,
 _policy_by_denominator: its common denominator L and, per reduced
-denominator d, the numerators over L of the values over d.  The checks
-read that table, count a denominator's values at once, and report 1/d
-for the largest failing d, the smallest failing value of a pair.  The
-path enumeration builds each path from order keys and those
-numerators, with no Fraction and no Weyl element.
+denominator d, the number phi(d) of its values over d.  The checks read
+that table, count a denominator's values at once, and report 1/d for
+the largest failing d, the smallest failing value of a pair.  The path
+enumeration builds each path from order keys and the numerators over L
+of the values over d (_numerators, built once per admitted d), with no
+Fraction and no Weyl element.
 
 dist and the sigma-chain functions take Weyl elements, compare them by
 order key and read their orbit weights themselves.  Each fact is
@@ -44,7 +45,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -53,10 +53,12 @@ from .cartan import (
     DOMINANT,
     GCM,
     NEITHER,
+    Frozen,
     Weight,
     dominance_class,
     pairing,
     simple_root,
+    slot_setters,
 )
 from .explicit import (
     FORM_I,
@@ -108,27 +110,35 @@ class OracleBoundError(RuntimeError):
 ROOT_HEIGHT_MAX = 40
 
 
-@dataclass(frozen=True)
-class SearchBounds:
+class SearchBounds(Frozen):
     """The window of the brute-force searches: directions up to m_max
     away from the identity, paths of at most s_max pieces."""
 
-    m_max: int
-    s_max: int
+    __slots__ = ("m_max", "s_max", "_hash")
 
-    def __post_init__(self):
-        for name in ("m_max", "s_max"):
-            if type(getattr(self, name)) is not int:  # bool is an int subclass
-                raise TypeError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        if self.m_max < 0:
-            raise ValueError(f"m_max must be nonnegative, got {self.m_max}")
-        if self.s_max < 1:
-            raise ValueError(f"s_max must be positive, got {self.s_max}")
+    def __init__(self, m_max: int, s_max: int):
+        for name, value in (("m_max", m_max), ("s_max", s_max)):
+            if type(value) is not int:  # bool is an int subclass
+                raise TypeError(f"{name} must be an integer, got {value!r}")
+        if m_max < 0:
+            raise ValueError(f"m_max must be nonnegative, got {m_max}")
+        if s_max < 1:
+            raise ValueError(f"s_max must be positive, got {s_max}")
+        _set_m_max(self, m_max)
+        _set_s_max(self, s_max)
+        # bounds key the chain and policy caches with the matrix
+        _set_bounds_hash(self, hash((m_max, s_max)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def chain_len_max(self) -> int:
         """2*m_max + 2, which covers every order interval inside the window."""
         return 2 * self.m_max + 2
+
+
+_set_m_max, _set_s_max, _set_bounds_hash = slot_setters(SearchBounds)
 
 
 @lru_cache(maxsize=None)
@@ -334,21 +344,48 @@ def _strings(op, paths, i: int, gcm: GCM) -> dict[LSPath, tuple[int, LSPath]]:
     return known
 
 
+def _divisors(n: int) -> list[int]:
+    """The divisors of n >= 1, in no particular order, by trial division."""
+    small = [k for k in range(1, math.isqrt(n) + 1) if n % k == 0]
+    return small + [n // k for k in small]
+
+
+def _totient(n: int) -> int:
+    """Euler's phi(n): the j in [1, n] prime to n, by trial division."""
+    out, k = n, 2
+    while k * k <= n:
+        if n % k == 0:
+            while n % k == 0:
+                n //= k
+            out -= out // k
+        k += 1
+    return out - out // n if n > 1 else out
+
+
 @lru_cache(maxsize=None)
-def _policy_by_denominator(gcm: GCM, bounds: SearchBounds) -> tuple[int, tuple[tuple[int, tuple[int, ...]], ...]]:
-    """The denominator policy as ints: its common denominator L and, for
+def _policy_by_denominator(gcm: GCM, bounds: SearchBounds) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """The denominator policy in ints: its common denominator L and, for
     every reduced denominator d of the policy, smallest d first, the
-    increasing numerators over L of the policy values over d.  1/d is
-    the smallest value over d."""
+    number of policy values over d.
+
+    A reduced n/d lies in the policy when d divides a table entry, so
+    the policy denominators are the divisors d >= 2 of the entries and
+    each has phi(d) values, the smallest 1/d.  Only the enumeration
+    needs the values themselves, from _numerators."""
     table = pq_table(gcm, bounds.m_max + bounds.s_max)
     # only d >= 2 has values in (0, 1); boundary matrices also give 0
-    dens = {d for d in table.p + table.q if d > 1}
-    # j/d is j * (L // d) / L, and k / L has reduced denominator L // gcd(k, L)
-    common = math.lcm(*dens)
-    by_den: dict[int, list[int]] = {}
-    for k in sorted({j * (common // d) for d in dens for j in range(1, d)}):
-        by_den.setdefault(common // math.gcd(k, common), []).append(k)
-    return common, tuple((d, tuple(nums)) for d, nums in sorted(by_den.items()))
+    entries = {e for e in table.p + table.q if e > 1}
+    dens = sorted({d for e in entries for d in _divisors(e) if d > 1})
+    return math.lcm(*entries), tuple((d, _totient(d)) for d in dens)
+
+
+@lru_cache(maxsize=None)
+def _numerators(gcm: GCM, bounds: SearchBounds, d: int) -> tuple[int, ...]:
+    """The numerators over the policy's common denominator L of the
+    policy values over d, increasing: j * (L // d) for every j in
+    (0, d) prime to d."""
+    step = _policy_by_denominator(gcm, bounds)[0] // d
+    return tuple([j * step for j in range(1, d) if math.gcd(j, d) == 1])
 
 
 def denominator_policy(gcm: GCM, bounds: SearchBounds) -> tuple[Fraction, ...]:
@@ -361,19 +398,20 @@ def denominator_policy(gcm: GCM, bounds: SearchBounds) -> tuple[Fraction, ...]:
     miss a classified path.
     """
     common, rows = _policy_by_denominator(gcm, bounds)
-    return tuple(Fraction(k, common) for k in sorted(k for _, nums in rows for k in nums))
+    nums = sorted(k for d, _ in rows for k in _numerators(gcm, bounds, d))
+    return tuple(Fraction(k, common) for k in nums)
 
 
 def _chains_by_denominator(
     gcm: GCM, bounds: SearchBounds, hi: int, lo: int
-) -> list[tuple[int, tuple[int, ...], tuple[int, ...]]]:
-    """(d, the numerators of the policy values over d, the 1/d-chain
-    lengths from order key hi down to lo) for every policy denominator
-    d, smallest d first: a policy value admits a sigma-chain exactly
-    when its row has lengths."""
+) -> list[tuple[int, int, tuple[int, ...]]]:
+    """(d, the number of policy values over d, the 1/d-chain lengths
+    from order key hi down to lo) for every policy denominator d,
+    smallest d first: a policy value admits a sigma-chain exactly when
+    its row has lengths."""
     return [
-        (d, nums, _sigma_chain_cached(gcm, bounds, hi, lo, d))
-        for d, nums in _policy_by_denominator(gcm, bounds)[1]
+        (d, count, _sigma_chain_cached(gcm, bounds, hi, lo, d))
+        for d, count in _policy_by_denominator(gcm, bounds)[1]
     ]
 
 
@@ -385,7 +423,8 @@ def enumerate_ls_paths(gcm: GCM, bounds: SearchBounds) -> set[LSPath]:
     Paths are built in ints: directions as order keys, from m_max down
     to -m_max, and breakpoints as numerators over the policy's common
     denominator L.  A turn's breakpoints are the numerators over the
-    denominators whose 1/d-chain exists for its pair."""
+    denominators whose 1/d-chain exists for its pair; a denominator's
+    numerators are built when a turn first admits it."""
     common = _policy_by_denominator(gcm, bounds)[0]
     bottom = -bounds.m_max - 1
     window = range(bounds.m_max, bottom, -1)
@@ -394,7 +433,9 @@ def enumerate_ls_paths(gcm: GCM, bounds: SearchBounds) -> set[LSPath]:
     for u in window if bounds.s_max >= 2 else ():
         for v in range(u - 1, bottom, -1):
             rows = _chains_by_denominator(gcm, bounds, u, v)
-            admissible[u, v] = tuple(k for _, nums, found in rows if found for k in nums)
+            admissible[u, v] = tuple(
+                k for d, _, found in rows if found for k in _numerators(gcm, bounds, d)
+            )
     out: set[LSPath] = set()
 
     def extend(keys: tuple[int, ...], nums: tuple[int, ...]):
@@ -415,12 +456,17 @@ def enumerate_ls_paths(gcm: GCM, bounds: SearchBounds) -> set[LSPath]:
 # verification reports
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    checked: int
-    counterexample: dict | None = None
+class CheckResult(Frozen):
+    """One named check: whether it passed, how many cases it checked,
+    and the first counterexample as a JSON object when it failed."""
+
+    __slots__ = ("name", "passed", "checked", "counterexample")
+
+    def __init__(self, name: str, passed: bool, checked: int, counterexample: dict | None = None):
+        _set_name(self, name)
+        _set_passed(self, passed)
+        _set_checked(self, checked)
+        _set_counterexample(self, counterexample)
 
     def to_json(self) -> dict:
         data = {
@@ -433,9 +479,16 @@ class CheckResult:
         return data
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    results: tuple[CheckResult, ...]
+_set_name, _set_passed, _set_checked, _set_counterexample = slot_setters(CheckResult)
+
+
+class VerificationReport(Frozen):
+    """The results of one or more checks, printed one JSON line each."""
+
+    __slots__ = ("results",)
+
+    def __init__(self, results: tuple[CheckResult, ...]):
+        _set_results(self, results)
 
     @property
     def all_passed(self) -> bool:
@@ -444,6 +497,9 @@ class VerificationReport:
     def to_json_lines(self) -> list[str]:
         ordered = sorted(self.results, key=lambda r: r.name)
         return [json.dumps(r.to_json(), sort_keys=True) for r in ordered]
+
+
+(_set_results,) = slot_setters(VerificationReport)
 
 
 def combine(*reports: VerificationReport) -> VerificationReport:
@@ -474,7 +530,7 @@ def check_classification(gcm: GCM, bounds: SearchBounds) -> VerificationReport:
     for i, u in enumerate(window):
         for v in window[i + 1 :]:
             rows = _chains_by_denominator(gcm, bounds, u.order_key, v.order_key)
-            chains += sum(len(nums) for _, nums, found in rows if found)
+            chains += sum(count for _, count, found in rows if found)
             failing = [(d, found) for d, _, found in rows if found and set(found) != {1}]
             if failing and bad is None:
                 # the pair's smallest failing value is 1/d for its largest failing d
@@ -508,7 +564,7 @@ def check_straight_through_lambda(gcm: GCM, bounds: SearchBounds) -> Verificatio
             continue
         upper, lower = (w, IDENTITY) if w.order_key > 0 else (IDENTITY, w)
         rows = _chains_by_denominator(gcm, bounds, upper.order_key, lower.order_key)
-        checked += sum(len(nums) for _, nums, _ in rows)
+        checked += sum(count for _, count, _ in rows)
         ok = [d for d, _, found in rows if found]
         if ok and bad is None:
             bad = {"upper": str(upper), "lower": str(lower), "sigma": f"1/{ok[-1]}"}

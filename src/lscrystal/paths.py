@@ -45,7 +45,6 @@ heights (epsilon = -min H_i is checked against it).
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
@@ -54,16 +53,18 @@ from operator import gt, mul, sub
 
 from .cartan import (
     GCM,
+    Frozen,
     Weight,
     breakpoint_ints,
     pairing,
     rationals_from_json,
     reduced_breakpoint_ints,
+    slot_setters,
 )
 from .weyl import BY_ORDER_KEY, IDENTITY, WeylElement, orbit_weight
 
 
-class LSPath:
+class LSPath(Frozen):
     """Directions and breakpoints, stored as (keys, nums).
 
     LSPath(dirs, times) takes WeylElements and breakpoints as Fractions,
@@ -104,22 +105,16 @@ class LSPath:
             raise ValueError(
                 f"directions not strictly decreasing: {BY_ORDER_KEY[u]} !> {BY_ORDER_KEY[v]}"
             )
-        object.__setattr__(self, "keys", tuple(keys))
-        object.__setattr__(self, "nums", nums)
+        _set_keys(self, tuple(keys))
+        _set_nums(self, nums)
 
     @classmethod
     def _from_valid(cls, keys: tuple[int, ...], nums: tuple[int, ...]) -> "LSPath":
         """The path of already-valid keys and nums; see the class docstring."""
         self = object.__new__(cls)
-        object.__setattr__(self, "keys", keys)
-        object.__setattr__(self, "nums", nums)
+        _set_keys(self, keys)
+        _set_nums(self, nums)
         return self
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __eq__(self, other):
         if type(other) is not LSPath:
@@ -170,15 +165,20 @@ class LSPath:
         return cls(dirs, rationals_from_json(data["sigmas"]))
 
 
+_set_keys, _set_nums = slot_setters(LSPath)
+
+
 def straight_path(w: WeylElement = IDENTITY) -> LSPath:
     return LSPath(keys=(w.order_key,), nums=(0, 1))
 
 
-@dataclass(frozen=True)
-class PiecewiseLinear:
+class PiecewiseLinear(Frozen):
     """A continuous piecewise-linear function on [0, 1] by its breakpoints."""
 
-    points: tuple[tuple[Fraction, Fraction], ...]
+    __slots__ = ("points",)
+
+    def __init__(self, points: tuple[tuple[Fraction, Fraction], ...]):
+        _set_points(self, points)
 
     def minimum(self) -> Fraction:
         # segment slopes are constant, so the min over breakpoints is
@@ -199,6 +199,9 @@ class PiecewiseLinear:
         if pts[-2][1] > pts[-1][1]:
             vals.append(pts[-1][1])
         return vals
+
+
+(_set_points,) = slot_setters(PiecewiseLinear)
 
 
 def eval_path(pi: LSPath, t, gcm: GCM) -> Weight:

@@ -16,31 +16,34 @@ them by witness, and the oracle's chain search takes its roots from it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
-from .cartan import GCM, Weight, pairing, simple_reflect
+from .cartan import GCM, Frozen, Weight, pairing, simple_reflect, slot_setters
 
 X = "x"
 Y = "y"
 
 
-@dataclass(frozen=True)
-class WeylElement:
+class WeylElement(Frozen):
     """x_m or y_m in canonical form (m = 0 is always stored as family x)."""
 
-    family: str
-    m: int
+    __slots__ = ("family", "m", "_hash")
 
-    def __post_init__(self):
-        if self.family not in (X, Y):
-            raise ValueError(f"family must be {X!r} or {Y!r}, got {self.family!r}")
-        if type(self.m) is not int:  # bool is an int subclass
-            raise TypeError(f"length must be an integer, got {self.m!r}")
-        if self.m < 0:
-            raise ValueError(f"length must be a nonnegative integer, got {self.m!r}")
-        if self.m == 0 and self.family != X:
-            object.__setattr__(self, "family", X)
+    def __init__(self, family: str, m: int):
+        if family not in (X, Y):
+            raise ValueError(f"family must be {X!r} or {Y!r}, got {family!r}")
+        if type(m) is not int:  # bool is an int subclass
+            raise TypeError(f"length must be an integer, got {m!r}")
+        if m < 0:
+            raise ValueError(f"length must be a nonnegative integer, got {m!r}")
+        if m == 0 and family != X:
+            family = X
+        _set_family(self, family)
+        _set_m(self, m)
+        _set_element_hash(self, hash((family, m)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def is_identity(self) -> bool:
@@ -106,6 +109,9 @@ class WeylElement:
         return cls(family, m)
 
 
+_set_family, _set_m, _set_element_hash = slot_setters(WeylElement)
+
+
 def x(m: int) -> WeylElement:
     return WeylElement(X, m)
 
@@ -135,8 +141,7 @@ def apply_weyl(w: WeylElement, mu: Weight, gcm: GCM) -> Weight:
     return mu
 
 
-@dataclass(frozen=True)
-class PQTable:
+class PQTable(Frozen):
     """p_0..p_n and q_0..q_n.
 
     p_0 = p_1 = 1 and p_{m+2} = b p_{m+1} - p_m for even m,
@@ -145,8 +150,14 @@ class PQTable:
     strictly increasing from index 2 on.
     """
 
-    p: tuple[int, ...]
-    q: tuple[int, ...]
+    __slots__ = ("p", "q")
+
+    def __init__(self, p: tuple[int, ...], q: tuple[int, ...]):
+        _set_p(self, p)
+        _set_q(self, q)
+
+
+_set_p, _set_q = slot_setters(PQTable)
 
 
 @lru_cache(maxsize=None)
@@ -184,8 +195,7 @@ def orbit_weight(w: WeylElement, gcm: GCM) -> Weight:
 # positive real roots
 
 
-@dataclass(frozen=True)
-class PositiveRoot:
+class PositiveRoot(Frozen):
     """A positive real root w(alpha_i), stored with the witness (w, i).
 
     coords = (c, d) are the coefficients on alpha_1, alpha_2.  The
@@ -193,12 +203,18 @@ class PositiveRoot:
     <w^{-1} mu, alpha_i^vee>.
     """
 
-    witness: WeylElement
-    index: int
-    coords: tuple[int, int]
+    __slots__ = ("witness", "index", "coords")
+
+    def __init__(self, witness: WeylElement, index: int, coords: tuple[int, int]):
+        _set_witness(self, witness)
+        _set_index(self, index)
+        _set_coords(self, coords)
 
     def __str__(self):
         return f"{self.witness}(a{self.index})={self.coords}"
+
+
+_set_witness, _set_index, _set_coords = slot_setters(PositiveRoot)
 
 
 def _act_on_root_coords(w: WeylElement, c: int, d: int, gcm: GCM) -> tuple[int, int]:
@@ -275,8 +291,7 @@ def positive_roots_recurrence(gcm: GCM, n: int) -> list[tuple[int, int]]:
 # the Hasse chain
 
 
-@dataclass(frozen=True)
-class HasseNeighbors:
+class HasseNeighbors(Frozen):
     """Both neighbours of an orbit element, each with its edge label.
 
     The chain is infinite in both directions, so neither side is ever
@@ -284,8 +299,14 @@ class HasseNeighbors:
     swapped by r_i.
     """
 
-    up: tuple[WeylElement, int]
-    down: tuple[WeylElement, int]
+    __slots__ = ("up", "down")
+
+    def __init__(self, up: tuple[WeylElement, int], down: tuple[WeylElement, int]):
+        _set_up(self, up)
+        _set_down(self, down)
+
+
+_set_up, _set_down = slot_setters(HasseNeighbors)
 
 
 def hasse_neighbors(w: WeylElement) -> HasseNeighbors:

@@ -1,5 +1,9 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -261,6 +265,60 @@ def test_wrong_json_types_are_malformed(capsys, monkeypatch, command, payload):
     assert code == 3
     assert out == ""
     assert err.startswith("error: bad")
+
+
+@pytest.mark.parametrize("command", ["validate", "apply"])
+@pytest.mark.parametrize(
+    "payload, reason",
+    [
+        ("[" * 100_000, "recursion depth"),
+        ("1" * 5001, "5001 digits"),
+        ('{"form": "i", "m": ' + "7" * 5001 + ', "s": 1, "sigmas": ["0", "1"]}', "5001 digits"),
+    ],
+    ids=["nested-arrays", "long-integer", "long-integer-field"],
+)
+def test_json_the_parser_refuses_is_malformed(capsys, monkeypatch, command, payload, reason):
+    # deep nesting raises RecursionError and an integer past the
+    # int-to-string digit limit ValueError, not JSONDecodeError
+    argv = [command, "--a", "3", "--b", "3"] + (["--op", "f1"] if command == "apply" else [])
+    code, out, err = run(capsys, *argv, stdin=payload, monkeypatch=monkeypatch)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: stdin is not JSON: ")
+    assert reason in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sequences", "--n", "2000"],
+        ["sequences", "--n", "2000", "--json"],
+        ["orbit", "--m-max", "2000"],
+        ["orbit", "--m-max", "2000", "--json"],
+        ["positive-roots", "--n", "2000"],
+        ["positive-roots", "--n", "2000", "--json"],
+    ],
+)
+def test_entries_past_the_digit_limit_are_bad_parameters(argv):
+    """A subprocess at the lowest limit the interpreter allows (640
+    digits), so that the limit in the message is read from the process,
+    not assumed; the limit of this process is left as it is."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONINTMAXSTRDIGITS": "640"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "lscrystal.cli", argv[0], "--a", "3", "--b", "3", *argv[1:]],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    option = "--m-max" if argv[0] == "orbit" else "--n"
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        "error: an entry has more than 640 digits, the limit of int-to-string conversion "
+        f"(sys.get_int_max_str_digits()); lower {option}\n"
+    )
 
 
 def test_validate_ls_input_converts(capsys, monkeypatch):

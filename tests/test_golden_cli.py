@@ -165,6 +165,13 @@ def _cases():
         ["validate", "--a", "3", "--b", "3", "--extra"],
     ):
         yield argv, None
+    # entries past the interpreter's int-to-string digit limit
+    for argv in (
+        ["sequences", "--a", "3", "--b", "3", "--n", "12000"],
+        ["orbit", "--a", "3", "--b", "3", "--m-max", "12000"],
+    ):
+        for fmt in ([], ["--json"]):
+            yield argv + fmt, None
 
 
 def record():

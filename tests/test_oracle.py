@@ -11,9 +11,11 @@ from lscrystal.oracle import (
     OracleBoundError,
     SearchBounds,
     _chain_roots,
+    _chains_by_denominator,
     _dist1_graph,
     _down_steps,
     _normal_forms_in_window,
+    _numerators,
     _policy_by_denominator,
     _sigma_chain_cached,
     _strings,
@@ -545,9 +547,14 @@ def test_policy_table_equals_the_fraction_grouping(ab):
     for m_max, s_max in REFERENCE_WINDOWS:
         bounds = SearchBounds(m_max, s_max)
         common, rows = _policy_by_denominator(gcm, bounds)
-        assert all(type(k) is int for _, nums in rows for k in nums)
-        as_fractions = tuple((d, tuple(F(k, common) for k in nums)) for d, nums in rows)
-        assert as_fractions == _policy_by_fraction_denominator(gcm, bounds), (m_max, s_max)
+        reference = _policy_by_fraction_denominator(gcm, bounds)
+        assert rows == tuple((d, len(values)) for d, values in reference), (m_max, s_max)
+        numerators = [_numerators(gcm, bounds, d) for d, _ in rows]
+        assert all(type(k) is int for nums in numerators for k in nums)
+        as_fractions = tuple(
+            (d, tuple(F(k, common) for k in nums)) for (d, _), nums in zip(rows, numerators)
+        )
+        assert as_fractions == reference, (m_max, s_max)
         assert denominator_policy(gcm, bounds) == _policy_as_fractions(gcm, bounds), (m_max, s_max)
     # p = q = (1, 1): the one-piece window at the identity has no denominator
     assert _policy_by_denominator(gcm, SearchBounds(0, 1)) == (1, ())
@@ -564,3 +571,30 @@ def test_enumeration_equals_the_fraction_enumeration(ab):
         assert all(type(pi.keys) is tuple and type(pi.nums) is tuple for pi in paths)
         turns += sum(pi.s - 1 for pi in paths)
     assert turns > 0
+
+
+def test_numerators_are_built_only_for_admitted_denominators():
+    # one-piece windows have no turns, so no check builds any numerators
+    _numerators.cache_clear()
+    one = SearchBounds(8, 1)
+    assert check_straight_through_lambda(G33, one).all_passed
+    assert check_classification(G33, one).all_passed
+    assert _numerators.cache_info().currsize == 0
+    # with turns, each admitted denominator once, however often enumerated
+    bounds = SearchBounds(4, 2)
+    keys = range(bounds.m_max, -bounds.m_max - 1, -1)
+    admitted = {
+        d
+        for u in keys
+        for v in keys
+        if v < u
+        for d, _, found in _chains_by_denominator(G33, bounds, u, v)
+        if found
+    }
+    policy = {d for d, _ in _policy_by_denominator(G33, bounds)[1]}
+    assert admitted and admitted < policy
+    _numerators.cache_clear()
+    enumerate_ls_paths(G33, bounds)
+    enumerate_ls_paths(G33, bounds)
+    info = _numerators.cache_info()
+    assert info.misses == info.currsize == len(admitted)

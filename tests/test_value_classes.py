@@ -1,0 +1,315 @@
+"""The value classes on cartan.Frozen behave as the frozen dataclasses
+they replaced.
+
+Each class is checked against a twin: the @dataclass(frozen=True) it
+used to be, fields and validation as they were, defined here as the
+reference.  The twin carries the real class's __qualname__, so the two
+reprs can be compared as text.  Also pinned: importing the command line
+pulls in none of dataclasses, inspect and typing.
+"""
+
+import copy
+import inspect
+import os
+import pickle
+import subprocess
+import sys
+from dataclasses import FrozenInstanceError, dataclass
+from fractions import Fraction as F
+from pathlib import Path
+
+import pytest
+
+from lscrystal.cartan import GCM
+from lscrystal.oracle import CheckResult, SearchBounds, VerificationReport
+from lscrystal.paths import PiecewiseLinear
+from lscrystal.weyl import HasseNeighbors, PositiveRoot, PQTable, WeylElement, x, y
+
+
+@dataclass(frozen=True)
+class GCMTwin:
+    a: int
+    b: int
+
+    def __post_init__(self):
+        if type(self.a) is not int or type(self.b) is not int:
+            raise TypeError("matrix entries must be integers")
+        if self.a < 1 or self.b < 1:
+            raise ValueError(f"need a >= 1 and b >= 1, got ({self.a}, {self.b})")
+        if self.a * self.b <= 4:
+            raise ValueError(f"not hyperbolic: a*b = {self.a * self.b} <= 4")
+
+
+@dataclass(frozen=True)
+class WeylElementTwin:
+    family: str
+    m: int
+
+    def __post_init__(self):
+        if self.family not in ("x", "y"):
+            raise ValueError(f"family must be 'x' or 'y', got {self.family!r}")
+        if type(self.m) is not int:
+            raise TypeError(f"length must be an integer, got {self.m!r}")
+        if self.m < 0:
+            raise ValueError(f"length must be a nonnegative integer, got {self.m!r}")
+        if self.m == 0 and self.family != "x":
+            object.__setattr__(self, "family", "x")
+
+
+@dataclass(frozen=True)
+class PQTableTwin:
+    p: tuple
+    q: tuple
+
+
+@dataclass(frozen=True)
+class PositiveRootTwin:
+    witness: WeylElement
+    index: int
+    coords: tuple
+
+
+@dataclass(frozen=True)
+class HasseNeighborsTwin:
+    up: tuple
+    down: tuple
+
+
+@dataclass(frozen=True)
+class PiecewiseLinearTwin:
+    points: tuple
+
+
+@dataclass(frozen=True)
+class SearchBoundsTwin:
+    m_max: int
+    s_max: int
+
+    def __post_init__(self):
+        for name in ("m_max", "s_max"):
+            if type(getattr(self, name)) is not int:
+                raise TypeError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        if self.m_max < 0:
+            raise ValueError(f"m_max must be nonnegative, got {self.m_max}")
+        if self.s_max < 1:
+            raise ValueError(f"s_max must be positive, got {self.s_max}")
+
+
+@dataclass(frozen=True)
+class CheckResultTwin:
+    name: str
+    passed: bool
+    checked: int
+    counterexample: dict | None = None
+
+
+@dataclass(frozen=True)
+class VerificationReportTwin:
+    results: tuple
+
+
+PASS = CheckResult("weight-step", True, 12)
+FAIL = CheckResult("bfs-coverage", False, 3, {"path": {"dirs": [], "sigmas": ["0", "1"]}})
+
+# class, its twin, constructor calls (args, kwargs) that succeed, and
+# calls that fail
+CASES = {
+    "GCM": (
+        GCM,
+        GCMTwin,
+        [((3, 3), {}), ((2, 5), {}), ((1, 5), {}), ((), {"a": 5, "b": 1})],
+        [((True, 5), {}), ((3.0, 3), {}), ((0, 5), {}), ((2, 2), {}), ((-1, -9), {}), (("3", 3), {})],
+    ),
+    "WeylElement": (
+        WeylElement,
+        WeylElementTwin,
+        [(("x", 3), {}), (("y", 2), {}), (("y", 0), {}), ((), {"family": "x", "m": 0})],
+        [(("z", 1), {}), (("x", True), {}), (("x", 1.0), {}), (("y", -1), {}), ((None, 1), {})],
+    ),
+    "PQTable": (
+        PQTable,
+        PQTableTwin,
+        [(((1, 1, 2, 5), (1, 1, 2, 5)), {}), ((), {"p": (1, 1), "q": (1, 1)})],
+        [(((1, 1),), {})],
+    ),
+    "PositiveRoot": (
+        PositiveRoot,
+        PositiveRootTwin,
+        [((x(2), 2, (3, 8)), {}), ((), {"witness": y(1), "index": 1, "coords": (1, 3)})],
+        [((x(2), 2), {})],
+    ),
+    "HasseNeighbors": (
+        HasseNeighbors,
+        HasseNeighborsTwin,
+        [(((x(1), 1), (y(1), 2)), {}), ((), {"up": (x(3), 2), "down": (x(2), 1)})],
+        [(((x(1), 1),), {})],
+    ),
+    "PiecewiseLinear": (
+        PiecewiseLinear,
+        PiecewiseLinearTwin,
+        [((((F(0), F(0)), (F(1, 2), F(-1)), (F(1), F(1))),), {}), ((), {"points": ((F(0), F(0)),)})],
+        [((), {})],
+    ),
+    "SearchBounds": (
+        SearchBounds,
+        SearchBoundsTwin,
+        [((3, 3), {}), ((0, 1), {}), ((), {"m_max": 5, "s_max": 2})],
+        [((True, 2), {}), ((2, 2.0), {}), ((-1, 1), {}), ((2, 0), {}), ((-1, "x"), {}), ((2,), {})],
+    ),
+    "CheckResult": (
+        CheckResult,
+        CheckResultTwin,
+        [
+            (("weight-step", True, 12), {}),
+            (("bfs-coverage", False, 3, {"path": {"dirs": [], "sigmas": ["0", "1"]}}), {}),
+            ((), {"name": "n", "passed": True, "checked": 0, "counterexample": None}),
+        ],
+        [(("n", True), {}), (("n", True, 1, None, None), {})],
+    ),
+    "VerificationReport": (
+        VerificationReport,
+        VerificationReportTwin,
+        [(((PASS, FAIL),), {}), (((),), {}), ((), {"results": (PASS,)})],
+        [((), {})],
+    ),
+}
+
+
+@pytest.fixture(params=sorted(CASES))
+def case(request):
+    cls, twin, good, bad = CASES[request.param]
+    twin.__qualname__ = cls.__qualname__
+    return cls, twin, good, bad
+
+
+def _hash_or_error(obj):
+    try:
+        return hash(obj)
+    except TypeError as err:
+        return type(err), str(err)
+
+
+def _outcome(make, args, kwargs):
+    try:
+        make(*args, **kwargs)
+    except Exception as err:  # noqa: BLE001 - the exception is the outcome compared
+        return type(err), str(err).split("() ")[-1]
+    return None
+
+
+def test_repr_eq_and_hash_match_the_dataclass(case):
+    cls, twin, good, _ = case
+    for args, kwargs in good:
+        got, want = cls(*args, **kwargs), twin(*args, **kwargs)
+        assert repr(got) == repr(want)
+        assert got.__match_args__ == twin.__match_args__
+        assert [getattr(got, n) for n in got.__match_args__] == [getattr(want, n) for n in got.__match_args__]
+        again = cls(*args, **kwargs)
+        assert got == again and not got != again and got is not again
+        assert _hash_or_error(got) == _hash_or_error(want)
+        assert _hash_or_error(got) == _hash_or_error(again)
+        # against another class: NotImplemented, so == falls back to identity
+        for other in (want, object(), None, tuple(getattr(got, n) for n in got.__match_args__)):
+            assert got.__eq__(other) is NotImplemented
+            assert got != other and not got == other
+        with pytest.raises(TypeError):
+            got < again  # noqa: B015 - no ordering, as with order=False
+    got = [cls(*args, **kwargs) for args, kwargs in good]
+    want = [twin(*args, **kwargs) for args, kwargs in good]
+    assert [[p == q for q in got] for p in got] == [[p == q for q in want] for p in want]
+
+
+def test_assignment_and_deletion_raise_frozen_instance_error(case):
+    cls, twin, good, _ = case
+    args, kwargs = good[0]
+    got, want = cls(*args, **kwargs), twin(*args, **kwargs)
+    for name in (*got.__match_args__, "not_a_field"):
+        messages = []
+        for obj in (got, want):
+            with pytest.raises(FrozenInstanceError) as err:
+                setattr(obj, name, 1)
+            messages.append(str(err.value))
+            with pytest.raises(FrozenInstanceError) as err:
+                delattr(obj, name)
+            messages.append(str(err.value))
+        assert messages[:2] == messages[2:]
+    assert repr(got) == repr(want)
+
+
+def test_validation_errors_match_the_dataclass(case):
+    cls, twin, _, bad = case
+    for args, kwargs in bad:
+        got = _outcome(cls, args, kwargs)
+        assert got is not None, (args, kwargs)
+        assert got == _outcome(twin, args, kwargs), (args, kwargs)
+
+
+def test_constructor_signature_matches_the_dataclass(case):
+    cls, twin, _, _ = case
+
+    def shape(c):
+        return [(p.name, p.kind, p.default) for p in inspect.signature(c).parameters.values()]
+
+    assert shape(cls) == shape(twin)
+
+
+def test_copy_deepcopy_and_pickle_round_trips(case):
+    cls, twin, good, _ = case
+    for args, kwargs in good:
+        got, want = cls(*args, **kwargs), twin(*args, **kwargs)
+        for again in (copy.copy(got), copy.deepcopy(got), pickle.loads(pickle.dumps(got))):
+            assert type(again) is cls
+            assert again == got and repr(again) == repr(want)
+            assert _hash_or_error(again) == _hash_or_error(want)
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(got, protocol)) == got
+        assert repr(copy.deepcopy(want)) == repr(copy.deepcopy(got))
+
+
+def test_canonical_spelling_survives_the_round_trips():
+    # y_0 is stored as x_0, by the constructor a copy goes through again
+    w = WeylElement("y", 0)
+    for again in (w, copy.copy(w), copy.deepcopy(w), pickle.loads(pickle.dumps(w))):
+        assert again.family == "x" and again == WeylElement("x", 0)
+        assert hash(again) == hash(WeylElementTwin("y", 0))
+
+
+def test_sets_and_dicts_keep_the_dataclass_order():
+    # equal hashes put the elements in the same slots, so iteration order
+    # over a set or a dict of them is the one the dataclasses gave
+    got = [WeylElement(f, m) for m in range(8) for f in "xy"]
+    want = [WeylElementTwin(f, m) for m in range(8) for f in "xy"]
+    assert [str(w) for w in set(got)] == [f"{w.family}{w.m}" for w in set(want)]
+    bounds = [SearchBounds(m, s) for m in range(6) for s in range(1, 4)]
+    twins = [SearchBoundsTwin(m, s) for m in range(6) for s in range(1, 4)]
+    assert [(b.m_max, b.s_max) for b in set(bounds)] == [(b.m_max, b.s_max) for b in set(twins)]
+
+
+def test_importing_the_cli_loads_no_dataclasses_inspect_or_typing():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys, lscrystal.cli\n"
+        "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+def test_frozen_instance_error_is_imported_on_the_error_path():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys\n"
+        "from lscrystal import GCM\n"
+        "g = GCM(3, 3)\n"
+        "assert 'dataclasses' not in sys.modules\n"
+        "try:\n"
+        "    g.a = 4\n"
+        "except Exception as err:\n"
+        "    print(type(err).__module__, type(err).__name__, err)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "dataclasses FrozenInstanceError cannot assign to field 'a'\n"
