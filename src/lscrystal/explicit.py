@@ -70,6 +70,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 from math import lcm
 from operator import sub
 
@@ -475,14 +476,27 @@ def enumerate_explicit(gcm: GCM, m_max: int, s_max: int) -> set[ExplicitPath]:
     return set(normal_forms_by_shape(gcm, m_max, s_max))
 
 
-def normal_forms_by_shape(gcm: GCM, m_max: int, s_max: int) -> Iterator[ExplicitPath]:
+def normal_forms_by_shape(
+    gcm: GCM, m_max: int, s_max: int, k: int = 0, n: int = 1
+) -> Iterator[ExplicitPath]:
     """The normal forms of enumerate_explicit, shape by shape: m from 0
-    up, then s from 1 up, form i before form ii (which needs m >= s)."""
+    up, then s from 1 up, form i before form ii (which needs m >= s).
+
+    With n > 1 only the forms at positions k, k + n, k + 2n, ... of that
+    order are yielded, and only those are built.
+    """
     _require_deep(gcm)
-    for m in range(m_max + 1):
-        for s in range(1, s_max + 1):
-            for form in (FORM_I, FORM_II) if m >= s else (FORM_I,):
-                yield from normal_forms_of_shape(gcm, form, m, s)
+    shapes = (
+        (form, m, s)
+        for m in range(m_max + 1)
+        for s in range(1, s_max + 1)
+        for form in ((FORM_I, FORM_II) if m >= s else (FORM_I,))
+    )
+    candidates = (
+        (shape, nums) for shape in shapes for nums in _interior_choices(_shape_table(gcm, *shape).grid)
+    )
+    for (form, m, s), nums in islice(candidates, k, None, n):
+        yield _on_grid(ExplicitPath(form, m, s, nums=nums), gcm)
 
 
 def normal_forms_of_shape(gcm: GCM, form: str, m: int, s: int) -> Iterator[ExplicitPath]:

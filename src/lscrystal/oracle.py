@@ -45,6 +45,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import sys
 from fractions import Fraction
 from functools import lru_cache
 
@@ -665,13 +667,37 @@ def check_operator_equivalence(gcm: GCM, m_max: int, s_max: int) -> Verification
     """Closed-form operators against the piecewise-linear engine on every
     normal form with m <= m_max and s <= s_max, nulls included.
 
-    The forms are walked shape by shape, each through both pair
-    functions; the counterexample is the first disagreement in the
-    order of str(path), then f1, e1, f2, e2.
+    Each form goes through both pair functions; the counterexample is
+    the first disagreement in the order of str(path), then f1, e1, f2,
+    e2.  The comparisons are independent, so the window is split by
+    index before any form is built: with n CPUs in this process's
+    affinity mask (`taskset -c 0` makes n = 1), form k of the
+    normal_forms_by_shape order goes to share k mod n.  Shares 1..n-1
+    run in forked children, share 0 here; the counts are summed and the
+    counterexample with the smallest str(path) is kept, so the report is
+    the one a serial run gives.  A share whose child fails is recomputed
+    here, which repeats its exception too.  The check runs as one share
+    in this process when n = 1, when os.fork is missing, or when other
+    threads are running.
     """
+    n = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    threads = sys.modules.get("threading")
+    if n == 1 or not hasattr(os, "fork") or threads is not None and threads.active_count() > 1:
+        shares = [_equivalence_share(gcm, m_max, s_max, 0, 1)]
+    else:
+        shares = _forked_shares(gcm, m_max, s_max, n)
+    checked = sum(share[0] for share in shares)
+    failed = [(first, ce) for _, first, ce in shares if first is not None]
+    ce = min(failed, key=lambda f: f[0])[1] if failed else None
+    return VerificationReport((CheckResult("operator-equivalence", ce is None, checked, ce),))
+
+
+def _equivalence_share(gcm: GCM, m_max: int, s_max: int, k: int, n: int) -> tuple:
+    """(checked, str of the first failing form or None, counterexample)
+    over the forms at positions k, k + n, ... of the window."""
     checked = 0
     ce = first = None
-    for ep in normal_forms_by_shape(gcm, m_max, s_max):
+    for ep in normal_forms_by_shape(gcm, m_max, s_max, k, n):
         pi = to_ls_path(ep)
         for i in (1, 2):
             for label, closed, engine in zip("fe", fe_explicit(ep, i, gcm), fe_generic(pi, i, gcm)):
@@ -692,7 +718,61 @@ def check_operator_equivalence(gcm: GCM, m_max: int, s_max: int) -> Verification
                         "closed-form": None if closed is None else closed.to_json(),
                         "engine": None if engine is None else engine.to_json(),
                     }
-    return VerificationReport((CheckResult("operator-equivalence", ce is None, checked, ce),))
+    return checked, first, ce
+
+
+def _forked_shares(gcm: GCM, m_max: int, s_max: int, n: int) -> list:
+    """All n shares: 1..n-1 in forked children, each sending its result
+    as JSON over a pipe, and 0 here.  Every child is reaped before this
+    returns, and killed first if this raises."""
+    kids = []  # (k, pid, read end of its pipe)
+    try:
+        for k in range(1, n):
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(w)
+                raise
+            if pid == 0:
+                _share_child(w, gcm, m_max, s_max, k, n)
+            os.close(w)
+            kids.append((k, pid, r))
+        shares = [_equivalence_share(gcm, m_max, s_max, 0, n)]
+        payloads = []
+        for _, _, r in kids:
+            with open(r, "rb", closefd=False) as pipe:
+                payloads.append(pipe.read())
+    except BaseException:
+        from signal import SIGKILL
+
+        for _, pid, _ in kids:
+            os.kill(pid, SIGKILL)
+        raise
+    finally:
+        statuses = [os.waitpid(pid, 0)[1] for _, pid, _ in kids]
+        for _, _, r in kids:
+            os.close(r)
+    for (k, _, _), payload, status in zip(kids, payloads, statuses):
+        try:
+            share = json.loads(payload) if status == 0 else None
+        except ValueError:  # a short payload
+            share = None
+        shares.append(share or _equivalence_share(gcm, m_max, s_max, k, n))
+    return shares
+
+
+def _share_child(w: int, gcm: GCM, m_max: int, s_max: int, k: int, n: int):
+    """Compute share k in a forked child, write it to fd w as JSON and
+    exit; the child never returns into the caller's stack."""
+    code = 1
+    try:
+        with open(w, "w", closefd=False) as pipe:
+            json.dump(_equivalence_share(gcm, m_max, s_max, k, n), pipe)
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def check_structure(gcm: GCM, bounds: SearchBounds) -> VerificationReport:

@@ -230,7 +230,10 @@ def _act_on_root_coords(w: WeylElement, c: int, d: int, gcm: GCM) -> tuple[int, 
 
 def positive_root(w: WeylElement, i: int, gcm: GCM) -> PositiveRoot:
     c0, d0 = (1, 0) if i == 1 else (0, 1)
-    c, d = _act_on_root_coords(w, c0, d0, gcm)
+    return _checked_root(w, i, *_act_on_root_coords(w, c0, d0, gcm))
+
+
+def _checked_root(w: WeylElement, i: int, c: int, d: int) -> PositiveRoot:
     if (c, d) == (0, 0) or c < 0 or d < 0:
         raise ValueError(f"{w}(alpha_{i}) is not a positive root: coords ({c}, {d})")
     return PositiveRoot(w, i, (c, d))
@@ -257,15 +260,33 @@ def positive_roots_weyl(gcm: GCM, n: int) -> list[PositiveRoot]:
 
     One family is {x_l(alpha_2), y_{l+1}(alpha_1)} and the other
     {y_l(alpha_1), x_{l+1}(alpha_2)}, both over even l; together these
-    are all x_l(alpha_2) and y_l(alpha_1), without duplicates.
+    are all x_l(alpha_2) and y_l(alpha_1), without duplicates.  Each
+    root is one simple reflection, by the new leftmost letter, away
+    from the root before it on its walk, so the list costs O(n) steps;
+    positive_root builds a root letter by letter.
     """
+    xs = _roots_along(X, 2, gcm, 2 * n)
+    ys = _roots_along(Y, 1, gcm, 2 * n)
     roots = []
     for l in range(0, 2 * n, 2):
-        roots.append(positive_root(x(l), 2, gcm))
-        roots.append(positive_root(y(l + 1), 1, gcm))
+        roots += (xs[l], ys[l + 1])
     for l in range(0, 2 * n, 2):
-        roots.append(positive_root(y(l), 1, gcm))
-        roots.append(positive_root(x(l + 1), 2, gcm))
+        roots += (ys[l], xs[l + 1])
+    return roots
+
+
+def _roots_along(family: str, i: int, gcm: GCM, count: int) -> list[PositiveRoot]:
+    """w(alpha_i) for the elements w of one family with lengths 0..count-1,
+    each one reflection, by w's leftmost letter, from the one before."""
+    c, d = (1, 0) if i == 1 else (0, 1)
+    letters = WeylElement(family, count).letters()
+    roots = []
+    for l in range(count):
+        roots.append(_checked_root(WeylElement(family, l), i, c, d))
+        if letters[l] == 1:
+            c = gcm.a * d - c
+        else:
+            d = gcm.b * c - d
     return roots
 
 

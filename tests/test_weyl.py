@@ -138,6 +138,18 @@ def test_root_enumerations_agree(a, b):
     assert set(weyl) == set(rec)
 
 
+@pytest.mark.parametrize("a,b", [(3, 3), (2, 5), (4, 4), (1, 5)])
+def test_root_walk_matches_letter_by_letter_roots(a, b):
+    g = GCM(a, b)
+    for n in range(1, 61):
+        ref = []
+        for l in range(0, 2 * n, 2):
+            ref += [positive_root(x(l), 2, g), positive_root(y(l + 1), 1, g)]
+        for l in range(0, 2 * n, 2):
+            ref += [positive_root(y(l), 1, g), positive_root(x(l + 1), 2, g)]
+        assert positive_roots_weyl(g, n) == ref, n
+
+
 def test_root_pairing_frozen():
     g = GCM(3, 3)
     alpha2 = positive_root(IDENTITY, 2, g)
