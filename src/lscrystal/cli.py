@@ -41,6 +41,15 @@ from .weyl import (
 
 OK, CHECK_FAILED, BAD_PARAMS, MALFORMED_INPUT, ENGINES_DISAGREE = 0, 1, 2, 3, 4
 
+# The largest m or s that apply and validate take on stdin, checked
+# before anything is built.  A path of index m sizes a p/q table of m
+# entries of O(m) digits each, so a few bytes could ask for any amount
+# of memory.  At the cap a straight path costs a whole `validate` or
+# `apply` process at most 0.7 MB of peak RSS over m = 1, at (3,3) and
+# at (20,20), and no time outside the start-up spread; m = 2000 costs
+# 3.3 MB and m = 10000 110 MB (CPython 3.11.7, x86-64 Linux).
+INDEX_CAP = 1000
+
 # verify selector -> (runner(gcm, bounds), needs a, b >= 2).  The runners
 # look each check up by name when called, so a check replaced on this
 # module (a test stub, a tracing wrapper) is the one that runs.
@@ -123,6 +132,18 @@ def cmd_positive_roots(args, gcm: GCM) -> int:
     return OK
 
 
+def _over_cap(data: dict) -> str | None:
+    """The first m or s of a path document above INDEX_CAP, as "name =
+    value", or None.  The s of a "dirs" document is its number of
+    directions.  A field of another type is left to the parser."""
+    if "form" in data:
+        fields = [("m", data.get("m")), ("s", data.get("s"))]
+    else:
+        dirs = data["dirs"] if isinstance(data["dirs"], list) else []
+        fields = [("s", len(dirs))] + [("m", d.get("m")) for d in dirs if isinstance(d, dict)]
+    return next((f"{name} = {v}" for name, v in fields if type(v) is int and v > INDEX_CAP), None)
+
+
 def _read_path_json() -> tuple[dict | None, int]:
     raw = sys.stdin.read()
     try:
@@ -134,6 +155,10 @@ def _read_path_json() -> tuple[dict | None, int]:
         return None, MALFORMED_INPUT
     if not isinstance(data, dict) or not ({"form", "dirs"} & set(data)):
         print('error: expected an object with "form" or "dirs"', file=sys.stderr)
+        return None, MALFORMED_INPUT
+    over = _over_cap(data)
+    if over is not None:
+        print(f"error: {over} is above the input cap of {INDEX_CAP} on m and s", file=sys.stderr)
         return None, MALFORMED_INPUT
     return data, OK
 

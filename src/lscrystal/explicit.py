@@ -44,10 +44,13 @@ Like LSPath, an ExplicitPath stores its breakpoints as the int
 numerators n_u = sigma_u * D over their least common denominator D,
 with gcd(D, *numerators) = 1 and D = n_s.  D is the path's own, not
 the p/q grid (which would need the matrix).  The heights are then the
-ints D*H_i(sigma_u) = D*N_u + n_u c_u over one denominator, the minimum
-search compares plain ints, and a moved breakpoint is built in int over
-D times one slope before it is reduced.  The conversions to and from
-LSPath hand the numerators across unchanged.
+ints D*H_i(sigma_u) = D*N_u + n_u c_u over one denominator, and the
+minimum search compares plain ints.  A moved breakpoint sigma_u +- 1/c
+is (n_u k +- D/g)/(D k) with g = gcd(c, D) and k = c/g, so it is built
+in int straight over D*k and the other numerators are scaled by k
+alone, so the constructor seldom finds a common factor left to divide
+out.  The conversions to and from LSPath hand the numerators across
+unchanged.
 
 The conversions build their results with the private constructors
 LSPath._from_valid and ExplicitPath._from_valid, which store fields
@@ -71,7 +74,7 @@ from collections.abc import Iterator
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
-from math import lcm
+from math import gcd, lcm
 from operator import sub
 
 from .cartan import (
@@ -424,18 +427,21 @@ def _lowered(ep: ExplicitPath, i: int, gcm: GCM, slopes: tuple[int, ...], u0: in
     if u0 == s:
         return None
     # H_i climbs one level on piece u0 + 1 in time 1/c: the moved
-    # breakpoint sigma_u0 + 1/c has numerator n_u0 * c + D over D * c
+    # breakpoint sigma_u0 + 1/c has numerator n_u0 * k + D/g over D * k,
+    # where g = gcd(c, D) and k = c/g is all that D has to grow by
     c = abs(slopes[u0])
-    new = nums[u0] * c + den
-    fits = new < nums[u0 + 1] * c
+    g = gcd(c, den)
+    k = c // g
+    new = nums[u0] * k + den // g
+    fits = new < nums[u0 + 1] * k
     if u0 == 0 and fits:
         # a new first piece, up to sigma_1 = 1/c
-        grown = (0, new, *[n * c for n in nums[1:]])
+        grown = (0, new, *[n * k for n in nums[1:]])
         return _on_grid(ExplicitPath(form, m, s + 1, nums=grown), gcm)
     if u0 == 0:
         return _straight(ep.directions()[-1].reflected(i))
     if fits:
-        return _on_grid(ExplicitPath(form, m, s, nums=_scaled(nums, c, u0, new)), gcm)
+        return _on_grid(ExplicitPath(form, m, s, nums=_scaled(nums, k, u0, new)), gcm)
     return _on_grid(ExplicitPath(form, m + step, s - 1, nums=nums[: s - 1] + (den,)), gcm)
 
 
@@ -449,24 +455,29 @@ def _raised(ep: ExplicitPath, i: int, gcm: GCM, slopes: tuple[int, ...], u1: int
     if u1 == 0:
         return None
     # H_i falls one level on piece u1 in time 1/c: the moved breakpoint
-    # sigma_u1 - 1/c has numerator n_u1 * c - D over D * c
+    # sigma_u1 - 1/c has numerator n_u1 * k - D/g over D * k, where
+    # g = gcd(c, D) and k = c/g is all that D has to grow by
     c = abs(slopes[u1 - 1])
-    new = nums[u1] * c - den
-    fits = nums[u1 - 1] * c < new
+    g = gcd(c, den)
+    k = c // g
+    new = nums[u1] * k - den // g
+    fits = nums[u1 - 1] * k < new
     if u1 == s and fits:
         # a new last piece, from sigma_s = 1 - 1/c
-        grown = (*[n * c for n in nums[:s]], new, den * c)
+        grown = (*[n * k for n in nums[:s]], new, den * k)
         return _on_grid(ExplicitPath(form, m - step, s + 1, nums=grown), gcm)
     if u1 == s:
         return _straight(ep.directions()[-1].reflected(i))
     if fits:
-        return _on_grid(ExplicitPath(form, m, s, nums=_scaled(nums, c, u1, new)), gcm)
+        return _on_grid(ExplicitPath(form, m, s, nums=_scaled(nums, k, u1, new)), gcm)
     return _on_grid(ExplicitPath(form, m, s - 1, nums=(0,) + nums[2:]), gcm)
 
 
-def _scaled(nums: tuple[int, ...], c: int, u: int, new: int) -> tuple[int, ...]:
-    """nums times c, with entry u replaced by new."""
-    out = [n * c for n in nums]
+def _scaled(nums: tuple[int, ...], k: int, u: int, new: int) -> tuple[int, ...]:
+    """nums times k, with entry u replaced by new."""
+    if k == 1:
+        return (*nums[:u], new, *nums[u + 1 :])
+    out = [n * k for n in nums]
     out[u] = new
     return tuple(out)
 

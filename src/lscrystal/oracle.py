@@ -605,13 +605,20 @@ def check_connectedness(gcm: GCM, bounds: SearchBounds) -> VerificationReport:
             break
     reduction_result = CheckResult("reduction-to-straight", bad is None, len(paths), bad)
 
-    # expansion stays near the window (a little slack in s); any node
-    # reached still counts for coverage
-    def near(pi: LSPath, level: int) -> bool:
-        return max(map(abs, pi.keys)) <= bounds.m_max and pi.s <= bounds.s_max + 2
-
+    # expansion stays near the window, with a little slack in s; any node
+    # reached still counts for coverage.  A larger slack reaches a
+    # superset of the nodes, so slack 2 runs only when slack 1 leaves a
+    # target uncovered, and the report is the same either way
     targets = set(paths)
-    uncovered = targets - set(crystal_bfs(gcm, near)[0])
+    for slack in (1, 2):
+        s_near = bounds.s_max + slack
+
+        def near(pi: LSPath, level: int) -> bool:
+            return max(map(abs, pi.keys)) <= bounds.m_max and pi.s <= s_near
+
+        uncovered = targets - set(crystal_bfs(gcm, near)[0])
+        if not uncovered:
+            break
     ce = {"path": min(uncovered, key=str).to_json()} if uncovered else None
     bfs_result = CheckResult("bfs-coverage", ce is None, len(targets), ce)
     return VerificationReport((reduction_result, bfs_result))

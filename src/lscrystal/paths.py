@@ -23,8 +23,9 @@ breakpoints beyond their order: D*H_i at the breakpoints and the piece
 slopes <orbit weight, alpha_i^vee> are plain ints, and the minimum and
 the climb back to min + 1 are searched on those.  The section is then
 found by index: t_0 (for f) or t_1 (for e) is a breakpoint, the other
-end is a breakpoint or splits one known piece, which puts the result
-over D*|slope| before it is reduced.
+end is a breakpoint or splits one known piece of slope c at r/(D*|c|)
+after its start.  That split point is put straight over D*k with
+k = |c|/gcd(|c|, r), so the numerators are scaled by k alone.
 
 f_i reflects after the last minimum of H_i and e_i before the first,
 so one height profile serves both: f_generic and e_generic each
@@ -48,7 +49,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from math import lcm
+from math import gcd, lcm
 from operator import gt, mul, sub
 
 from .cartan import (
@@ -356,12 +357,16 @@ def _lowered(pi: LSPath, i: int, profile: _Profile, m: int) -> LSPath | None:
         raise RuntimeError(f"f_{i}: H_{i} never climbs back from its minimum on {pi}")
     keys, nums = list(pi.keys), list(num)
     if h[u] > level:
-        # t_1 lies inside piece u - 1, where H climbs with slope c > 0:
-        # split it there, over the denominator D*c
-        c = slopes[u - 1]
-        nums = [n * c for n in nums]
+        # t_1 lies inside piece u - 1, where H climbs with slope c > 0,
+        # r/(D*c) after its start: split it there, over D*k with
+        # k = c/gcd(c, r)
+        c, r = slopes[u - 1], level - h[u - 1]
+        g = gcd(c, r)
+        k = c // g
+        if k > 1:
+            nums = [n * k for n in nums]
         keys.insert(u - 1, keys[u - 1])
-        nums.insert(u, num[u - 1] * c + level - h[u - 1])
+        nums.insert(u, num[u - 1] * k + r // g)
     return _reflect_pieces(keys, nums, i, j0, u)
 
 
@@ -380,12 +385,16 @@ def _raised(pi: LSPath, i: int, profile: _Profile, m: int) -> LSPath | None:
         raise RuntimeError(f"e_{i}: H_{i} never falls from 0 to its minimum on {pi}")
     keys, nums = list(pi.keys), list(num)
     if h[u] > level:
-        # t_0 lies inside piece u, where H falls with slope -c < 0:
-        # split it there, over the denominator D*c
-        c = -slopes[u]
-        nums = [n * c for n in nums]
+        # t_0 lies inside piece u, where H falls with slope -c < 0,
+        # r/(D*c) after its start: split it there, over D*k with
+        # k = c/gcd(c, r)
+        c, r = -slopes[u], h[u] - level
+        g = gcd(c, r)
+        k = c // g
+        if k > 1:
+            nums = [n * k for n in nums]
         keys.insert(u, keys[u])
-        nums.insert(u + 1, num[u] * c + h[u] - level)
+        nums.insert(u + 1, num[u] * k + r // g)
         u += 1
         j1 += 1
     return _reflect_pieces(keys, nums, i, u, j1)
@@ -424,8 +433,9 @@ def _pitman(pi: LSPath, i: int, gcm: GCM, from_left: bool) -> LSPath:
     H_i(u) alpha_i, scanning from the right f_i^max, the dual transform.
     A piece sets a new minimum over all of its length or from the point
     where it crosses the running minimum on; such a piece is split
-    there, over D times the lcm of the |slopes| of the split pieces.
-    Equal neighbours are then merged.
+    there.  Piece k of slope c_k crosses r_k/(D*|c_k|) after its start,
+    so every cut lies over D times the lcm of the |c_k|/gcd(|c_k|, r_k)
+    of the split pieces.  Equal neighbours are then merged.
     """
     _, nums, slopes, h, _ = _string_heights(pi, i, gcm)
     # piece -> the running minimum it falls below, for each piece that
@@ -447,8 +457,16 @@ def _pitman(pi: LSPath, i: int, gcm: GCM, from_left: bool) -> LSPath:
     if not marks:
         return pi
     start = h if from_left else h[1:]
-    split = {k for k, level in marks.items() if start[k] != level}
-    scale = lcm(*[abs(slopes[k]) for k in split])
+    # split piece -> (c, rise): H_i meets the running minimum
+    # |h[k] - level|/(D*|slope|) after the piece starts, which is
+    # rise/c over D with the fraction reduced
+    split = {}
+    for k, level in marks.items():
+        if start[k] != level:
+            slope, rise = abs(slopes[k]), abs(h[k] - level)
+            g = gcd(slope, rise)
+            split[k] = slope // g, rise // g
+    scale = lcm(*[c for c, _ in split.values()])
     keys, out = [], [0]
     for k, key in enumerate(pi.keys):
         end = nums[k + 1] * scale
@@ -458,7 +476,8 @@ def _pitman(pi: LSPath, i: int, gcm: GCM, from_left: bool) -> LSPath:
             pieces = ((_reflected_key(key, i), end),)
         else:
             # H_i meets the running minimum inside the piece
-            cut = nums[k] * scale + abs(h[k] - marks[k]) * (scale // abs(slopes[k]))
+            c, rise = split[k]
+            cut = nums[k] * scale + rise * (scale // c)
             r = _reflected_key(key, i)
             pieces = ((key, cut), (r, end)) if from_left else ((r, cut), (key, end))
         for d, n in pieces:

@@ -289,6 +289,53 @@ def test_json_the_parser_refuses_is_malformed(capsys, monkeypatch, command, payl
     assert err.count("\n") == 1
 
 
+def _long_run(s: int) -> dict:
+    """The run x_{s-1}, ..., x_0 with s equal pieces, off the grid."""
+    return {
+        "dirs": [{"family": "x", "m": k} for k in range(s - 1, -1, -1)],
+        "sigmas": ["0", *[f"{k}/{s}" for k in range(1, s)], "1"],
+    }
+
+
+@pytest.mark.parametrize("command", ["validate", "apply"])
+@pytest.mark.parametrize(
+    "doc, over",
+    [
+        ({"form": "i", "m": 20000, "s": 1, "sigmas": ["0", "1"]}, "m = 20000"),
+        ({"form": "ii", "m": cli.INDEX_CAP + 1, "s": 2, "sigmas": ["0", "1/2", "1"]}, "m = 1001"),
+        ({"form": "i", "m": 0, "s": cli.INDEX_CAP + 1, "sigmas": ["0", "1"]}, "s = 1001"),
+        ({"dirs": [{"family": "y", "m": cli.INDEX_CAP + 1}], "sigmas": ["0", "1"]}, "m = 1001"),
+        (_long_run(cli.INDEX_CAP + 1), "s = 1001"),
+    ],
+    ids=["form-m", "form-ii-m", "form-s", "dirs-m", "dirs-count"],
+)
+def test_m_and_s_above_the_input_cap_are_malformed(capsys, monkeypatch, command, doc, over):
+    # refused at the JSON boundary: the path parser, and with it every
+    # p/q table and orbit weight, never runs
+    monkeypatch.setattr(cli, "_parse_path", lambda data: pytest.fail("parsed an over-cap path"))
+    argv = [command, "--a", "3", "--b", "3"] + (["--op", "f1"] if command == "apply" else [])
+    code, out, err = run(capsys, *argv, stdin=json.dumps(doc), monkeypatch=monkeypatch)
+    assert code == 3
+    assert out == ""
+    assert err == f"error: {over} is above the input cap of 1000 on m and s\n"
+
+
+@pytest.mark.parametrize("command", ["validate", "apply"])
+def test_m_at_the_input_cap_is_accepted(capsys, monkeypatch, command):
+    argv = [command, "--a", "3", "--b", "3"] + (["--op", "f1"] if command == "apply" else [])
+    doc = {"form": "ii", "m": cli.INDEX_CAP, "s": 1, "sigmas": ["0", "1"]}
+    code, out, err = run(capsys, *argv, stdin=json.dumps(doc), monkeypatch=monkeypatch)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["m"] == cli.INDEX_CAP
+
+
+def test_s_at_the_input_cap_reaches_the_grid_check(capsys, monkeypatch):
+    doc = _long_run(cli.INDEX_CAP)
+    code, out, err = run(capsys, "validate", "--a", "3", "--b", "3", stdin=json.dumps(doc), monkeypatch=monkeypatch)
+    assert (code, out) == (1, "")
+    assert err.startswith("invalid: breakpoint ")
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -68,6 +68,13 @@ BAD_PAYLOADS = (
     "not json",
     "",
 )
+# m or s above the input cap of apply and validate (refused, exit 3), and m at it
+CAP_PAYLOADS = (
+    '{"form": "i", "m": 20000, "s": 1, "sigmas": ["0", "1"]}',
+    '{"form": "ii", "m": 3, "s": 1001, "sigmas": ["0", "1"]}',
+    '{"dirs": [{"family": "y", "m": 1001}], "sigmas": ["0", "1"]}',
+    '{"form": "ii", "m": 1000, "s": 1, "sigmas": ["0", "1"]}',
+)
 
 
 def run_case(argv, stdin):
@@ -172,6 +179,9 @@ def _cases():
     ):
         for fmt in ([], ["--json"]):
             yield argv + fmt, None
+    for stdin in CAP_PAYLOADS:
+        yield ["validate", "--a", "3", "--b", "3"], stdin
+        yield ["apply", "--a", "3", "--b", "3", "--op", "f1"], stdin
 
 
 def record():

@@ -201,6 +201,41 @@ def test_check_connectedness_passes():
     assert {r.name for r in rep.results} == {"reduction-to-straight", "bfs-coverage"}
 
 
+def _bfs_slacks(monkeypatch, starve_first: bool) -> list[int]:
+    """The s slack of each BFS check_connectedness runs, read off the
+    expansion predicate; with starve_first the first BFS reaches only
+    its start node."""
+    runs = []
+    real = oracle.crystal_bfs
+    top = B33.m_max
+
+    def pieces(n: int) -> LSPath:
+        # n directions, every key inside the window
+        return LSPath(keys=tuple(range(top, top - n, -1)), nums=tuple(range(n + 1)))
+
+    def recording(gcm, expand):
+        runs.append(max(n for n in range(1, 2 * top + 2) if expand(pieces(n), 0)) - B33.s_max)
+        if starve_first and len(runs) == 1:
+            return [straight_path()], []
+        return real(gcm, expand)
+
+    monkeypatch.setattr(oracle, "crystal_bfs", recording)
+    return runs
+
+
+def test_connectedness_bfs_runs_at_slack_1_when_that_covers_the_window(monkeypatch):
+    runs = _bfs_slacks(monkeypatch, starve_first=False)
+    assert check_connectedness(G33, B33).all_passed
+    assert runs == [1]
+
+
+def test_connectedness_bfs_falls_back_to_slack_2_with_targets_uncovered(monkeypatch):
+    want = check_connectedness(G33, B33)
+    runs = _bfs_slacks(monkeypatch, starve_first=True)
+    assert check_connectedness(G33, B33) == want
+    assert runs == [1, 2]
+
+
 def test_reduction_step_count():
     # (x_2; 0, 1) needs exactly two maximal e-steps to reach the straight path
     from lscrystal.paths import e_max
