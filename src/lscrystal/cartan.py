@@ -11,14 +11,14 @@ which is the last numerator, so gcd(D, *numerators) = 1 and equal
 breakpoints have equal numerators.  breakpoint_ints and
 reduced_breakpoint_ints below make and check that form.
 
-The package's immutable value classes (the matrix, Weyl elements, the
-p/q tables, roots, both path classes, search bounds and reports) derive
-from Frozen below, a __slots__ base in place of @dataclass(frozen=True).
+The package's immutable value classes (the matrix, weights, Weyl
+elements, the p/q tables, roots, both path classes, search bounds and
+reports) derive from Frozen below, a __slots__ base in place of
+@dataclass(frozen=True).
 """
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from math import gcd, lcm
 from operator import attrgetter, lt
@@ -58,8 +58,8 @@ class Frozen:
     - __match_args__, the fields, for class patterns.
 
     A subclass may override any of these (both path classes print and
-    pickle their derived form).  dataclasses.fields, is_dataclass,
-    asdict and replace do not apply.
+    pickle their derived form, Weight prints its bare coordinates).
+    dataclasses.fields, is_dataclass, asdict and replace do not apply.
     """
 
     __slots__ = ()
@@ -138,7 +138,7 @@ class GCM(Frozen):
 _set_a, _set_b, _set_gcm_hash = slot_setters(GCM)
 
 
-class Weight:
+class Weight(Frozen):
     """A weight c1*L1 + c2*L2 with exact rational coordinates.
 
     Orbit weights (and anything a path evaluates to at t = 1) are
@@ -149,16 +149,8 @@ class Weight:
     __slots__ = ("c1", "c2")
 
     def __init__(self, c1, c2):
-        self.c1 = Fraction(c1)
-        self.c2 = Fraction(c2)
-
-    def __eq__(self, other):
-        if not isinstance(other, Weight):
-            return NotImplemented
-        return self.c1 == other.c1 and self.c2 == other.c2
-
-    def __hash__(self):
-        return hash((self.c1, self.c2))
+        _set_c1(self, Fraction(c1))
+        _set_c2(self, Fraction(c2))
 
     def __add__(self, other):
         return Weight(self.c1 + other.c1, self.c2 + other.c2)
@@ -180,35 +172,8 @@ class Weight:
         sign = "+" if c2 >= 0 else "-"
         return f"{self.c1}L1 {sign} {abs(c2)}L2"
 
-    @property
-    def is_integral(self) -> bool:
-        return self.c1.denominator == 1 and self.c2.denominator == 1
 
-    def to_json(self) -> dict:
-        """Serialize with decimal-string coordinates; integral only."""
-        if not self.is_integral:
-            raise ValueError(f"non-integral weight {self!r} has no JSON form")
-        return {"c1": str(self.c1), "c2": str(self.c2)}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "Weight":
-        """Inverse of to_json: each coordinate an int or a decimal-integer string.
-
-        A bool, float or any other type raises TypeError; a string that
-        is not a decimal integer raises ValueError.
-        """
-        return cls(_integer_from_json(data["c1"]), _integer_from_json(data["c2"]))
-
-
-def _integer_from_json(value) -> int:
-    if type(value) is int:  # bool is an int subclass
-        return value
-    if type(value) is not str:
-        raise TypeError(f"weight coordinate must be an integer or a string, got {value!r}")
-    if re.fullmatch(r"-?[0-9]+", value) is None:
-        raise ValueError(f"weight coordinate is not a decimal integer: {value!r}")
-    return int(value)
-
+_set_c1, _set_c2 = slot_setters(Weight)
 
 LAMBDA = Weight(1, -1)  # the fixed shape L1 - L2
 

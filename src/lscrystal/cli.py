@@ -211,18 +211,16 @@ def cmd_apply(args, gcm: GCM) -> int:
     def emit(result: LSPath | None) -> int:
         if result is None:
             print("null")
-        elif given is None:
-            print(json.dumps(result.to_json()))
-        else:
+            return OK
+        if given is not None:
             try:
-                doc = from_ls_path(result).to_json()
+                result = from_ls_path(result)
             except ValueError as err:
                 # a generic image of a path outside the crystal need not
                 # be a normal form, so it has no answer in the input schema
                 print(f"error: not a normal form: {err}", file=sys.stderr)
                 return MALFORMED_INPUT
-            print(json.dumps(doc))
-        return OK
+        return _print_json(result.to_json, OK)
 
     if args.mode == "generic":
         reason = _not_ls_path(pi, gcm)
@@ -255,20 +253,30 @@ def cmd_apply(args, gcm: GCM) -> int:
     closed_pi = None if closed is None else to_ls_path(closed)
     if closed_pi != engine:
         # everything needed to rerun this apply call and see it again
-        print(
-            json.dumps(
-                {
-                    "a": gcm.a,
-                    "b": gcm.b,
-                    "op": args.op,
-                    "input": (pi if given is None else given).to_json(),
-                    "explicit": None if closed is None else closed.to_json(),
-                    "generic": None if engine is None else engine.to_json(),
-                }
-            )
+        return _print_json(
+            lambda: {
+                "a": gcm.a,
+                "b": gcm.b,
+                "op": args.op,
+                "input": (pi if given is None else given).to_json(),
+                "explicit": None if closed is None else closed.to_json(),
+                "generic": None if engine is None else engine.to_json(),
+            },
+            ENGINES_DISAGREE,
         )
-        return ENGINES_DISAGREE
     return emit(engine)
+
+
+def _print_json(make_doc, code: int) -> int:
+    """Print the document make_doc() builds and return code, or report a
+    breakpoint past the int-to-string digit limit, which a path's to_json
+    meets at large --a, --b or m."""
+    try:
+        doc = make_doc()
+    except ValueError:
+        return _too_many_digits("--a, --b or the path's m")
+    print(json.dumps(doc))
+    return code
 
 
 def cmd_validate(args, gcm: GCM) -> int:

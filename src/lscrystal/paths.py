@@ -62,7 +62,7 @@ from .cartan import (
     reduced_breakpoint_ints,
     slot_setters,
 )
-from .weyl import BY_ORDER_KEY, IDENTITY, WeylElement, orbit_weight
+from .weyl import BY_ORDER_KEY, IDENTITY, WeylElement, orbit_weight, reflected_key
 
 
 class LSPath(Frozen):
@@ -286,16 +286,6 @@ def weight(pi: LSPath, gcm: GCM) -> Weight:
     return Weight(c1 // den, c2 // den)
 
 
-def _reflected_key(key: int, i: int) -> int:
-    """The order key of BY_ORDER_KEY[key].reflected(i).
-
-    The two neighbours of key in the chain are key + 1 and key - 1, and
-    the edge from k to k + 1 is an r_1-edge for even k, an r_2-edge for
-    odd k.
-    """
-    return key + 1 if (key - i) % 2 else key - 1
-
-
 def _reflect_pieces(keys: list[int], nums: list[int], i: int, lo: int, hi: int) -> LSPath:
     """Step pieces lo..hi-1 to their r_i-neighbours and make the path.
 
@@ -306,7 +296,7 @@ def _reflect_pieces(keys: list[int], nums: list[int], i: int, lo: int, hi: int) 
     section; those pieces are merged.
     """
     for k in range(lo, hi):
-        keys[k] = _reflected_key(keys[k], i)
+        keys[k] = reflected_key(keys[k], i)
     for k in (hi, lo):
         if 0 < k < len(keys) and keys[k - 1] == keys[k]:
             del keys[k]
@@ -473,12 +463,12 @@ def _pitman(pi: LSPath, i: int, gcm: GCM, from_left: bool) -> LSPath:
         if k not in marks:
             pieces = ((key, end),)
         elif k not in split:
-            pieces = ((_reflected_key(key, i), end),)
+            pieces = ((reflected_key(key, i), end),)
         else:
             # H_i meets the running minimum inside the piece
             c, rise = split[k]
             cut = nums[k] * scale + rise * (scale // c)
-            r = _reflected_key(key, i)
+            r = reflected_key(key, i)
             pieces = ((key, cut), (r, end)) if from_left else ((r, cut), (key, end))
         for d, n in pieces:
             if keys and keys[-1] == d:

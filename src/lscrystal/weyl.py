@@ -88,11 +88,7 @@ class WeylElement(Frozen):
         """
         if i not in (1, 2):
             raise ValueError(f"simple root index must be 1 or 2, got {i}")
-        if self.is_identity:
-            return x(1) if i == 1 else y(1)
-        if i == self.descent_index:
-            return WeylElement(self.family, self.m - 1)
-        return WeylElement(self.family, self.m + 1)
+        return BY_ORDER_KEY[reflected_key(self.order_key, i)]
 
     def __str__(self):
         return f"{self.family}{self.m}"
@@ -132,6 +128,16 @@ class _ByOrderKey(dict):
 # order key -> its element, each built once: paths store their directions
 # as order keys and read the elements back through this table
 BY_ORDER_KEY = _ByOrderKey()
+
+
+def reflected_key(key: int, i: int) -> int:
+    """The order key of the r_i-neighbour of the element with order key key.
+
+    The two neighbours of key in the Hasse chain are key + 1 and key - 1,
+    and the edge from k to k + 1 is an r_1-edge for even k, an r_2-edge
+    for odd k.
+    """
+    return key + 1 if (key - i) % 2 else key - 1
 
 
 def apply_weyl(w: WeylElement, mu: Weight, gcm: GCM) -> Weight:

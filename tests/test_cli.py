@@ -368,6 +368,40 @@ def test_entries_past_the_digit_limit_are_bad_parameters(argv):
     )
 
 
+# one path in both spellings; its f1 image at a = b = 100000 has a
+# denominator past the default digit limit
+DIGIT_LIMIT_PAYLOADS = (
+    '{"dirs": [{"family": "x", "m": 1000}], "sigmas": ["0", "1"]}',
+    '{"form": "i", "m": 1000, "s": 1, "sigmas": ["0", "1"]}',
+)
+APPLY_DIGIT_LIMIT_ERROR = (
+    "error: an entry has more than {} digits, the limit of int-to-string conversion "
+    "(sys.get_int_max_str_digits()); lower --a, --b or the path's m\n"
+)
+
+
+@pytest.mark.parametrize("mode", ["generic", "explicit", "both"])
+@pytest.mark.parametrize("stdin", DIGIT_LIMIT_PAYLOADS)
+def test_apply_image_past_the_digit_limit_is_bad_parameters(capsys, monkeypatch, stdin, mode):
+    code, out, err = run(
+        capsys, "apply", "--a", "100000", "--b", "100000", "--op", "f1", "--mode", mode,
+        stdin=stdin, monkeypatch=monkeypatch,
+    )
+    assert (code, out) == (2, "")
+    assert err == APPLY_DIGIT_LIMIT_ERROR.format(sys.get_int_max_str_digits())
+
+
+@pytest.mark.parametrize("stdin", DIGIT_LIMIT_PAYLOADS)
+def test_engine_disagreement_past_the_digit_limit_is_bad_parameters(capsys, monkeypatch, stdin):
+    monkeypatch.setitem(cli._OPS_GENERIC, "f1", (lambda pi, i, gcm: None, 1))
+    code, out, err = run(
+        capsys, "apply", "--a", "100000", "--b", "100000", "--op", "f1", "--mode", "both",
+        stdin=stdin, monkeypatch=monkeypatch,
+    )
+    assert (code, out) == (2, "")
+    assert err == APPLY_DIGIT_LIMIT_ERROR.format(sys.get_int_max_str_digits())
+
+
 def test_validate_ls_input_converts(capsys, monkeypatch):
     two = json.dumps(
         {

@@ -75,6 +75,12 @@ CAP_PAYLOADS = (
     '{"dirs": [{"family": "y", "m": 1001}], "sigmas": ["0", "1"]}',
     '{"form": "ii", "m": 1000, "s": 1, "sigmas": ["0", "1"]}',
 )
+# one path in both spellings whose f1 image at a = b = 100000 has a
+# breakpoint past the int-to-string digit limit (exit 2)
+DIGIT_LIMIT_PAYLOADS = (
+    '{"dirs": [{"family": "x", "m": 1000}], "sigmas": ["0", "1"]}',
+    '{"form": "i", "m": 1000, "s": 1, "sigmas": ["0", "1"]}',
+)
 
 
 def run_case(argv, stdin):
@@ -182,6 +188,9 @@ def _cases():
     for stdin in CAP_PAYLOADS:
         yield ["validate", "--a", "3", "--b", "3"], stdin
         yield ["apply", "--a", "3", "--b", "3", "--op", "f1"], stdin
+    for stdin in DIGIT_LIMIT_PAYLOADS:
+        for mode in MODES:
+            yield ["apply", "--a", "100000", "--b", "100000", "--op", "f1", "--mode", mode], stdin
 
 
 def record():

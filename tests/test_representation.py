@@ -13,7 +13,7 @@ from math import gcd
 
 import pytest
 
-from lscrystal.cartan import GCM
+from lscrystal.cartan import GCM, simple_reflect
 from lscrystal.explicit import (
     FORM_I,
     FORM_II,
@@ -24,8 +24,8 @@ from lscrystal.explicit import (
     to_ls_path,
 )
 from lscrystal.oracle import SearchBounds, denominator_policy, enumerate_ls_paths
-from lscrystal.paths import LSPath, _reflected_key, e_generic, f_generic, straight_path
-from lscrystal.weyl import BY_ORDER_KEY, IDENTITY, pq_table, x, y
+from lscrystal.paths import LSPath, e_generic, f_generic, straight_path
+from lscrystal.weyl import BY_ORDER_KEY, IDENTITY, orbit_weight, pq_table, reflected_key, x, y
 
 G25 = GCM(2, 5)
 G33 = GCM(3, 3)
@@ -232,9 +232,12 @@ def test_int_spelling_error_messages(build, message):
 
 
 def test_reflected_key_matches_weyl_reflection():
-    for key in range(-12, 13):
-        for i in (1, 2):
-            assert BY_ORDER_KEY[_reflected_key(key, i)] == BY_ORDER_KEY[key].reflected(i)
+    # against the definition: the step's orbit weight is r_i of the weight
+    for g in (GCM(2, 3), G25, G33, GCM(4, 4)):
+        for key in range(-30, 31):
+            for i in (1, 2):
+                stepped = orbit_weight(BY_ORDER_KEY[reflected_key(key, i)], g)
+                assert stepped == simple_reflect(i, orbit_weight(BY_ORDER_KEY[key], g), g)
 
 
 @pytest.mark.parametrize("ab", [(1, 5), (5, 1), (2, 3), (3, 3), (2, 5)])

@@ -4,8 +4,9 @@ they replaced.
 Each class is checked against a twin: the @dataclass(frozen=True) it
 used to be, fields and validation as they were, defined here as the
 reference.  The twin carries the real class's __qualname__, so the two
-reprs can be compared as text.  Also pinned: importing the command line
-pulls in none of dataclasses, inspect and typing.
+reprs can be compared as text.  Weight has no twin: it keeps its own
+repr and str, so it is pinned on its own.  Also pinned: importing the
+command line pulls in none of dataclasses, inspect and typing.
 """
 
 import copy
@@ -20,10 +21,10 @@ from pathlib import Path
 
 import pytest
 
-from lscrystal.cartan import GCM
+from lscrystal.cartan import GCM, Weight
 from lscrystal.oracle import CheckResult, SearchBounds, VerificationReport
 from lscrystal.paths import PiecewiseLinear
-from lscrystal.weyl import HasseNeighbors, PositiveRoot, PQTable, WeylElement, x, y
+from lscrystal.weyl import HasseNeighbors, PositiveRoot, PQTable, WeylElement, orbit_weight, x, y
 
 
 @dataclass(frozen=True)
@@ -313,3 +314,57 @@ def test_frozen_instance_error_is_imported_on_the_error_path():
     proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "dataclasses FrozenInstanceError cannot assign to field 'a'\n"
+
+
+WEIGHTS = (Weight(7, -3), Weight(F(1, 3), -2), Weight(-F(5, 2), F(9, 4)), Weight(0, 0))
+
+
+@pytest.mark.parametrize("w", WEIGHTS, ids=str)
+def test_weight_assignment_and_deletion_raise_frozen_instance_error(w):
+    before = (w.c1, w.c2)
+    for name in ("c1", "c2", "not_a_field"):
+        with pytest.raises(FrozenInstanceError) as err:
+            setattr(w, name, 1)
+        assert str(err.value) == f"cannot assign to field {name!r}"
+        with pytest.raises(FrozenInstanceError) as err:
+            delattr(w, name)
+        assert str(err.value) == f"cannot delete field {name!r}"
+    assert (w.c1, w.c2) == before
+
+
+def test_cached_orbit_weight_cannot_be_changed():
+    g = GCM(3, 3)
+    w = orbit_weight(x(1), g)
+    with pytest.raises(FrozenInstanceError):
+        w.c1 = 99
+    with pytest.raises(FrozenInstanceError):
+        del w.c2
+    assert orbit_weight(x(1), g) is w
+    assert str(orbit_weight(x(1), g)) == "-1L1 + 2L2"
+
+
+@pytest.mark.parametrize("w", WEIGHTS, ids=str)
+def test_weight_eq_hash_and_round_trips(w):
+    assert type(w.c1) is F and type(w.c2) is F
+    assert hash(w) == hash((w.c1, w.c2))
+    assert w.__eq__((w.c1, w.c2)) is NotImplemented and w != (w.c1, w.c2)
+    assert w.__eq__((1, 2)) is NotImplemented
+    for again in (copy.copy(w), copy.deepcopy(w), pickle.loads(pickle.dumps(w))):
+        assert type(again) is Weight
+        assert again == w and hash(again) == hash(w)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(w, protocol)) == w
+
+
+def test_weight_match_args_are_its_coordinates():
+    assert Weight.__match_args__ == ("c1", "c2")
+    match Weight(2, -1):
+        case Weight(c1, c2):
+            assert (c1, c2) == (2, -1)
+
+
+def test_weight_repr_and_str_text():
+    assert repr(Weight(7, -3)) == "Weight(7, -3)"
+    assert repr(Weight(F(1, 3), -2)) == "Weight(1/3, -2)"
+    assert str(Weight(F(1, 3), -2)) == "1/3L1 - 2L2"
+    assert str(Weight(-F(5, 2), F(9, 4))) == "-5/2L1 + 9/4L2"
