@@ -46,8 +46,11 @@ OK, CHECK_FAILED, BAD_PARAMS, MALFORMED_INPUT, ENGINES_DISAGREE = 0, 1, 2, 3, 4
 # entries of O(m) digits each, so a few bytes could ask for any amount
 # of memory.  At the cap a straight path costs a whole `validate` or
 # `apply` process at most 0.7 MB of peak RSS over m = 1, at (3,3) and
-# at (20,20), and no time outside the start-up spread; m = 2000 costs
-# 3.3 MB and m = 10000 110 MB (CPython 3.11.7, x86-64 Linux).
+# at (20,20), and no time outside the start-up spread; a straight path
+# at m = 10000 costs 47 MB.  A path of the 1000 directions x_1000, ...,
+# x_1, whose height functions `apply --mode generic` builds before it
+# refuses the path, costs 1.2 MB over m = 1, 18 MB and 0.15 s in all
+# (CPython 3.11.7, x86-64 Linux).
 INDEX_CAP = 1000
 
 # verify selector -> (runner(gcm, bounds), needs a, b >= 2).  The runners
@@ -75,10 +78,35 @@ def _too_many_digits(option: str) -> int:
     return BAD_PARAMS
 
 
+def _newest_fit(n: int, newest) -> bool:
+    """Whether str() takes newest(k) at k = 1, 2, 4, ... below n and at n.
+
+    newest(k) is the last few entries of a command's table of length k,
+    so the command grows its table in doubling lengths and stops near
+    the first entry past the int-to-string digit limit, not after
+    building the table of length n.  The command still converts its
+    whole table of length n, so this only makes its exit 2 come sooner.
+    """
+    try:
+        for k in [1 << j for j in range((n - 1).bit_length())] + [n]:
+            for v in newest(k):
+                str(v)
+    except ValueError:
+        return False
+    return True
+
+
+def _pq_fit(gcm: GCM, n: int) -> bool:
+    """_newest_fit over the p/q tables up to length n."""
+    return _newest_fit(n, lambda k: pq_table(gcm, k).p[-2:] + pq_table(gcm, k).q[-2:])
+
+
 def cmd_sequences(args, gcm: GCM) -> int:
     if args.n < 1:
         print("error: --n must be at least 1", file=sys.stderr)
         return BAD_PARAMS
+    if not _pq_fit(gcm, args.n):
+        return _too_many_digits("--n")
     table = pq_table(gcm, args.n)
     try:
         p, q = [str(v) for v in table.p], [str(v) for v in table.q]
@@ -96,6 +124,9 @@ def cmd_orbit(args, gcm: GCM) -> int:
     if args.m_max < 0:
         print("error: --m-max must be nonnegative", file=sys.stderr)
         return BAD_PARAMS
+    # the window's weights have the coordinates +-p_0..p_{m_max+1}, +-q_1..q_{m_max+1}
+    if not _pq_fit(gcm, args.m_max + 1):
+        return _too_many_digits("--m-max")
     rows = []
     for w in window_elements(args.m_max):
         wt = orbit_weight(w, gcm)
@@ -115,6 +146,8 @@ def cmd_positive_roots(args, gcm: GCM) -> int:
     if args.n < 1:
         print("error: --n must be at least 1", file=sys.stderr)
         return BAD_PARAMS
+    if not _newest_fit(args.n, lambda k: positive_roots_recurrence(gcm, k)[-2:]):
+        return _too_many_digits("--n")
     rec = positive_roots_recurrence(gcm, args.n)
     weyl = {r.coords for r in positive_roots_weyl(gcm, (args.n + 1) // 2)}
     stray = [coords for coords in rec if coords not in weyl]

@@ -5,7 +5,7 @@ directions inside a single Weyl family: form i is
 (x_{m+s-1}.L, ..., x_m.L) with breakpoint u a multiple of 1/p_{m+s-u},
 and form ii is (y_{m-s+1}.L, ..., y_m.L) with breakpoint u a multiple
 of 1/q_{m-s+u+1}.  The operators below move (m, s, sigmas) around by
-closed formulas built on the p/q tables and never consult the
+closed formulas built on the p table and never consult the
 piecewise-linear engine in paths.py; the test suite drives both engines
 over full enumeration windows and demands exact agreement.
 
@@ -37,8 +37,18 @@ e_explicit each compute it and take their own branch, and fe_explicit
 computes it once and takes both.  What depends on the shape
 (form, m, s) alone, the grid of integrality denominators and the
 slopes c_j for i = 1 and i = 2, is one cached table per matrix and
-shape, built once from the p/q tables; the direction keys need no
-matrix and are cached by shape alone.
+shape; the direction keys need no matrix and are cached by shape alone.
+
+Only form i has a table formula, on the p table.  Form ii is read off
+it through the duality Phi: Littelmann's dual path
+pi*(t) = pi(1 - t) - pi(1), with e_i(pi*) = (f_i pi)*, composed with
+the diagram automorphism (a, b) <-> (b, a), which swaps the indices
+1 and 2.  On the stored ints Phi reverses and negates the direction
+keys and replaces n_u by D - n_{s-u}; it takes form ii (m, s) at
+(a, b) to form i (m - s + 1, s) at (b, a), and f_i to e_{3-i}.  So
+the form-ii table is that form-i table with the grid reversed, the
+slopes negated, reversed and swapped between i = 1 and 2, and the
+jumps reversed and swapped.  The engine in paths.py never uses Phi.
 
 Like LSPath, an ExplicitPath stores its breakpoints as the int
 numerators n_u = sigma_u * D over their least common denominator D,
@@ -86,7 +96,7 @@ from .cartan import (
     slot_setters,
 )
 from .paths import LSPath
-from .weyl import BY_ORDER_KEY, WeylElement, X, pq_table
+from .weyl import BY_ORDER_KEY, WeylElement, X, pq_table_covering
 
 FORM_I = "i"
 FORM_II = "ii"
@@ -253,24 +263,23 @@ def _shape_keys(form: str, m: int, s: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def _shape_table(gcm: GCM, form: str, m: int, s: int) -> _ShapeTable:
-    """The table of one shape, built once per matrix from the p/q tables.
+    """The table of one shape, built once per matrix.
 
-    Piece j is x_k with k = m + s - j on form i and y_k with
-    k = m - s + j on form ii.
+    Form i is read off the p table: piece j is x_k with k = m + s - j.
+    Form ii is the form-i table at the transposed matrix and shape
+    (m - s + 1, s), carried back by the duality Phi of the module
+    docstring.
     """
-    table = pq_table(gcm, m + s)
-    if form == FORM_I:
-        p, run = table.p, range(m + s - 1, m - 1, -1)
-        grid = p[m + s - 1 : m : -1]
-        h1 = [(-1) ** k * p[k + xi(k)] for k in run]
-        h2 = [(-1) ** (k + 1) * p[k + xi(k + 1)] for k in run]
-    else:
-        q, run = table.q, range(m - s + 1, m + 1)
-        grid = q[m - s + 2 : m + 1]
-        h1 = [(-1) ** k * q[k + xi(k + 1)] for k in run]
-        h2 = [(-1) ** (k + 1) * q[k + xi(k)] for k in run]
+    if form == FORM_II:
+        dual = _shape_table(GCM(gcm.b, gcm.a), FORM_I, m - s + 1, s)
+        slopes = tuple(tuple([-c for c in reversed(h)]) for h in reversed(dual.slopes))
+        jumps = tuple(h[::-1] for h in reversed(dual.jumps))
+        return _ShapeTable(dual.grid[::-1], slopes, jumps)
+    p, run = pq_table_covering(gcm, m + s).p, range(m + s - 1, m - 1, -1)
+    h1 = tuple([(-1) ** k * p[k + xi(k)] for k in run])
+    h2 = tuple([(-1) ** (k + 1) * p[k + xi(k + 1)] for k in run])
     jumps = tuple(tuple(map(sub, h[1:], h)) for h in (h1, h2))
-    return _ShapeTable(grid, (tuple(h1), tuple(h2)), jumps)
+    return _ShapeTable(p[m + s - 1 : m : -1], (h1, h2), jumps)
 
 
 def _off_grid(ep: ExplicitPath, u: int, den: int) -> ValueError:

@@ -9,6 +9,11 @@ the induced order,
 
 and the integer sequences p_m, q_m below give every orbit weight in
 closed form: orbit_weight(w, gcm) is the Weight of w applied to L1 - L2.
+The diagram automorphism (a, b) <-> (b, a) swaps the two families, and
+q of (a, b) is p of (b, a), so one recurrence gives both.  Callers that
+walk over lengths read tables whose length is rounded up to a power of
+two (pq_table_covering), so a matrix keeps O(log n) tables, not one
+per length.
 Positive real roots are carried together with a Weyl witness w(alpha_i)
 so coroot pairings need no bilinear form; positive_roots_weyl lists
 them by witness, and the oracle's chain search takes its roots from it.
@@ -148,12 +153,15 @@ def apply_weyl(w: WeylElement, mu: Weight, gcm: GCM) -> Weight:
 
 
 class PQTable(Frozen):
-    """p_0..p_n and q_0..q_n.
+    """p_0..p_n of the matrix (a, b) and q_0..q_n, which is p of (b, a).
 
     p_0 = p_1 = 1 and p_{m+2} = b p_{m+1} - p_m for even m,
-    a p_{m+1} - p_m for odd m; q is the same with a and b swapped.
-    For a, b >= 2 both sequences are coprime in consecutive pairs and
-    strictly increasing from index 2 on.
+    a p_{m+1} - p_m for odd m; q of (a, b) is p of the transposed
+    matrix, so the recurrence is stated once (_p_sequence).  For
+    a, b >= 2 both sequences are coprime in consecutive pairs and
+    strictly increasing from index 2 on.  The orbit weights and the
+    shape tables read tables of power-of-two lengths n
+    (pq_table_covering).
     """
 
     __slots__ = ("p", "q")
@@ -166,20 +174,28 @@ class PQTable(Frozen):
 _set_p, _set_q = slot_setters(PQTable)
 
 
+def _p_sequence(a: int, b: int, n: int) -> tuple[int, ...]:
+    p = [1, 1]
+    for m in range(n - 1):
+        p.append((b if m % 2 == 0 else a) * p[-1] - p[-2])
+    return tuple(p)
+
+
 @lru_cache(maxsize=None)
 def pq_table(gcm: GCM, n: int) -> PQTable:
     if n < 1:
         raise ValueError(f"table length must be at least 1, got n={n}")
-    p = [1, 1]
-    q = [1, 1]
-    for m in range(n - 1):
-        if m % 2 == 0:
-            p.append(gcm.b * p[-1] - p[-2])
-            q.append(gcm.a * q[-1] - q[-2])
-        else:
-            p.append(gcm.a * p[-1] - p[-2])
-            q.append(gcm.b * q[-1] - q[-2])
-    return PQTable(tuple(p[: n + 1]), tuple(q[: n + 1]))
+    return PQTable(_p_sequence(gcm.a, gcm.b, n), _p_sequence(gcm.b, gcm.a, n))
+
+
+def pq_table_covering(gcm: GCM, n: int) -> PQTable:
+    """The pq_table whose length is n rounded up to a power of two.
+
+    It holds p_0..p_n and q_0..q_n.  Callers that walk over lengths
+    read these tables, so a matrix keeps O(log n) tables of O(n)
+    entries in pq_table's cache instead of one table per length.
+    """
+    return pq_table(gcm, 1 << (n - 1).bit_length())
 
 
 @lru_cache(maxsize=None)
@@ -191,7 +207,7 @@ def orbit_weight(w: WeylElement, gcm: GCM) -> Weight:
     Agrees with apply_weyl(w, LAMBDA, gcm) (tested, not recomputed here).
     """
     m = w.m
-    t = pq_table(gcm, m + 1)
+    t = pq_table_covering(gcm, m + 1)
     if w.family == X:
         return Weight(t.p[m + 1], -t.p[m]) if m % 2 == 0 else Weight(-t.p[m], t.p[m + 1])
     return Weight(t.q[m], -t.q[m + 1]) if m % 2 == 0 else Weight(-t.q[m + 1], t.q[m])

@@ -368,6 +368,47 @@ def test_entries_past_the_digit_limit_are_bad_parameters(argv):
     )
 
 
+def _first_index_past(limit: int, *sequences) -> int:
+    return min(next(k for k, v in enumerate(seq) if abs(v) >= 10**limit) for seq in sequences)
+
+
+def _p(a: int, b: int, count: int) -> list[int]:
+    p = [1, 1]
+    for k in range(count):
+        p.append((b if k % 2 == 0 else a) * p[-1] - p[-2])
+    return p
+
+
+@pytest.mark.parametrize("ab", [(3, 3), (2, 5), (1, 5)])
+def test_digit_limit_exit_comes_at_the_first_entry_past_it(capsys, ab):
+    """Each command exits 2 exactly when its table of length n holds an
+    entry past the limit, however far past that entry n lies."""
+    a, b = ab
+    # the root coordinates: c_{k+1} = a d_k - c_{k-1}, d_{k+1} = b c_k - d_{k-1}
+    c, d = [0, 1], [0, 1]
+    for _ in range(4000):
+        c_next, d_next = a * d[-1] - c[-2], b * c[-1] - d[-2]
+        c.append(c_next)
+        d.append(d_next)
+    n_seq = _first_index_past(640, _p(a, b, 4000), _p(b, a, 4000))
+    n_roots = _first_index_past(640, c, d)
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        for command, option, n in (
+            ("sequences", "--n", n_seq),
+            # x_m and y_m read p_m, p_{m+1} and q_m, q_{m+1}
+            ("orbit", "--m-max", n_seq - 1),
+            ("positive-roots", "--n", n_roots),
+        ):
+            for value, code in ((n - 1, 0), (n, 2), (10**7, 2)):
+                got, _, err = run(capsys, command, "--a", str(a), "--b", str(b), option, str(value))
+                assert got == code, (command, value, err)
+                assert err.endswith(f"lower {option}\n") == (code == 2)
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
 # one path in both spellings; its f1 image at a = b = 100000 has a
 # denominator past the default digit limit
 DIGIT_LIMIT_PAYLOADS = (

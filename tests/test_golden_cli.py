@@ -191,6 +191,15 @@ def _cases():
     for stdin in DIGIT_LIMIT_PAYLOADS:
         for mode in MODES:
             yield ["apply", "--a", "100000", "--b", "100000", "--op", "f1", "--mode", mode], stdin
+    # far past the digit limit: the tables grow in doubling lengths and
+    # stop near the first entry past it, instead of running out of memory
+    for argv in (
+        ["sequences", "--a", "3", "--b", "3", "--n", "10000000"],
+        ["orbit", "--a", "3", "--b", "3", "--m-max", "10000000"],
+        ["positive-roots", "--a", "3", "--b", "3", "--n", "10000000"],
+    ):
+        for fmt in ([], ["--json"]):
+            yield argv + fmt, None
 
 
 def record():

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -97,6 +98,23 @@ def test_pq_tables_frozen():
 def test_pq_table_rejects_short_windows():
     with pytest.raises(ValueError):
         pq_table(GCM(3, 3), 0)
+
+
+def test_orbit_weights_keep_a_few_tables_per_matrix():
+    # orbit_weight reads tables of power-of-two lengths: a walk over the
+    # lengths up to 1000 keeps 11 of them, not one per length
+    g = GCM(3, 3)
+    orbit_weight.cache_clear()
+    pq_table.cache_clear()
+    tracemalloc.start()
+    try:
+        for k in range(1001):
+            orbit_weight(x(k), g)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert retained < 10 * 2**20
+    assert pq_table.cache_info().currsize == 11
 
 
 def test_orbit_weights_frozen():
