@@ -166,25 +166,12 @@ class ExplicitPath(Frozen):
         _set_on_grid_of(self, None)
         return self
 
-    def __eq__(self, other):
-        if type(other) is not ExplicitPath:
-            return NotImplemented
-        return self.m == other.m and self.form == other.form and self.nums == other.nums
-
-    def __hash__(self):
-        return hash((self.form, self.m, self.nums))
-
     def __reduce__(self):
         return ExplicitPath, (self.form, self.m, self.s, self.sigmas)
 
     @property
     def s(self) -> int:
         return len(self.nums) - 1
-
-    @property
-    def den(self) -> int:
-        """The least common denominator of the breakpoints."""
-        return self.nums[-1]
 
     @property
     def sigmas(self) -> tuple[Fraction, ...]:

@@ -11,9 +11,10 @@ inside the section steps to its r_i-neighbour and nothing else moves.
 A path is stored in ints: the order keys of its directions and the
 breakpoint numerators n_u = s_u * D over their least common denominator
 D, so gcd(D, *numerators) = 1; D itself is the last numerator, as
-s_s = 1.  That form is canonical, so equality and hashing compare ints
-only; the breakpoints as reduced Fractions (times) and the directions
-as WeylElements (dirs) are derived when read.
+s_s = 1.  That form is canonical, so equality and hashing, which Frozen
+derives from (keys, nums), compare ints only; the breakpoints as
+reduced Fractions (times) and the directions as WeylElements (dirs)
+are derived when read.
 
 The engine here is the semantics: it computes the section boundaries
 t_0, t_1 by exact root-finding on H_i and makes no use of the
@@ -117,25 +118,12 @@ class LSPath(Frozen):
         _set_nums(self, nums)
         return self
 
-    def __eq__(self, other):
-        if type(other) is not LSPath:
-            return NotImplemented
-        return self.keys == other.keys and self.nums == other.nums
-
-    def __hash__(self):
-        return hash((self.keys, self.nums))
-
     def __reduce__(self):
         return LSPath, (self.dirs, self.times)
 
     @property
     def dirs(self) -> tuple[WeylElement, ...]:
         return tuple([BY_ORDER_KEY[k] for k in self.keys])
-
-    @property
-    def den(self) -> int:
-        """The least common denominator of the breakpoints."""
-        return self.nums[-1]
 
     @property
     def times(self) -> tuple[Fraction, ...]:

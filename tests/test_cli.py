@@ -94,6 +94,7 @@ def test_apply_output_keeps_input_schema(capsys, monkeypatch):
 
 
 NOT_LS = '{"dirs": [{"family": "x", "m": 1}, {"family": "x", "m": 0}], "sigmas": ["0", "1/2", "1"]}'
+NOT_LS_MINIMUM = '{"dirs": [{"family": "x", "m": 3}, {"family": "x", "m": 0}], "sigmas": ["0", "1/2", "1"]}'
 THREE_PIECE_LS = json.dumps(
     {
         "dirs": [{"family": "x", "m": 4}, {"family": "x", "m": 3}, {"family": "x", "m": 2}],
@@ -104,15 +105,18 @@ THREE_PIECE_LS = json.dumps(
 
 @pytest.mark.parametrize("op", ["f1", "f2", "e1", "e2"])
 def test_apply_generic_rejects_non_ls_path(capsys, monkeypatch, op):
-    # endpoint weight 0L1 + 1/2 L2: H_1 has no section to reflect for f1/e1,
-    # and f2/e2 used to answer on it anyway
-    code, out, err = run(
-        capsys, "apply", "--a", "3", "--b", "3", "--op", op, "--mode", "generic",
-        stdin=NOT_LS, monkeypatch=monkeypatch,
-    )
-    assert code == 3
-    assert out == ""
-    assert err.startswith("error: not an LS path")
+    for stdin, reason in (
+        # H_1 has no section to reflect for f1/e1, and f2/e2 used to answer on it anyway
+        (NOT_LS, "path endpoint Weight(0, 1/2) is not integral; corrupt path"),
+        # the endpoint weight -2L1 + 6L2 is integral, but H_1 dips to -5/2 at t = 1/2
+        (NOT_LS_MINIMUM, "H_1 has the non-integral local minimum -5/2"),
+    ):
+        code, out, err = run(
+            capsys, "apply", "--a", "3", "--b", "3", "--op", op, "--mode", "generic",
+            stdin=stdin, monkeypatch=monkeypatch,
+        )
+        assert (code, out) == (3, "")
+        assert err == f"error: not an LS path: {reason}\n"
 
 
 def test_apply_generic_rejects_path_reflecting_out_of_order(capsys, monkeypatch):
@@ -485,6 +489,23 @@ def test_graph_json_nodes_are_deterministic(capsys):
 def test_graph_rejects_boundary(capsys):
     code, _, _ = run(capsys, "graph", "--a", "1", "--b", "5", "--depth", "1")
     assert code == 2
+
+
+def test_graph_depth_at_the_cap_is_accepted(capsys):
+    depth = str(cli.GRAPH_DEPTH_CAP)
+    code, out, err = run(capsys, "graph", "--a", "3", "--b", "3", "--depth", depth)
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert sum(" -> " not in line for line in lines[1:-1]) == 14895
+    assert sum(" -> " in line for line in lines) == 15986
+
+
+@pytest.mark.parametrize("depth", [cli.GRAPH_DEPTH_CAP + 1, 10**9])
+@pytest.mark.parametrize("fmt", ["dot", "json"])
+def test_graph_depth_above_the_cap_is_bad_parameters(capsys, depth, fmt):
+    code, out, err = run(capsys, "graph", "--a", "3", "--b", "3", "--depth", str(depth), "--format", fmt)
+    assert (code, out) == (2, "")
+    assert err == f"error: --depth must be at most {cli.GRAPH_DEPTH_CAP}\n"
 
 
 def test_verify_all_passes(capsys):

@@ -50,7 +50,7 @@ def dual_ls(pi: LSPath) -> LSPath:
 
 
 def dual_explicit(ep: ExplicitPath) -> ExplicitPath:
-    s, den = ep.s, ep.den
+    s, den = ep.s, ep.nums[-1]
     nums = tuple([den - n for n in reversed(ep.nums)])
     if ep.form == FORM_I:
         return ExplicitPath(FORM_II, ep.m + s - 1, s, nums=nums)

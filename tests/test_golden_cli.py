@@ -200,6 +200,13 @@ def _cases():
     ):
         for fmt in ([], ["--json"]):
             yield argv + fmt, None
+    # past the graph depth cap (exit 2)
+    for fmt in ("dot", "json"):
+        yield ["graph", "--a", "3", "--b", "3", "--depth", "17", "--format", fmt], None
+    # an integral endpoint weight, but H_1 has a non-integral local minimum (exit 3)
+    yield ["apply", "--a", "3", "--b", "3", "--op", "f1", "--mode", "generic"], (
+        '{"dirs": [{"family": "x", "m": 3}, {"family": "x", "m": 0}], "sigmas": ["0", "1/2", "1"]}'
+    )
 
 
 def record():

@@ -102,7 +102,7 @@ def test_handoff_matches_validating_constructors_along_deep_walks():
             assert engine is None
             continue
         _assert_handoff(closed, engine)
-        widest = max(widest, engine.den)
+        widest = max(widest, engine.nums[-1])
     # the walks reach 13-digit denominators and both families
     assert widest >= 10**12
 

@@ -21,6 +21,7 @@ from lscrystal.explicit import (
     e_explicit,
     f_explicit,
     from_ls_path,
+    normal_forms_by_shape,
     to_ls_path,
 )
 from lscrystal.oracle import SearchBounds, denominator_policy, enumerate_ls_paths
@@ -33,7 +34,7 @@ G33 = GCM(3, 3)
 
 def _assert_canonical(path, cls):
     """path equals, and hashes like, the path rebuilt from its own JSON."""
-    assert gcd(*path.nums) == 1 and path.nums[-1] == path.den
+    assert gcd(*path.nums) == 1
     again = cls.from_json(path.to_json())
     assert again == path and hash(again) == hash(path), str(path)
     assert again.nums == path.nums
@@ -72,7 +73,7 @@ def test_operator_images_are_canonical_along_deep_walks():
             assert to_ls_path(closed) == engine and from_ls_path(engine) == closed
             assert to_ls_path(from_ls_path(engine)) == engine
             ep, pi = closed, engine
-            widest = max(widest, pi.den)
+            widest = max(widest, pi.nums[-1])
     # the walks reach 13-digit denominators, where a stray factor shows
     assert widest >= 10**12
 
@@ -97,7 +98,7 @@ def test_spellings_of_one_path_are_equal():
     ]
     for pi in spellings:
         assert pi == spellings[0] and hash(pi) == hash(spellings[0])
-        assert pi.keys == (2, 1) and pi.nums == (0, 1, 3) and pi.den == 3
+        assert pi.keys == (2, 1) and pi.nums == (0, 1, 3)
     forms = [
         ExplicitPath(FORM_I, 2, 3, (F(0), F(1, 7), F(2, 3), F(1))),
         ExplicitPath(FORM_I, 2, 3, [0, "1/7", "2/3", 1]),
@@ -107,7 +108,7 @@ def test_spellings_of_one_path_are_equal():
     ]
     for ep in forms:
         assert ep == forms[0] and hash(ep) == hash(forms[0])
-        assert ep.nums == (0, 3, 14, 21) and ep.den == 21
+        assert ep.nums == (0, 3, 14, 21)
     # the straight path's two spellings
     assert ExplicitPath(FORM_II, 0, 1, nums=(0, 5)) == ExplicitPath(FORM_I, 0, 1, (0, 1))
     assert straight_path(y(2)) == LSPath((y(2),), (0, 1)) == LSPath(keys=(-2,), nums=(0, 1))
@@ -134,9 +135,37 @@ def test_paths_that_differ_in_one_place_are_unequal():
     assert to_ls_path(ep) != ep and base != (base.keys, base.nums)
 
 
+def _window_and_walk_forms():
+    """The (3,3) normal forms with m, s <= 3, then the states of four
+    seeded 256-step walks at (2,5)."""
+    yield from normal_forms_by_shape(G33, 3, 3)
+    for seed in range(4):
+        rng = random.Random(seed)
+        ep = ExplicitPath(FORM_I, 0, 1, (0, 1))
+        for _ in range(256):
+            op = f_explicit if rng.random() < 0.5 else e_explicit
+            ep = op(ep, rng.choice((1, 2)), G25) or ep
+            yield ep
+
+
+def test_paths_hash_their_fields_and_compare_only_within_their_class():
+    # sets and dicts of paths keep their order only while a path hashes
+    # as the tuple of its int fields
+    count = 0
+    for ep in _window_and_walk_forms():
+        pi = to_ls_path(ep)
+        pi_fields, ep_fields = (pi.keys, pi.nums), (ep.form, ep.m, ep.nums)
+        assert hash(pi) == hash(pi_fields) and hash(ep) == hash(ep_fields)
+        for path, foreign in ((pi, (ep, pi_fields, None)), (ep, (pi, ep_fields, None))):
+            for other in foreign:
+                assert path.__eq__(other) is NotImplemented
+        count += 1
+    assert count > 1024
+
+
 def test_breakpoints_read_back_as_reduced_fractions():
     pi = LSPath(keys=(3, 2, 1), nums=(0, 4, 6, 12))
-    assert pi.nums == (0, 2, 3, 6) and pi.den == 6
+    assert pi.nums == (0, 2, 3, 6)
     assert pi.times == (F(0), F(1, 3), F(1, 2), F(1))
     assert all(type(t) is F for t in pi.times)
     assert pi.dirs == (x(3), x(2), x(1)) and pi.dirs[0] is BY_ORDER_KEY[3]
