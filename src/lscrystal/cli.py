@@ -347,7 +347,8 @@ def cmd_graph(args, gcm: GCM) -> int:
         print(f"error: --depth must be at most {GRAPH_DEPTH_CAP}", file=sys.stderr)
         return BAD_PARAMS
     order, edges = crystal_bfs(gcm, lambda pi, level: level < args.depth)
-    labels = [f"{from_ls_path(pi)} | {weight(pi, gcm)}" for pi in order]
+    forms = [from_ls_path(pi) for pi in order]
+    labels = [f"{ep} | {weight(pi, gcm)}" for ep, pi in zip(forms, order)]
     if args.format == "dot":
         lines = ["digraph crystal {"]
         for k, label in enumerate(labels):
@@ -359,8 +360,8 @@ def cmd_graph(args, gcm: GCM) -> int:
     else:
         doc = {
             "nodes": [
-                {"id": f"n{k}", "label": labels[k], "path": from_ls_path(order[k]).to_json()}
-                for k in range(len(order))
+                {"id": f"n{k}", "label": label, "path": ep.to_json()}
+                for k, (label, ep) in enumerate(zip(labels, forms))
             ],
             "edges": [{"from": f"n{src}", "to": f"n{dst}", "label": f"f{i}"} for src, dst, i in edges],
         }

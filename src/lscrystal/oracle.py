@@ -35,6 +35,13 @@ step, and the count read off that shared tail is exact.  The
 classification check builds the window's normal forms shape by shape
 instead of filtering a larger enumeration.
 
+The equivalence, axioms and connectedness checks split their work into
+independent shares (the window by index, the root indices, the two
+routes) and hand them to one runner, _run_shares, which runs share 0
+here and the others in forked children when the affinity mask holds
+more than one CPU.  Every check merges its shares' counts and
+counterexamples so that its report is the one a serial run gives.
+
 Apart from check_structure, which also knows the two degenerate orbit
 identities of the a = 1 / b = 1 edge, everything here effectively needs
 a, b >= 2: once orbit weights repeat, the chain search refuses to run
@@ -48,7 +55,7 @@ import math
 import os
 import sys
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .cartan import (
     ANTIDOMINANT,
@@ -582,33 +589,51 @@ def check_straight_through_lambda(gcm: GCM, bounds: SearchBounds) -> Verificatio
 def check_connectedness(gcm: GCM, bounds: SearchBounds) -> VerificationReport:
     """Two independent routes to the same claim: the reduction recipe
     walks every enumerated path back to the straight path, and BFS from
-    the straight path covers the whole enumerated window."""
+    the straight path covers the whole enumerated window.
+
+    The routes are the two shares of _run_shares: the reduction walks
+    are share 0, run here, and BFS coverage is share 1."""
     paths = sorted(enumerate_ls_paths(gcm, bounds), key=str)
+    stuck, uncovered = _run_shares(
+        [partial(_reduction_stuck, gcm, bounds, paths), partial(_bfs_uncovered, gcm, bounds, paths)]
+    )
+    return VerificationReport(
+        (
+            CheckResult("reduction-to-straight", stuck is None, len(paths), stuck),
+            CheckResult("bfs-coverage", uncovered is None, len(paths), uncovered),
+        )
+    )
+
+
+def _reduction_stuck(gcm: GCM, bounds: SearchBounds, paths: list[LSPath]) -> dict | None:
+    """The counterexample of the first of paths that the recipe does not
+    walk back to the straight path, or None."""
     start = straight_path()
     budget = 2 * bounds.m_max + bounds.s_max + 4
-    bad = None
     for pi in paths:
         cur, steps = pi, 0
-        while cur != start and bad is None:
+        while cur != start:
             if steps >= budget:
-                bad = {"path": pi.to_json(), "reason": f"not reduced in {budget} steps"}
-                break
+                return {"path": pi.to_json(), "reason": f"not reduced in {budget} steps"}
             first, last = cur.dirs[0], cur.dirs[-1]
             if first.family == X and first.m > 0:
                 cur = e_max(cur, first.descent_index, gcm)
             elif last.family == Y and last.m > 0:
                 cur = f_max(cur, last.descent_index, gcm)
             else:
-                bad = {"path": pi.to_json(), "reason": "recipe stuck", "at": cur.to_json()}
+                return {"path": pi.to_json(), "reason": "recipe stuck", "at": cur.to_json()}
             steps += 1
-        if bad:
-            break
-    reduction_result = CheckResult("reduction-to-straight", bad is None, len(paths), bad)
+    return None
 
-    # expansion stays near the window, with a little slack in s; any node
-    # reached still counts for coverage.  A larger slack reaches a
-    # superset of the nodes, so slack 2 runs only when slack 1 leaves a
-    # target uncovered, and the report is the same either way
+
+def _bfs_uncovered(gcm: GCM, bounds: SearchBounds, paths: list[LSPath]) -> dict | None:
+    """The counterexample of the first of paths that BFS from the
+    straight path does not reach, or None.
+
+    Expansion stays near the window, with a little slack in s; any node
+    reached still counts for coverage.  A larger slack reaches a
+    superset of the nodes, so slack 2 runs only when slack 1 leaves a
+    target uncovered, and the report is the same either way."""
     targets = set(paths)
     for slack in (1, 2):
         s_near = bounds.s_max + slack
@@ -618,56 +643,73 @@ def check_connectedness(gcm: GCM, bounds: SearchBounds) -> VerificationReport:
 
         uncovered = targets - set(crystal_bfs(gcm, near)[0])
         if not uncovered:
-            break
-    ce = {"path": min(uncovered, key=str).to_json()} if uncovered else None
-    bfs_result = CheckResult("bfs-coverage", ce is None, len(targets), ce)
-    return VerificationReport((reduction_result, bfs_result))
+            return None
+    return {"path": min(uncovered, key=str).to_json()}
+
+
+_AXIOMS = (
+    "weight-step",
+    "inverse-pair",
+    "string-balance",
+    "epsilon-is-minus-min",
+    "phi-is-endpoint-minus-min",
+    "integral-local-minima",
+)
 
 
 def check_crystal_axioms(gcm: GCM, bounds: SearchBounds) -> VerificationReport:
     """Operator bookkeeping on every enumerated path: weight steps,
-    inverse pairs, string-length identities, integral minima."""
+    inverse pairs, string-length identities, integral minima.
+
+    Each root index i is one share of _run_shares, both its iterated
+    strings and its per-path checks.  The counts are summed, and each
+    line keeps the counterexample with the smallest (position in str
+    order, i): the one a serial loop over the paths, then i, meets
+    first."""
     paths = sorted(enumerate_ls_paths(gcm, bounds), key=str)
-    names = (
-        "weight-step",
-        "inverse-pair",
-        "string-balance",
-        "epsilon-is-minus-min",
-        "phi-is-endpoint-minus-min",
-        "integral-local-minima",
-    )
-    bad = {name: None for name in names}
-    counts = {name: 0 for name in names}
+    shares = _run_shares([partial(_axioms_share, gcm, paths, i) for i in (1, 2)])
+    results = []
+    for name in _AXIOMS:
+        failed = [share[name][1] for share in shares if share[name][1] is not None]
+        first = min(failed, key=lambda f: (f[0], f[1]["i"]), default=None)
+        ce = None if first is None else first[1]
+        checked = sum(share[name][0] for share in shares)
+        results.append(CheckResult(name, ce is None, checked, ce))
+    return VerificationReport(tuple(results))
 
-    def note(name: str, ok: bool, pi: LSPath, i: int):
-        counts[name] += 1
-        if not ok and bad[name] is None:
-            bad[name] = {"path": pi.to_json(), "i": i}
 
-    strings = {(op, i): _strings(op, paths, i, gcm) for op in (e_generic, f_generic) for i in (1, 2)}
-    for pi in paths:
+def _axioms_share(gcm: GCM, paths: list[LSPath], i: int) -> dict:
+    """{name: [checked, first]} for every line of _AXIOMS at root index
+    i, first being [position in paths, counterexample] of its first
+    failure or None."""
+    out = {name: [0, None] for name in _AXIOMS}
+
+    def note(name: str, ok: bool, pos: int, pi: LSPath):
+        line = out[name]
+        line[0] += 1
+        if not ok and line[1] is None:
+            line[1] = [pos, {"path": pi.to_json(), "i": i}]
+
+    e_strings = _strings(e_generic, paths, i, gcm)
+    f_strings = _strings(f_generic, paths, i, gcm)
+    alpha = simple_root(i, gcm)
+    for pos, pi in enumerate(paths):
         wt = weight(pi, gcm)
-        for i in (1, 2):
-            h = h_function(pi, i, gcm)
-            mi = h.minimum()
-            note("integral-local-minima", all(v.denominator == 1 for v in h.local_min_values()), pi, i)
-            eps = strings[e_generic, i][pi][0]
-            ph = strings[f_generic, i][pi][0]
-            note("epsilon-is-minus-min", mi.denominator == 1 and eps == -mi, pi, i)
-            note("phi-is-endpoint-minus-min", ph == h.points[-1][1] - mi, pi, i)
-            note("string-balance", ph - eps == pairing(wt, i), pi, i)
-            fi = f_generic(pi, i, gcm)
-            if fi is not None:
-                note("weight-step", weight(fi, gcm) == wt - simple_root(i, gcm), pi, i)
-                note("inverse-pair", e_generic(fi, i, gcm) == pi, pi, i)
-            ei = e_generic(pi, i, gcm)
-            if ei is not None:
-                note("weight-step", weight(ei, gcm) == wt + simple_root(i, gcm), pi, i)
-                note("inverse-pair", f_generic(ei, i, gcm) == pi, pi, i)
-    results = tuple(
-        CheckResult(name, bad[name] is None, counts[name], bad[name]) for name in names
-    )
-    return VerificationReport(results)
+        h = h_function(pi, i, gcm)
+        mi = h.minimum()
+        note("integral-local-minima", all(v.denominator == 1 for v in h.local_min_values()), pos, pi)
+        eps, ph = e_strings[pi][0], f_strings[pi][0]
+        note("epsilon-is-minus-min", mi.denominator == 1 and eps == -mi, pos, pi)
+        note("phi-is-endpoint-minus-min", ph == h.points[-1][1] - mi, pos, pi)
+        note("string-balance", ph - eps == pairing(wt, i), pos, pi)
+        fi, ei = fe_generic(pi, i, gcm)
+        if fi is not None:
+            note("weight-step", weight(fi, gcm) == wt - alpha, pos, pi)
+            note("inverse-pair", e_generic(fi, i, gcm) == pi, pos, pi)
+        if ei is not None:
+            note("weight-step", weight(ei, gcm) == wt + alpha, pos, pi)
+            note("inverse-pair", f_generic(ei, i, gcm) == pi, pos, pi)
+    return out
 
 
 def check_operator_equivalence(gcm: GCM, m_max: int, s_max: int) -> VerificationReport:
@@ -677,30 +719,23 @@ def check_operator_equivalence(gcm: GCM, m_max: int, s_max: int) -> Verification
     Each form goes through both pair functions; the counterexample is
     the first disagreement in the order of str(path), then f1, e1, f2,
     e2.  The comparisons are independent, so the window is split by
-    index before any form is built: with n CPUs in this process's
-    affinity mask (`taskset -c 0` makes n = 1), form k of the
-    normal_forms_by_shape order goes to share k mod n.  Shares 1..n-1
-    run in forked children, share 0 here; the counts are summed and the
-    counterexample with the smallest str(path) is kept, so the report is
-    the one a serial run gives.  A share whose child fails is recomputed
-    here, which repeats its exception too.  The check runs as one share
-    in this process when n = 1, when os.fork is missing, or when other
-    threads are running.
+    index before any form is built: with n = _fork_width() (the CPUs in
+    this process's affinity mask; `taskset -c 0` makes n = 1), form k of
+    the normal_forms_by_shape order goes to share k mod n of
+    _run_shares.  The counts are summed and the counterexample with the
+    smallest str(path) is kept, so the report is the one a serial run
+    gives.
     """
-    n = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    threads = sys.modules.get("threading")
-    if n == 1 or not hasattr(os, "fork") or threads is not None and threads.active_count() > 1:
-        shares = [_equivalence_share(gcm, m_max, s_max, 0, 1)]
-    else:
-        shares = _forked_shares(gcm, m_max, s_max, n)
+    n = _fork_width()
+    shares = _run_shares([partial(_equivalence_share, gcm, m_max, s_max, k, n) for k in range(n)])
     checked = sum(share[0] for share in shares)
     failed = [(first, ce) for _, first, ce in shares if first is not None]
     ce = min(failed, key=lambda f: f[0])[1] if failed else None
     return VerificationReport((CheckResult("operator-equivalence", ce is None, checked, ce),))
 
 
-def _equivalence_share(gcm: GCM, m_max: int, s_max: int, k: int, n: int) -> tuple:
-    """(checked, str of the first failing form or None, counterexample)
+def _equivalence_share(gcm: GCM, m_max: int, s_max: int, k: int, n: int) -> list:
+    """[checked, str of the first failing form or None, counterexample]
     over the forms at positions k, k + n, ... of the window."""
     checked = 0
     ce = first = None
@@ -725,16 +760,39 @@ def _equivalence_share(gcm: GCM, m_max: int, s_max: int, k: int, n: int) -> tupl
                         "closed-form": None if closed is None else closed.to_json(),
                         "engine": None if engine is None else engine.to_json(),
                     }
-    return checked, first, ce
+    return [checked, first, ce]
 
 
-def _forked_shares(gcm: GCM, m_max: int, s_max: int, n: int) -> list:
-    """All n shares: 1..n-1 in forked children, each sending its result
-    as JSON over a pipe, and 0 here.  Every child is reaped before this
-    returns, and killed first if this raises."""
-    kids = []  # (k, pid, read end of its pipe)
+# ---------------------------------------------------------------------------
+# independent shares of a check, on forked children
+
+
+def _fork_width() -> int:
+    """How many shares may run at once: the CPUs in this process's
+    affinity mask, or 1 when os.fork is missing or other threads are
+    running (a fork copies only the calling thread)."""
+    threads = sys.modules.get("threading")
+    if not hasattr(os, "fork") or threads is not None and threads.active_count() > 1:
+        return 1
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _run_shares(shares: list) -> list:
+    """The results of shares, functions of no argument that return
+    JSON-shaped values, in order.
+
+    With _fork_width() > 1, shares 1.. run in forked children, each
+    sending its result as JSON over a pipe, while share 0 runs here.  A
+    share whose child fails (a nonzero exit or a short payload) is
+    recomputed here, which repeats its exception too.  Every child is
+    reaped before this returns, and killed first if this raises.  With
+    one share, or a fork width of 1, every share runs here, in order.
+    """
+    if len(shares) == 1 or _fork_width() == 1:
+        return [share() for share in shares]
+    kids = []  # (pid, read end of its pipe)
     try:
-        for k in range(1, n):
+        for share in shares[1:]:
             r, w = os.pipe()
             try:
                 pid = os.fork()
@@ -743,40 +801,47 @@ def _forked_shares(gcm: GCM, m_max: int, s_max: int, n: int) -> list:
                 os.close(w)
                 raise
             if pid == 0:
-                _share_child(w, gcm, m_max, s_max, k, n)
+                _share_child(w, share)
             os.close(w)
-            kids.append((k, pid, r))
-        shares = [_equivalence_share(gcm, m_max, s_max, 0, n)]
+            kids.append((pid, r))
+        results = [shares[0]()]
         payloads = []
-        for _, _, r in kids:
+        for _, r in kids:
             with open(r, "rb", closefd=False) as pipe:
                 payloads.append(pipe.read())
     except BaseException:
         from signal import SIGKILL
 
-        for _, pid, _ in kids:
+        for pid, _ in kids:
             os.kill(pid, SIGKILL)
         raise
     finally:
-        statuses = [os.waitpid(pid, 0)[1] for _, pid, _ in kids]
-        for _, _, r in kids:
+        statuses = [os.waitpid(pid, 0)[1] for pid, _ in kids]
+        for _, r in kids:
             os.close(r)
-    for (k, _, _), payload, status in zip(kids, payloads, statuses):
+    for share, payload, status in zip(shares[1:], payloads, statuses):
+        results.append(_child_result(share, payload, status))
+    return results
+
+
+def _child_result(share, payload: bytes, status: int):
+    """The result a child sent for share, or share recomputed here when
+    the child exited nonzero or its payload is not whole JSON."""
+    if status == 0:
         try:
-            share = json.loads(payload) if status == 0 else None
+            return json.loads(payload)
         except ValueError:  # a short payload
-            share = None
-        shares.append(share or _equivalence_share(gcm, m_max, s_max, k, n))
-    return shares
+            pass
+    return share()
 
 
-def _share_child(w: int, gcm: GCM, m_max: int, s_max: int, k: int, n: int):
-    """Compute share k in a forked child, write it to fd w as JSON and
+def _share_child(w: int, share):
+    """Run share in a forked child, write its result to fd w as JSON and
     exit; the child never returns into the caller's stack."""
     code = 1
     try:
         with open(w, "w", closefd=False) as pipe:
-            json.dump(_equivalence_share(gcm, m_max, s_max, k, n), pipe)
+            json.dump(share(), pipe)
         code = 0
     finally:
         os._exit(code)

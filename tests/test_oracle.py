@@ -1,4 +1,5 @@
 import math
+import os
 from fractions import Fraction as F
 
 import pytest
@@ -204,7 +205,9 @@ def test_check_connectedness_passes():
 def _bfs_slacks(monkeypatch, starve_first: bool) -> list[int]:
     """The s slack of each BFS check_connectedness runs, read off the
     expansion predicate; with starve_first the first BFS reaches only
-    its start node."""
+    its start node.  One CPU in the affinity mask keeps the search,
+    which otherwise runs in a forked child, in this process."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     runs = []
     real = oracle.crystal_bfs
     top = B33.m_max
