@@ -348,24 +348,26 @@ def cmd_graph(args, gcm: GCM) -> int:
         return BAD_PARAMS
     order, edges = crystal_bfs(gcm, lambda pi, level: level < args.depth)
     forms = [from_ls_path(pi) for pi in order]
-    labels = [f"{ep} | {weight(pi, gcm)}" for ep, pi in zip(forms, order)]
-    if args.format == "dot":
-        lines = ["digraph crystal {"]
-        for k, label in enumerate(labels):
-            lines.append(f'  n{k} [label="{label}"];')
-        for src, dst, i in edges:
-            lines.append(f'  n{src} -> n{dst} [label="f{i}"];')
-        lines.append("}")
-        print("\n".join(lines))
-    else:
-        doc = {
-            "nodes": [
-                {"id": f"n{k}", "label": label, "path": ep.to_json()}
-                for k, (label, ep) in enumerate(zip(labels, forms))
-            ],
-            "edges": [{"from": f"n{src}", "to": f"n{dst}", "label": f"f{i}"} for src, dst, i in edges],
-        }
-        print(json.dumps(doc))
+    # the whole output is built before any of it is printed, so a
+    # breakpoint past the int-to-string digit limit leaves stdout empty
+    try:
+        labels = [f"{ep} | {weight(pi, gcm)}" for ep, pi in zip(forms, order)]
+        if args.format == "dot":
+            nodes = [f'  n{k} [label="{label}"];' for k, label in enumerate(labels)]
+            arrows = [f'  n{src} -> n{dst} [label="f{i}"];' for src, dst, i in edges]
+            text = "\n".join(["digraph crystal {", *nodes, *arrows, "}"])
+        else:
+            doc = {
+                "nodes": [
+                    {"id": f"n{k}", "label": label, "path": ep.to_json()}
+                    for k, (label, ep) in enumerate(zip(labels, forms))
+                ],
+                "edges": [{"from": f"n{src}", "to": f"n{dst}", "label": f"f{i}"} for src, dst, i in edges],
+            }
+            text = json.dumps(doc)
+    except ValueError:
+        return _too_many_digits("--a, --b or --depth")
+    print(text)
     return OK
 
 

@@ -11,29 +11,31 @@ connected) over finite windows and report counterexamples when anything
 fails.
 
 Whether a sigma-chain exists, and how long it is, depends on sigma only
-through its reduced denominator d (see sigma_chain_lengths), so there
-is one search and one cache, _sigma_chain_cached, keyed by the pair and
-d.  The policy is held in ints, in one cached table,
-_policy_by_denominator: its common denominator L and, per reduced
-denominator d, the number phi(d) of its values over d.  The checks read
-that table, count a denominator's values at once, and report 1/d for
-the largest failing d, the smallest failing value of a pair.  The path
-enumeration builds each path from order keys and the numerators over L
-of the values over d (_numerators, built once per admitted d), with no
-Fraction and no Weyl element.
+through its reduced denominator d (see sigma_chain_lengths), so there is
+one search and one cache, _sigma_chain_cached, keyed by the matrix, the
+pair and d, and never by the window.  The policy is held in ints, in one
+cached table, _policy_by_denominator: its common denominator L and, per
+reduced denominator d, the number phi(d) of its values over d.  The
+checks read that table, count a denominator's values at once, and report
+1/d for the largest failing d, the smallest failing value of a pair.  The
+path enumeration builds each path from order keys and the numerators
+over L of the values over d (_numerators, built once per admitted d),
+with no Fraction and no Weyl element.
 
 dist and the sigma-chain functions take Weyl elements, compare them by
-order key and read their orbit weights themselves.  Each fact is
-computed once.  The reflections of an orbit element (root, pairing,
-image) depend on the element alone, so they are cached per element and
-every order interval only looks its images up.  An interval's steps are built once, in _down_steps, and its
-distance-1 graph is those steps filtered to dist 1.  The string ends
-are iterated per check, one walk per window path and op, and a walk
-stops at the first window path whose count is already known: op is a
-function, so from there it would repeat a walk already made step for
-step, and the count read off that shared tail is exact.  The
-classification check builds the window's normal forms shape by shape
-instead of filtering a larger enumeration.
+order key and read their orbit weights themselves; they refuse an
+interval longer than chain_len_max before any search, which runs on
+order keys alone.  Each fact is computed once.  The reflections of an
+orbit element (root, pairing, image) depend on the element alone, so
+they are cached per element and every order interval only looks its
+images up.  An interval's steps are built once, in _down_steps, and its
+distance-1 graph is those steps filtered to dist 1.  The string ends are
+iterated per check, one walk per window path and op, and a walk stops at
+the first window path whose count is already known: op is a function, so
+from there it would repeat a walk already made step for step, and the
+count read off that shared tail is exact.  The classification check
+builds the window's normal forms shape by shape instead of filtering a
+larger enumeration.
 
 The equivalence, axioms and connectedness checks split their work into
 independent shares (the window by index, the root indices, the two
@@ -123,7 +125,7 @@ class SearchBounds(Frozen):
     """The window of the brute-force searches: directions up to m_max
     away from the identity, paths of at most s_max pieces."""
 
-    __slots__ = ("m_max", "s_max", "_hash")
+    __slots__ = ("m_max", "s_max")
 
     def __init__(self, m_max: int, s_max: int):
         for name, value in (("m_max", m_max), ("s_max", s_max)):
@@ -135,11 +137,6 @@ class SearchBounds(Frozen):
             raise ValueError(f"s_max must be positive, got {s_max}")
         _set_m_max(self, m_max)
         _set_s_max(self, s_max)
-        # bounds key the chain and policy caches with the matrix
-        _set_bounds_hash(self, hash((m_max, s_max)))
-
-    def __hash__(self):
-        return self._hash
 
     @property
     def chain_len_max(self) -> int:
@@ -147,7 +144,7 @@ class SearchBounds(Frozen):
         return 2 * self.m_max + 2
 
 
-_set_m_max, _set_s_max, _set_bounds_hash = slot_setters(SearchBounds)
+_set_m_max, _set_s_max = slot_setters(SearchBounds)
 
 
 @lru_cache(maxsize=None)
@@ -215,6 +212,20 @@ def _down_steps(
     return tuple(steps)
 
 
+def _refuse_past_cap(mu: WeylElement, nu: WeylElement, bounds: SearchBounds):
+    """Raise OracleBoundError when the order interval [nu, mu] is longer
+    than chain_len_max: a chain search past the cap has no answer.
+
+    The searches themselves are keyed by the matrix alone, so the public
+    functions check the cap here, before any cache is read.  A window's
+    intervals are at most 2*m_max long and never reach it."""
+    if mu.order_key - nu.order_key > bounds.chain_len_max:
+        raise OracleBoundError(
+            f"order interval [{nu}, {mu}] is longer than chain_len_max = "
+            f"{bounds.chain_len_max}"
+        )
+
+
 def dist(mu: WeylElement, nu: WeylElement, gcm: GCM, bounds: SearchBounds) -> int:
     """Maximal length of a decreasing reflection chain from the orbit
     weight of mu down to that of nu."""
@@ -223,11 +234,12 @@ def dist(mu: WeylElement, nu: WeylElement, gcm: GCM, bounds: SearchBounds) -> in
         raise ValueError(f"{mu} lies below {nu}; chains only go down")
     if hi == lo:
         return 0
-    if hi - lo > bounds.chain_len_max:
-        raise OracleBoundError(
-            f"order interval [{nu}, {mu}] is longer than chain_len_max = "
-            f"{bounds.chain_len_max}"
-        )
+    _refuse_past_cap(mu, nu, bounds)
+    return _dist(gcm, lo, hi)
+
+
+def _dist(gcm: GCM, lo: int, hi: int) -> int:
+    """dist from order key hi down to order key lo < hi."""
     steps = _down_steps(gcm, lo, hi)
     best: list[int | None] = [0] + [None] * (hi - lo)
     for k in range(lo + 1, hi + 1):
@@ -236,30 +248,23 @@ def dist(mu: WeylElement, nu: WeylElement, gcm: GCM, bounds: SearchBounds) -> in
     top = best[hi - lo]
     if top is None:
         raise OracleBoundError(
-            f"no chain from {mu} to {nu} using roots of height <= "
+            f"no chain from {BY_ORDER_KEY[hi]} to {BY_ORDER_KEY[lo]} using roots of height <= "
             f"{ROOT_HEIGHT_MAX}"
         )
     return top
 
 
 @lru_cache(maxsize=None)
-def _dist1_graph(
-    gcm: GCM, lo: int, hi: int, bounds: SearchBounds
-) -> tuple[tuple[tuple[int, PositiveRoot, int], ...], ...]:
+def _dist1_graph(gcm: GCM, lo: int, hi: int) -> tuple[tuple[tuple[int, PositiveRoot, int], ...], ...]:
     """The steps of _down_steps between pairs at distance 1, each with
     its pairing as an int (orbit weights are integral).
 
-    An interval longer than chain_len_max raises OracleBoundError, as
-    dist of its two ends does: a chain search past the cap has no
-    answer.
-    """
-    dist(BY_ORDER_KEY[hi], BY_ORDER_KEY[lo], gcm, bounds)
+    It depends on the matrix and the interval alone.  An interval whose
+    ends no bounded chain links raises OracleBoundError, as _dist of its
+    two ends does."""
+    _dist(gcm, lo, hi)
     return tuple(
-        tuple(
-            (k2, beta, int(val))
-            for k2, beta, val in row
-            if dist(BY_ORDER_KEY[k], BY_ORDER_KEY[k2], gcm, bounds) == 1
-        )
+        tuple((k2, beta, int(val)) for k2, beta, val in row if _dist(gcm, k2, k) == 1)
         for k, row in enumerate(_down_steps(gcm, lo, hi), lo)
     )
 
@@ -274,22 +279,24 @@ def sigma_chain_lengths(
     pairing val is itself a negative integer and sigma = n/d is reduced,
     so sigma * val is an integer exactly when d divides val: the result
     depends on sigma only through d, and is read from the one search
-    per (pair, d).
+    per (pair, d) and matrix.  An interval past chain_len_max raises
+    OracleBoundError, as dist does, before that search is looked up.
     """
     if mu.order_key <= nu.order_key:
         raise ValueError(f"sigma-chains need {mu} strictly above {nu}")
     sigma = Fraction(sigma)
     if not 0 < sigma < 1:
         raise ValueError(f"sigma must lie strictly between 0 and 1, got {sigma}")
-    return _sigma_chain_cached(gcm, bounds, mu.order_key, nu.order_key, sigma.denominator)
+    _refuse_past_cap(mu, nu, bounds)
+    return _sigma_chain_cached(gcm, mu.order_key, nu.order_key, sigma.denominator)
 
 
 @lru_cache(maxsize=None)
-def _sigma_chain_cached(gcm: GCM, bounds: SearchBounds, hi: int, lo: int, d: int) -> tuple[int, ...]:
+def _sigma_chain_cached(gcm: GCM, hi: int, lo: int, d: int) -> tuple[int, ...]:
     """Lengths of all 1/d-chains from order key hi down to order key lo: the
     oracle's one sigma-chain search, a step allowed when d divides its
     pairing."""
-    graph = _dist1_graph(gcm, lo, hi, bounds)
+    graph = _dist1_graph(gcm, lo, hi)
     memo: dict[int, frozenset[int]] = {lo: frozenset({0})}
 
     def lengths(k: int) -> frozenset[int]:
@@ -419,7 +426,7 @@ def _chains_by_denominator(
     smallest d first: a policy value admits a sigma-chain exactly when
     its row has lengths."""
     return [
-        (d, count, _sigma_chain_cached(gcm, bounds, hi, lo, d))
+        (d, count, _sigma_chain_cached(gcm, hi, lo, d))
         for d, count in _policy_by_denominator(gcm, bounds)[1]
     ]
 
@@ -932,9 +939,9 @@ def check_structure(gcm: GCM, bounds: SearchBounds) -> VerificationReport:
                 down, label = hasse_neighbors(u).down
                 step_roots = [
                     beta
-                    for _, beta, _ in _dist1_graph(
-                        gcm, v.order_key, u.order_key, bounds
-                    )[u.order_key - v.order_key]
+                    for _, beta, _ in _dist1_graph(gcm, v.order_key, u.order_key)[
+                        u.order_key - v.order_key
+                    ]
                 ]
                 if down != v or step_roots[0].coords != ((1, 0) if label == 1 else (0, 1)):
                     ce = {"upper": str(u), "lower": str(v), "root": str(step_roots[0])}

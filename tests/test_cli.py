@@ -508,6 +508,21 @@ def test_graph_depth_above_the_cap_is_bad_parameters(capsys, depth, fmt):
     assert err == f"error: --depth must be at most {cli.GRAPH_DEPTH_CAP}\n"
 
 
+@pytest.mark.parametrize("fmt", ["dot", "json"])
+def test_graph_labels_past_the_digit_limit_are_bad_parameters(capsys, fmt):
+    # at a = b = 10**1500 depth 3 still prints; depth 4 reaches a
+    # breakpoint past the default limit, and nothing is printed
+    ab = ["--a", str(10**1500), "--b", str(10**1500)]
+    code, out, err = run(capsys, "graph", *ab, "--depth", "3", "--format", fmt)
+    assert (code, err) == (0, "") and out
+    code, out, err = run(capsys, "graph", *ab, "--depth", "4", "--format", fmt)
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: an entry has more than {sys.get_int_max_str_digits()} digits, the limit of "
+        "int-to-string conversion (sys.get_int_max_str_digits()); lower --a, --b or --depth\n"
+    )
+
+
 def test_verify_all_passes(capsys):
     code, out, _ = run(capsys, "verify", "--a", "3", "--b", "3", "--m-max", "2", "--s-max", "2", "all")
     assert code == 0

@@ -207,6 +207,9 @@ def _cases():
     yield ["apply", "--a", "3", "--b", "3", "--op", "f1", "--mode", "generic"], (
         '{"dirs": [{"family": "x", "m": 3}, {"family": "x", "m": 0}], "sigmas": ["0", "1/2", "1"]}'
     )
+    # node labels past the int-to-string digit limit (exit 2, empty stdout)
+    for fmt in ("dot", "json"):
+        yield ["graph", "--a", str(10**1500), "--b", str(10**1500), "--depth", "4", "--format", fmt], None
 
 
 def record():

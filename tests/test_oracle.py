@@ -63,7 +63,7 @@ def test_bounds_validation():
 
 @pytest.mark.parametrize("m_max, s_max", [(True, 2), (2, True), (False, 1), (2.0, 2), (2, 2.0), ("2", 2), (2, None)])
 def test_bounds_reject_non_int_fields(m_max, s_max):
-    # the bounds are part of every oracle cache key: True must not run as 1
+    # the bounds key the policy caches and set the chain cap: True must not run as 1
     with pytest.raises(TypeError):
         SearchBounds(m_max, s_max)
 
@@ -77,16 +77,27 @@ def test_dist_frozen_values():
         dist(IDENTITY, x(1), G33, B33)
 
 
-def test_dist_saturation_is_loud():
+@pytest.mark.parametrize("wider", [None, SearchBounds(4, 1)], ids=["alone", "after-a-wider-window"])
+def test_dist_saturation_is_loud(wider):
+    # the steps are shared by every window: a wider one that answered
+    # first must not let the tight one through
+    if wider is not None:
+        assert dist(x(4), y(4), G33, wider) == 8
     tight = SearchBounds(1, 1)
-    with pytest.raises(OracleBoundError):
+    message = r"^order interval \[y4, x4\] is longer than chain_len_max = 4$"
+    with pytest.raises(OracleBoundError, match=message):
         dist(x(4), y(4), G33, tight)
 
 
-def test_sigma_chain_past_the_cap_is_loud():
+@pytest.mark.parametrize("wider", [None, SearchBounds(5, 2)], ids=["alone", "after-a-wider-window"])
+def test_sigma_chain_past_the_cap_is_loud(wider):
     # x2 and y5 are 7 apart, past chain_len_max = 6, and no single root
-    # links them: the search must still refuse rather than answer ()
-    with pytest.raises(OracleBoundError):
+    # links them: the search must still refuse rather than answer (),
+    # also right after a wider window has answered the same pair
+    if wider is not None:
+        assert sigma_chain_lengths(x(2), y(5), F(1, 2), GCM(2, 5), wider) == ()
+    message = r"^order interval \[y5, x2\] is longer than chain_len_max = 6$"
+    with pytest.raises(OracleBoundError, match=message):
         sigma_chain_lengths(x(2), y(5), F(1, 2), GCM(2, 5), SearchBounds(2, 2))
 
 
@@ -102,11 +113,11 @@ def test_sigma_chain_frozen_values():
         sigma_chain_exists(x(2), x(1), F(3, 2), G33, B33)
 
 
-def _lengths_per_value(gcm, bounds, hi, lo, sigma):
+def _lengths_per_value(gcm, hi, lo, sigma):
     """The sigma-chain lengths from element hi down to lo, searched for
     this sigma alone: a step is allowed when sigma * val is a negative
     integer."""
-    graph = _dist1_graph(gcm, lo, hi, bounds)
+    graph = _dist1_graph(gcm, lo, hi)
     memo = {lo: {0}}
 
     def lengths(k):
@@ -138,7 +149,7 @@ def test_sigma_chains_depend_only_on_the_denominator(ab):
             for t in policy:
                 found = sigma_chain_lengths(u, v, t, gcm, bounds)
                 assert found == by_den[t.denominator], (str(u), str(v), t)
-                assert found == _lengths_per_value(gcm, bounds, u.order_key, v.order_key, t), (str(u), str(v), t)
+                assert found == _lengths_per_value(gcm, u.order_key, v.order_key, t), (str(u), str(v), t)
                 chains += bool(found)
     assert chains > 0
 
@@ -355,7 +366,7 @@ def test_dist1_graph_equals_per_pair_scan(ab):
     intervals = [(lo, hi) for lo in range(-5, 6) for hi in range(lo + 1, 6)]
     assert len(intervals) == 55
     for lo, hi in intervals:
-        graph = [set(row) for row in _dist1_graph(gcm, lo, hi, bounds)]
+        graph = [set(row) for row in _dist1_graph(gcm, lo, hi)]
         assert graph == _dist1_graph_per_pair(gcm, lo, hi, bounds), (lo, hi)
 
 
@@ -449,14 +460,30 @@ def test_one_search_per_pair_and_denominator():
     check_straight_through_lambda(G33, B34)
     enumerate_ls_paths(G33, B34)
     assert _sigma_chain_cached.cache_info().misses == misses
+    # a larger window searches only the (pair, d) facts it adds: the
+    # searches are keyed by the matrix, never by the window
+    facts = _window_facts(G33, B34)
+    wider = SearchBounds(5, 3)
+    new = _window_facts(G33, wider) - facts
+    assert len(new) < len(_window_facts(G33, wider))
+    check_classification(G33, wider)
+    check_straight_through_lambda(G33, wider)
+    assert _sigma_chain_cached.cache_info().misses == misses + len(new)
+
+
+def _window_facts(gcm, bounds):
+    """(upper key, lower key, d) for every window pair and policy denominator d."""
+    keys = range(bounds.m_max, -bounds.m_max - 1, -1)
+    dens = {t.denominator for t in denominator_policy(gcm, bounds)}
+    return {(u, v, d) for u in keys for v in keys if v < u for d in dens}
 
 
 def _plant(monkeypatch, fault):
     """Route the oracle's sigma-chain search through fault(hi, lo, d, lengths)."""
     real = oracle._sigma_chain_cached
 
-    def planted(gcm, bounds, hi, lo, d):
-        return fault(hi, lo, d, real(gcm, bounds, hi, lo, d))
+    def planted(gcm, hi, lo, d):
+        return fault(hi, lo, d, real(gcm, hi, lo, d))
 
     monkeypatch.setattr(oracle, "_sigma_chain_cached", planted)
     return planted
@@ -470,7 +497,7 @@ def _length_scan_per_value(search):
     for i, u in enumerate(window):
         for v in window[i + 1 :]:
             for t in denominator_policy(G33, B34):
-                found = search(G33, B34, u.order_key, v.order_key, t.denominator)
+                found = search(G33, u.order_key, v.order_key, t.denominator)
                 if found:
                     chains += 1
                     if set(found) != {1} and bad is None:
@@ -488,7 +515,7 @@ def _lambda_scan_per_value(search):
         upper, lower = (w, IDENTITY) if w.order_key > 0 else (IDENTITY, w)
         for t in denominator_policy(G33, B34):
             checked += 1
-            if bad is None and search(G33, B34, upper.order_key, lower.order_key, t.denominator):
+            if bad is None and search(G33, upper.order_key, lower.order_key, t.denominator):
                 bad = {"upper": str(upper), "lower": str(lower), "sigma": str(t)}
     return {"check": "no-turn-at-lambda", "status": "fail", "checked": checked, "counterexample": bad}
 
@@ -559,7 +586,7 @@ def _enumerate_on_fractions(gcm, bounds):
             admissible[u, v] = tuple(
                 t
                 for d, values in rows
-                if _sigma_chain_cached(gcm, bounds, u.order_key, v.order_key, d)
+                if _sigma_chain_cached(gcm, u.order_key, v.order_key, d)
                 for t in values
             )
     position = {w: i for i, w in enumerate(window)}
