@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import attrgetter, lt
+from operator import lt
 
 DOMINANT = "dominant"
 ANTIDOMINANT = "antidominant"
@@ -41,10 +41,13 @@ class Frozen:
 
     A subclass names its fields in __slots__, in constructor order;
     slots whose names start with an underscore hold derived values (a
-    hash computed once, a cache) and are not fields.  Its __init__
-    validates and stores each field through that slot's member
-    descriptor setter, captured once at module level by slot_setters,
-    which skips __setattr__.  From the fields, the base gives what
+    cache) and are not fields.  A class that only stores its fields
+    defines no __init__: the base compiles one, as @dataclass does,
+    whose parameters are the fields, each stored through its slot's
+    member descriptor setter, which skips __setattr__.  A class that
+    validates, has a default or has underscore slots writes its own
+    __init__ and stores through the setters slot_setters captures once
+    at module level.  From the fields, the base gives what
     @dataclass(frozen=True) gave:
 
     - repr "Name(field=value, ...)";
@@ -68,23 +71,27 @@ class Frozen:
         super().__init_subclass__(**kwargs)
         fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
         cls.__match_args__ = fields
-        if len(fields) == 1:
-            get_one = attrgetter(fields[0])
-            cls._field_values = staticmethod(lambda obj: (get_one(obj),))
-        else:
-            cls._field_values = staticmethod(attrgetter(*fields))
-        # == and hash read the slots directly: an attrgetter call per
-        # operand costs about twice as much.  A class's own stay.
+        # compiled now, not on first call, so that its signature names
+        # the fields, as the dataclass constructor's did
+        if "__init__" not in vars(cls):
+            setters = {f"_set_{name}": vars(cls)[name].__set__ for name in fields}
+            body = "".join(f"    _set_{name}(self, {name})\n" for name in fields)
+            _install(cls, "__init__", f"def __init__(self, {', '.join(fields)}):\n{body}", setters)
+        # == and hash read the slots directly, compiled per class on
+        # first use.  A class's own stay.
         for name in _FIELD_METHOD_SOURCE:
             if name not in vars(cls):
                 setattr(cls, name, _compiled_on_first_call(cls, name))
 
+    def _field_values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__match_args__])
+
     def __repr__(self):
-        pairs = zip(self.__match_args__, self._field_values(self))
+        pairs = zip(self.__match_args__, self._field_values())
         return f"{self.__class__.__qualname__}({', '.join(f'{k}={v!r}' for k, v in pairs)})"
 
     def __reduce__(self):
-        return self.__class__, self._field_values(self)
+        return self.__class__, self._field_values()
 
     def __setattr__(self, name, value):
         raise _frozen_error(f"cannot assign to field {name!r}")
@@ -104,6 +111,15 @@ _FIELD_METHOD_SOURCE = {
 }
 
 
+def _install(cls: type, name: str, source: str, namespace: dict):
+    """Compile the function name that source defines, with namespace as
+    its globals, and put it on cls as its method name."""
+    exec(source, namespace)
+    namespace[name].__qualname__ = f"{cls.__qualname__}.{name}"
+    setattr(cls, name, namespace[name])
+    return namespace[name]
+
+
 def _compiled_on_first_call(cls: type, name: str):
     """A stand-in for cls.__eq__ or cls.__hash__ that, on its first call,
     compiles the method over cls's field tuple (self.f1, self.f2, ...),
@@ -114,12 +130,8 @@ def _compiled_on_first_call(cls: type, name: str):
         def values(obj: str) -> str:
             return "(" + "".join(f"{obj}.{field}, " for field in cls.__match_args__) + ")"
 
-        namespace: dict = {}
-        exec(_FIELD_METHOD_SOURCE[name].format(self=values("self"), other=values("other")), {}, namespace)
-        method = namespace[name]
-        method.__qualname__ = f"{cls.__qualname__}.{name}"
-        setattr(cls, name, method)
-        return method(self, *args)
+        source = _FIELD_METHOD_SOURCE[name].format(self=values("self"), other=values("other"))
+        return _install(cls, name, source, {})(self, *args)
 
     return first_call
 
@@ -140,7 +152,7 @@ class GCM(Frozen):
     a, b >= 2 must check it.
     """
 
-    __slots__ = ("a", "b", "_hash")
+    __slots__ = ("a", "b")
 
     def __init__(self, a: int, b: int):
         if type(a) is not int or type(b) is not int:  # bool is an int subclass
@@ -151,11 +163,6 @@ class GCM(Frozen):
             raise ValueError(f"not hyperbolic: a*b = {a * b} <= 4")
         _set_a(self, a)
         _set_b(self, b)
-        # a matrix keys most of the package's caches
-        _set_gcm_hash(self, hash((a, b)))
-
-    def __hash__(self):
-        return self._hash
 
     @property
     def boundary(self) -> bool:
@@ -163,7 +170,7 @@ class GCM(Frozen):
         return self.a == 1 or self.b == 1
 
 
-_set_a, _set_b, _set_gcm_hash = slot_setters(GCM)
+_set_a, _set_b = slot_setters(GCM)
 
 
 class Weight(Frozen):

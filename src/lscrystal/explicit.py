@@ -227,19 +227,6 @@ class _ShapeTable(Frozen):
 
     __slots__ = ("grid", "slopes", "jumps")
 
-    def __init__(
-        self,
-        grid: tuple[int, ...],
-        slopes: tuple[tuple[int, ...], tuple[int, ...]],
-        jumps: tuple[tuple[int, ...], tuple[int, ...]],
-    ):
-        _set_grid(self, grid)
-        _set_slopes(self, slopes)
-        _set_jumps(self, jumps)
-
-
-_set_grid, _set_slopes, _set_jumps = slot_setters(_ShapeTable)
-
 
 @lru_cache(maxsize=None)
 def _shape_keys(form: str, m: int, s: int) -> tuple[int, ...]:

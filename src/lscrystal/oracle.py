@@ -14,8 +14,9 @@ Whether a sigma-chain exists, and how long it is, depends on sigma only
 through its reduced denominator d (see sigma_chain_lengths), so there is
 one search and one cache, _sigma_chain_cached, keyed by the matrix, the
 pair and d, and never by the window.  The policy is held in ints, in one
-cached table, _policy_by_denominator: its common denominator L and, per
-reduced denominator d, the number phi(d) of its values over d.  The
+cached table, _policy_by_denominator, keyed by the matrix and the length
+n = m_max + s_max of the p/q tables it reads: its common denominator L
+and, per reduced denominator d, the number phi(d) of its values over d.  The
 checks read that table, count a denominator's values at once, and report
 1/d for the largest failing d, the smallest failing value of a pair.  The
 path enumeration builds each path from order keys and the numerators
@@ -41,8 +42,9 @@ The equivalence, axioms and connectedness checks split their work into
 independent shares (the window by index, the root indices, the two
 routes) and hand them to one runner, _run_shares, which runs share 0
 here and the others in forked children when the affinity mask holds
-more than one CPU.  Every check merges its shares' counts and
-counterexamples so that its report is the one a serial run gives.
+more than one CPU, and here too once the system refuses a fork.  Every
+check merges its shares' counts and counterexamples so that its report
+is the one a serial run gives.
 
 Apart from check_structure, which also knows the two degenerate orbit
 identities of the a = 1 / b = 1 edge, everything here effectively needs
@@ -142,6 +144,12 @@ class SearchBounds(Frozen):
     def chain_len_max(self) -> int:
         """2*m_max + 2, which covers every order interval inside the window."""
         return 2 * self.m_max + 2
+
+    @property
+    def table_len(self) -> int:
+        """m_max + s_max, the length of the p/q tables the denominator
+        policy reads."""
+        return self.m_max + self.s_max
 
 
 _set_m_max, _set_s_max = slot_setters(SearchBounds)
@@ -379,16 +387,16 @@ def _totient(n: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _policy_by_denominator(gcm: GCM, bounds: SearchBounds) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """The denominator policy in ints: its common denominator L and, for
-    every reduced denominator d of the policy, smallest d first, the
-    number of policy values over d.
+def _policy_by_denominator(gcm: GCM, n: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """The denominator policy of the p/q tables of length n in ints: its
+    common denominator L and, for every reduced denominator d of the
+    policy, smallest d first, the number of policy values over d.
 
     A reduced n/d lies in the policy when d divides a table entry, so
     the policy denominators are the divisors d >= 2 of the entries and
     each has phi(d) values, the smallest 1/d.  Only the enumeration
     needs the values themselves, from _numerators."""
-    table = pq_table(gcm, bounds.m_max + bounds.s_max)
+    table = pq_table(gcm, n)
     # only d >= 2 has values in (0, 1); boundary matrices also give 0
     entries = {e for e in table.p + table.q if e > 1}
     dens = sorted({d for e in entries for d in _divisors(e) if d > 1})
@@ -396,11 +404,11 @@ def _policy_by_denominator(gcm: GCM, bounds: SearchBounds) -> tuple[int, tuple[t
 
 
 @lru_cache(maxsize=None)
-def _numerators(gcm: GCM, bounds: SearchBounds, d: int) -> tuple[int, ...]:
+def _numerators(gcm: GCM, n: int, d: int) -> tuple[int, ...]:
     """The numerators over the policy's common denominator L of the
     policy values over d, increasing: j * (L // d) for every j in
     (0, d) prime to d."""
-    step = _policy_by_denominator(gcm, bounds)[0] // d
+    step = _policy_by_denominator(gcm, n)[0] // d
     return tuple([j * step for j in range(1, d) if math.gcd(j, d) == 1])
 
 
@@ -413,21 +421,22 @@ def denominator_policy(gcm: GCM, bounds: SearchBounds) -> tuple[Fraction, ...]:
     integrality conditions, so enumerating over the policy set cannot
     miss a classified path.
     """
-    common, rows = _policy_by_denominator(gcm, bounds)
-    nums = sorted(k for d, _ in rows for k in _numerators(gcm, bounds, d))
+    n = bounds.table_len
+    common, rows = _policy_by_denominator(gcm, n)
+    nums = sorted(k for d, _ in rows for k in _numerators(gcm, n, d))
     return tuple(Fraction(k, common) for k in nums)
 
 
 def _chains_by_denominator(
-    gcm: GCM, bounds: SearchBounds, hi: int, lo: int
+    gcm: GCM, n: int, hi: int, lo: int
 ) -> list[tuple[int, int, tuple[int, ...]]]:
     """(d, the number of policy values over d, the 1/d-chain lengths
-    from order key hi down to lo) for every policy denominator d,
-    smallest d first: a policy value admits a sigma-chain exactly when
-    its row has lengths."""
+    from order key hi down to lo) for every denominator d of the policy
+    of table length n, smallest d first: a policy value admits a
+    sigma-chain exactly when its row has lengths."""
     return [
         (d, count, _sigma_chain_cached(gcm, hi, lo, d))
-        for d, count in _policy_by_denominator(gcm, bounds)[1]
+        for d, count in _policy_by_denominator(gcm, n)[1]
     ]
 
 
@@ -441,16 +450,17 @@ def enumerate_ls_paths(gcm: GCM, bounds: SearchBounds) -> set[LSPath]:
     denominator L.  A turn's breakpoints are the numerators over the
     denominators whose 1/d-chain exists for its pair; a denominator's
     numerators are built when a turn first admits it."""
-    common = _policy_by_denominator(gcm, bounds)[0]
+    n = bounds.table_len
+    common = _policy_by_denominator(gcm, n)[0]
     bottom = -bounds.m_max - 1
     window = range(bounds.m_max, bottom, -1)
     admissible: dict[tuple[int, int], tuple[int, ...]] = {}
     # the turns' breakpoints; paths of one piece have none
     for u in window if bounds.s_max >= 2 else ():
         for v in range(u - 1, bottom, -1):
-            rows = _chains_by_denominator(gcm, bounds, u, v)
+            rows = _chains_by_denominator(gcm, n, u, v)
             admissible[u, v] = tuple(
-                k for d, _, found in rows if found for k in _numerators(gcm, bounds, d)
+                k for d, _, found in rows if found for k in _numerators(gcm, n, d)
             )
     out: set[LSPath] = set()
 
@@ -503,9 +513,6 @@ class VerificationReport(Frozen):
 
     __slots__ = ("results",)
 
-    def __init__(self, results: tuple[CheckResult, ...]):
-        _set_results(self, results)
-
     @property
     def all_passed(self) -> bool:
         return all(r.passed for r in self.results)
@@ -513,9 +520,6 @@ class VerificationReport(Frozen):
     def to_json_lines(self) -> list[str]:
         ordered = sorted(self.results, key=lambda r: r.name)
         return [json.dumps(r.to_json(), sort_keys=True) for r in ordered]
-
-
-(_set_results,) = slot_setters(VerificationReport)
 
 
 def combine(*reports: VerificationReport) -> VerificationReport:
@@ -545,7 +549,7 @@ def check_classification(gcm: GCM, bounds: SearchBounds) -> VerificationReport:
     bad = None
     for i, u in enumerate(window):
         for v in window[i + 1 :]:
-            rows = _chains_by_denominator(gcm, bounds, u.order_key, v.order_key)
+            rows = _chains_by_denominator(gcm, bounds.table_len, u.order_key, v.order_key)
             chains += sum(count for _, count, found in rows if found)
             failing = [(d, found) for d, _, found in rows if found and set(found) != {1}]
             if failing and bad is None:
@@ -579,7 +583,7 @@ def check_straight_through_lambda(gcm: GCM, bounds: SearchBounds) -> Verificatio
         if w.is_identity:
             continue
         upper, lower = (w, IDENTITY) if w.order_key > 0 else (IDENTITY, w)
-        rows = _chains_by_denominator(gcm, bounds, upper.order_key, lower.order_key)
+        rows = _chains_by_denominator(gcm, bounds.table_len, upper.order_key, lower.order_key)
         checked += sum(count for _, count, _ in rows)
         ok = [d for d, _, found in rows if found]
         if ok and bad is None:
@@ -794,24 +798,21 @@ def _run_shares(shares: list) -> list:
     recomputed here, which repeats its exception too.  Every child is
     reaped before this returns, and killed first if this raises.  With
     one share, or a fork width of 1, every share runs here, in order.
+    When a fork or a pipe is refused (EAGAIN under a process limit,
+    ENOMEM, EMFILE), no further child is started: the shares left run
+    here after share 0.
     """
     if len(shares) == 1 or _fork_width() == 1:
         return [share() for share in shares]
     kids = []  # (pid, read end of its pipe)
     try:
         for share in shares[1:]:
-            r, w = os.pipe()
             try:
-                pid = os.fork()
+                kids.append(_fork_share(share))
             except OSError:
-                os.close(r)
-                os.close(w)
-                raise
-            if pid == 0:
-                _share_child(w, share)
-            os.close(w)
-            kids.append((pid, r))
+                break
         results = [shares[0]()]
+        left = [share() for share in shares[1 + len(kids) :]]
         payloads = []
         for _, r in kids:
             with open(r, "rb", closefd=False) as pipe:
@@ -828,7 +829,24 @@ def _run_shares(shares: list) -> list:
             os.close(r)
     for share, payload, status in zip(shares[1:], payloads, statuses):
         results.append(_child_result(share, payload, status))
-    return results
+    return results + left
+
+
+def _fork_share(share) -> tuple[int, int]:
+    """(pid, read end of its pipe) of a forked child running share; the
+    OSError of a refused pipe or fork is raised with no descriptor left
+    open."""
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid == 0:
+        _share_child(w, share)
+    os.close(w)
+    return pid, r
 
 
 def _child_result(share, payload: bytes, status: int):

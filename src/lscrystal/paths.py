@@ -166,9 +166,6 @@ class PiecewiseLinear(Frozen):
 
     __slots__ = ("points",)
 
-    def __init__(self, points: tuple[tuple[Fraction, Fraction], ...]):
-        _set_points(self, points)
-
     def minimum(self) -> Fraction:
         # segment slopes are constant, so the min over breakpoints is
         # the global min
@@ -188,9 +185,6 @@ class PiecewiseLinear(Frozen):
         if pts[-2][1] > pts[-1][1]:
             vals.append(pts[-1][1])
         return vals
-
-
-(_set_points,) = slot_setters(PiecewiseLinear)
 
 
 def eval_path(pi: LSPath, t, gcm: GCM) -> Weight:

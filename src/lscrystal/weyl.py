@@ -32,7 +32,7 @@ Y = "y"
 class WeylElement(Frozen):
     """x_m or y_m in canonical form (m = 0 is always stored as family x)."""
 
-    __slots__ = ("family", "m", "_hash")
+    __slots__ = ("family", "m")
 
     def __init__(self, family: str, m: int):
         if family not in (X, Y):
@@ -45,10 +45,6 @@ class WeylElement(Frozen):
             family = X
         _set_family(self, family)
         _set_m(self, m)
-        _set_element_hash(self, hash((family, m)))
-
-    def __hash__(self):
-        return self._hash
 
     @property
     def is_identity(self) -> bool:
@@ -110,7 +106,7 @@ class WeylElement(Frozen):
         return cls(family, m)
 
 
-_set_family, _set_m, _set_element_hash = slot_setters(WeylElement)
+_set_family, _set_m = slot_setters(WeylElement)
 
 
 def x(m: int) -> WeylElement:
@@ -166,13 +162,6 @@ class PQTable(Frozen):
 
     __slots__ = ("p", "q")
 
-    def __init__(self, p: tuple[int, ...], q: tuple[int, ...]):
-        _set_p(self, p)
-        _set_q(self, q)
-
-
-_set_p, _set_q = slot_setters(PQTable)
-
 
 def _p_sequence(a: int, b: int, n: int) -> tuple[int, ...]:
     p = [1, 1]
@@ -227,16 +216,8 @@ class PositiveRoot(Frozen):
 
     __slots__ = ("witness", "index", "coords")
 
-    def __init__(self, witness: WeylElement, index: int, coords: tuple[int, int]):
-        _set_witness(self, witness)
-        _set_index(self, index)
-        _set_coords(self, coords)
-
     def __str__(self):
         return f"{self.witness}(a{self.index})={self.coords}"
-
-
-_set_witness, _set_index, _set_coords = slot_setters(PositiveRoot)
 
 
 def _act_on_root_coords(w: WeylElement, c: int, d: int, gcm: GCM) -> tuple[int, int]:
@@ -343,13 +324,6 @@ class HasseNeighbors(Frozen):
     """
 
     __slots__ = ("up", "down")
-
-    def __init__(self, up: tuple[WeylElement, int], down: tuple[WeylElement, int]):
-        _set_up(self, up)
-        _set_down(self, down)
-
-
-_set_up, _set_down = slot_setters(HasseNeighbors)
 
 
 def hasse_neighbors(w: WeylElement) -> HasseNeighbors:

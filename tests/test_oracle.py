@@ -611,10 +611,10 @@ def test_policy_table_equals_the_fraction_grouping(ab):
     gcm = GCM(*ab)
     for m_max, s_max in REFERENCE_WINDOWS:
         bounds = SearchBounds(m_max, s_max)
-        common, rows = _policy_by_denominator(gcm, bounds)
+        common, rows = _policy_by_denominator(gcm, m_max + s_max)
         reference = _policy_by_fraction_denominator(gcm, bounds)
         assert rows == tuple((d, len(values)) for d, values in reference), (m_max, s_max)
-        numerators = [_numerators(gcm, bounds, d) for d, _ in rows]
+        numerators = [_numerators(gcm, m_max + s_max, d) for d, _ in rows]
         assert all(type(k) is int for nums in numerators for k in nums)
         as_fractions = tuple(
             (d, tuple(F(k, common) for k in nums)) for (d, _), nums in zip(rows, numerators)
@@ -622,7 +622,7 @@ def test_policy_table_equals_the_fraction_grouping(ab):
         assert as_fractions == reference, (m_max, s_max)
         assert denominator_policy(gcm, bounds) == _policy_as_fractions(gcm, bounds), (m_max, s_max)
     # p = q = (1, 1): the one-piece window at the identity has no denominator
-    assert _policy_by_denominator(gcm, SearchBounds(0, 1)) == (1, ())
+    assert _policy_by_denominator(gcm, 1) == (1, ())
 
 
 @pytest.mark.parametrize("ab", [(2, 3), (3, 3), (2, 5), (4, 4)])
@@ -653,13 +653,24 @@ def test_numerators_are_built_only_for_admitted_denominators():
         for u in keys
         for v in keys
         if v < u
-        for d, _, found in _chains_by_denominator(G33, bounds, u, v)
+        for d, _, found in _chains_by_denominator(G33, bounds.table_len, u, v)
         if found
     }
-    policy = {d for d, _ in _policy_by_denominator(G33, bounds)[1]}
+    policy = {d for d, _ in _policy_by_denominator(G33, bounds.table_len)[1]}
     assert admitted and admitted < policy
     _numerators.cache_clear()
     enumerate_ls_paths(G33, bounds)
     enumerate_ls_paths(G33, bounds)
     info = _numerators.cache_info()
     assert info.misses == info.currsize == len(admitted)
+
+
+def test_windows_of_one_table_length_share_one_policy_table():
+    # the policy reads the p/q tables of length m_max + s_max and nothing
+    # else of the window, so (4, 3) and (5, 2) build one table between them
+    _policy_by_denominator.cache_clear()
+    tall, wide = SearchBounds(4, 3), SearchBounds(5, 2)
+    assert denominator_policy(G33, tall) == denominator_policy(G33, wide)
+    info = _policy_by_denominator.cache_info()
+    assert info.misses == info.currsize == 1
+    assert denominator_policy(G33, tall) != denominator_policy(G33, SearchBounds(4, 2))

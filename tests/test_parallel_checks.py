@@ -6,10 +6,11 @@ As in test_parallel_equivalence.py, the fork width is set by replacing
 os.sched_getaffinity.  Every split must give the bytes of the
 in-process run, report the serial run's first counterexample wherever
 the fault sits, recompute a share whose worker died or sent a short
-payload, stay in-process while other threads run, and leave no child
-process behind.
+payload, run its second share in-process when the fork is refused, stay
+in-process while other threads run, and leave no child process behind.
 """
 
+import errno
 import json
 import os
 import threading
@@ -23,6 +24,7 @@ from test_parallel_equivalence import (  # noqa: F401 (no_children_left is an au
     _killed,
     _no_fork,
     _nonzero_exit,
+    _refusing,
     _set_cpus,
     _short_payload,
     no_children_left,
@@ -145,6 +147,22 @@ def test_a_failed_worker_share_is_recomputed_in_process(monkeypatch, check, chil
     assert sum('"status": "fail"' in line for line in expected) == 2
     monkeypatch.setattr(oracle, "_share_child", child)
     assert _lines(check, monkeypatch, 2) == expected
+
+
+@pytest.mark.parametrize("check", CHECKS)
+@pytest.mark.parametrize("refused", [1, 2])
+def test_a_refused_fork_runs_the_share_left_in_process(monkeypatch, check, refused):
+    # faults in both shares, so a share left out or read as passing shows
+    if check is oracle.check_crystal_axioms:
+        _plant_axioms_faults(monkeypatch, {(9, 1), (7, 2)})
+    else:
+        _plant_connectedness_faults(monkeypatch, "both")
+    expected = _lines(check, monkeypatch, 1)
+    assert sum('"status": "fail"' in line for line in expected) == 2
+    forks = _refusing(monkeypatch, "fork", refused, errno.EAGAIN)
+    assert _lines(check, monkeypatch, 3) == expected
+    # two shares: one fork, refused when refused = 1 and made when 2
+    assert len(forks) == 1
 
 
 def test_a_passing_route_sent_as_null_is_not_recomputed(monkeypatch):

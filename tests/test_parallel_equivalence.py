@@ -3,13 +3,16 @@
 The worker count is the size of the affinity mask, which these tests
 set by replacing os.sched_getaffinity.  Every split must give the bytes
 of the in-process run, re-raise a worker's error with its message,
-recompute a share whose worker died or sent a short payload, and leave
-no child process behind.
+recompute a share whose worker died or sent a short payload, run the
+shares left in-process once a fork or pipe is refused, and leave no
+child process behind.
 """
 
+import errno
 import os
 import signal
 import threading
+from functools import partial
 
 import pytest
 
@@ -27,6 +30,23 @@ def _set_cpus(monkeypatch, n):
 
 def _no_fork():
     raise AssertionError("forked although the check should run in-process")
+
+
+def _refusing(monkeypatch, name, k, code):
+    """Make the k-th call of os.fork or os.pipe (name) raise OSError with
+    errno code, as the system does under a process or descriptor limit,
+    and return the list of calls made."""
+    calls = []
+    real = getattr(os, name)
+
+    def refused_at_k():
+        calls.append(1)
+        if len(calls) == k:
+            raise OSError(code, os.strerror(code))
+        return real()
+
+    monkeypatch.setattr(os, name, refused_at_k)
+    return calls
 
 
 @pytest.fixture(autouse=True)
@@ -91,6 +111,26 @@ def test_a_failed_worker_share_is_recomputed_in_process(monkeypatch, child):
     report = oracle.check_operator_equivalence(G33, 4, 3)
     assert report.results[0].checked == serial[0] == 7112
     assert report.all_passed
+
+
+@pytest.mark.parametrize("name, code", [("fork", errno.EAGAIN), ("pipe", errno.EMFILE)])
+@pytest.mark.parametrize("refused", [1, 2])
+def test_a_refused_fork_runs_the_shares_left_in_process(monkeypatch, name, code, refused):
+    _set_cpus(monkeypatch, 1)
+    expected = oracle.check_operator_equivalence(G33, 4, 3).to_json_lines()
+    calls = _refusing(monkeypatch, name, refused, code)
+    _set_cpus(monkeypatch, 3)
+    assert oracle.check_operator_equivalence(G33, 4, 3).to_json_lines() == expected
+    assert '"checked": 7112' in expected[0]
+    # no fork is tried after the refused one
+    assert len(calls) == refused
+
+
+def test_shares_left_by_a_refused_fork_keep_their_order(monkeypatch):
+    _set_cpus(monkeypatch, 4)
+    _refusing(monkeypatch, "fork", 2, errno.EAGAIN)
+    # share 1 in a child, 0, 2 and 3 here
+    assert oracle._run_shares([partial(str, k) for k in range(4)]) == ["0", "1", "2", "3"]
 
 
 def test_one_cpu_and_a_missing_fork_run_in_process(monkeypatch):

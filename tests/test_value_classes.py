@@ -5,14 +5,19 @@ Each class is checked against a twin: the @dataclass(frozen=True) it
 used to be, fields and validation as they were, defined here as the
 reference.  The twin carries the real class's __qualname__, so the two
 reprs can be compared as text.  Weight has no twin: it keeps its own
-repr and str, so it is pinned on its own.  Also pinned: importing the
-command line pulls in none of dataclasses, inspect and typing.
+repr and str, so it is pinned on its own.  Every class whose source
+defines no __init__, and so takes the constructor Frozen compiles from
+its slots, has a twin.  Also pinned: importing the command line pulls
+in none of dataclasses, inspect and typing.
 """
 
 import copy
+import importlib
 import inspect
 import os
 import pickle
+import pkgutil
+import re
 import subprocess
 import sys
 from dataclasses import FrozenInstanceError, dataclass
@@ -21,7 +26,9 @@ from pathlib import Path
 
 import pytest
 
-from lscrystal.cartan import GCM, Weight
+import lscrystal
+from lscrystal.cartan import GCM, Frozen, Weight
+from lscrystal.explicit import _ShapeTable
 from lscrystal.oracle import CheckResult, SearchBounds, VerificationReport
 from lscrystal.paths import PiecewiseLinear
 from lscrystal.weyl import HasseNeighbors, PositiveRoot, PQTable, WeylElement, orbit_weight, x, y
@@ -74,6 +81,13 @@ class PositiveRootTwin:
 class HasseNeighborsTwin:
     up: tuple
     down: tuple
+
+
+@dataclass(frozen=True)
+class ShapeTableTwin:
+    grid: tuple
+    slopes: tuple
+    jumps: tuple
 
 
 @dataclass(frozen=True)
@@ -150,6 +164,15 @@ CASES = {
         PiecewiseLinearTwin,
         [((((F(0), F(0)), (F(1, 2), F(-1)), (F(1), F(1))),), {}), ((), {"points": ((F(0), F(0)),)})],
         [((), {})],
+    ),
+    "_ShapeTable": (
+        _ShapeTable,
+        ShapeTableTwin,
+        [
+            (((2, 5), ((3, -1, 2), (-8, 3, -1)), ((-4, 3), (11, -4))), {}),
+            ((), {"grid": (), "slopes": ((2,), (-3,)), "jumps": ((), ())}),
+        ],
+        [(((2, 5), ((3, -1, 2), (-8, 3, -1))), {}), ((), {"grid": (), "slopes": (), "jumps": (), "den": 1})],
     ),
     "SearchBounds": (
         SearchBounds,
@@ -265,6 +288,40 @@ def test_copy_deepcopy_and_pickle_round_trips(case):
         for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
             assert pickle.loads(pickle.dumps(got, protocol)) == got
         assert repr(copy.deepcopy(want)) == repr(copy.deepcopy(got))
+
+
+def _package_value_classes() -> dict:
+    """Every Frozen subclass in the package, by name, with its source."""
+    for info in pkgutil.iter_modules(lscrystal.__path__):
+        importlib.import_module(f"lscrystal.{info.name}")
+    classes, todo = [], [Frozen]
+    while todo:
+        todo = [sub for cls in todo for sub in cls.__subclasses__()]
+        classes += todo
+    ours = [cls for cls in classes if cls.__module__.startswith("lscrystal.")]
+    return {cls.__qualname__: inspect.getsource(cls) for cls in ours}
+
+
+def test_every_class_with_the_compiled_constructor_has_a_twin():
+    sources = _package_value_classes()
+    compiled = {name for name, src in sources.items() if not re.search(r"^    def __init__\(", src, re.M)}
+    assert compiled <= set(CASES)
+    assert compiled == {
+        "PQTable",
+        "PositiveRoot",
+        "HasseNeighbors",
+        "PiecewiseLinear",
+        "_ShapeTable",
+        "VerificationReport",
+    }
+
+
+def test_no_class_writes_its_own_hash():
+    # each hash is the compiled hash(field tuple); none is cached in a slot
+    sources = _package_value_classes()
+    assert {"GCM", "WeylElement", "LSPath", "ExplicitPath"} <= set(sources)
+    assert not [name for name, src in sources.items() if re.search(r"^    def __hash__\(", src, re.M)]
+    assert GCM.__slots__ == ("a", "b") and WeylElement.__slots__ == ("family", "m")
 
 
 def test_canonical_spelling_survives_the_round_trips():
