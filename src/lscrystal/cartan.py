@@ -14,7 +14,9 @@ reduced_breakpoint_ints below make and check that form.
 The package's immutable value classes (the matrix, weights, Weyl
 elements, the p/q tables, roots, both path classes, search bounds and
 reports) derive from Frozen below, a __slots__ base in place of
-@dataclass(frozen=True).
+@dataclass(frozen=True).  Frozen compiles every class's field stores
+from its slots, so no module writes to a slot by hand except
+explicit._on_grid, which fills the one cache slot.
 """
 
 from __future__ import annotations
@@ -41,14 +43,16 @@ class Frozen:
 
     A subclass names its fields in __slots__, in constructor order;
     slots whose names start with an underscore hold derived values (a
-    cache) and are not fields.  A class that only stores its fields
-    defines no __init__: the base compiles one, as @dataclass does,
-    whose parameters are the fields, each stored through its slot's
-    member descriptor setter, which skips __setattr__.  A class that
-    validates, has a default or has underscore slots writes its own
-    __init__ and stores through the setters slot_setters captures once
-    at module level.  From the fields, the base gives what
-    @dataclass(frozen=True) gave:
+    cache) and are not fields.  The base compiles, per class and as
+    @dataclass does, one store over the slots: cls._store(self, *fields)
+    puts each field, and None in each underscore slot, through the
+    slot's member descriptor setter, which skips __setattr__.  A class
+    that only stores its fields defines no __init__ and gets the store
+    as its constructor; a class that validates writes its own __init__,
+    which ends in one self._store(...) call.  cls._from_valid(*fields)
+    is the store on a new instance, without the constructor's checks,
+    for a caller whose data already holds the class's invariant.  From
+    the fields, the base gives what @dataclass(frozen=True) gave:
 
     - repr "Name(field=value, ...)";
     - == between two instances of one class, field by field, and
@@ -69,16 +73,12 @@ class Frozen:
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
-        cls.__match_args__ = fields
+        cls.__match_args__ = tuple(name for name in cls.__slots__ if not name.startswith("_"))
         # compiled now, not on first call, so that its signature names
         # the fields, as the dataclass constructor's did
         if "__init__" not in vars(cls):
-            setters = {f"_set_{name}": vars(cls)[name].__set__ for name in fields}
-            body = "".join(f"    _set_{name}(self, {name})\n" for name in fields)
-            _install(cls, "__init__", f"def __init__(self, {', '.join(fields)}):\n{body}", setters)
-        # == and hash read the slots directly, compiled per class on
-        # first use.  A class's own stay.
+            _install(cls, "__init__", _FIELD_METHOD_SOURCE["_store"])
+        # the rest are compiled per class on first use.  A class's own stay.
         for name in _FIELD_METHOD_SOURCE:
             if name not in vars(cls):
                 setattr(cls, name, _compiled_on_first_call(cls, name))
@@ -100,6 +100,10 @@ class Frozen:
         raise _frozen_error(f"cannot delete field {name!r}")
 
 
+# method templates over one class: {fields} its field names, {self} and
+# {other} its field tuples on self and other, {stores} a setter call per
+# slot.  _from_valid takes named parameters, not *fields, which would
+# cost a tuple per call on the path conversions.
 _FIELD_METHOD_SOURCE = {
     "__eq__": (
         "def __eq__(self, other):\n"
@@ -108,39 +112,44 @@ _FIELD_METHOD_SOURCE = {
         "    return {self} == {other}\n"
     ),
     "__hash__": "def __hash__(self):\n    return hash({self})\n",
+    "_store": "def {name}(self, {fields}):\n{stores}",
+    "_from_valid": "def {name}(cls, {fields}):\n    self = _new(cls)\n{stores}    return self\n",
 }
 
 
-def _install(cls: type, name: str, source: str, namespace: dict):
-    """Compile the function name that source defines, with namespace as
-    its globals, and put it on cls as its method name."""
+def _install(cls: type, name: str, template: str):
+    """Compile template over cls's slots as the function name, and put
+    it on cls as its method name (a classmethod for _from_valid)."""
+    fields = cls.__match_args__
+
+    def values(obj: str) -> str:
+        return "(" + "".join(f"{obj}.{field}, " for field in fields) + ")"
+
+    stores = "".join(
+        f"    _set_{slot}(self, {slot if slot in fields else None})\n" for slot in cls.__slots__
+    )
+    source = template.format(
+        name=name, fields=", ".join(fields), self=values("self"), other=values("other"), stores=stores
+    )
+    namespace = {f"_set_{slot}": vars(cls)[slot].__set__ for slot in cls.__slots__}
+    namespace["_new"] = object.__new__
     exec(source, namespace)
-    namespace[name].__qualname__ = f"{cls.__qualname__}.{name}"
-    setattr(cls, name, namespace[name])
-    return namespace[name]
+    method = namespace[name]
+    method.__qualname__ = f"{cls.__qualname__}.{name}"
+    setattr(cls, name, classmethod(method) if name == "_from_valid" else method)
 
 
 def _compiled_on_first_call(cls: type, name: str):
-    """A stand-in for cls.__eq__ or cls.__hash__ that, on its first call,
-    compiles the method over cls's field tuple (self.f1, self.f2, ...),
-    puts it on cls in its own place and calls it.  A compile costs about
-    0.1 ms, so import pays none and a run only for the methods it uses."""
+    """A stand-in for cls's method name that, on its first call,
+    compiles the method over cls's slots, puts it on cls in its own
+    place and calls it.  A compile costs about 0.1 ms, so import pays
+    none and a run only for the methods it uses."""
 
-    def first_call(self, *args):
-        def values(obj: str) -> str:
-            return "(" + "".join(f"{obj}.{field}, " for field in cls.__match_args__) + ")"
+    def first_call(obj, *args):
+        _install(cls, name, _FIELD_METHOD_SOURCE[name])
+        return getattr(obj, name)(*args)
 
-        source = _FIELD_METHOD_SOURCE[name].format(self=values("self"), other=values("other"))
-        return _install(cls, name, source, {})(self, *args)
-
-    return first_call
-
-
-def slot_setters(cls: type) -> tuple:
-    """The setters of the member descriptors of cls's own slots, in
-    __slots__ order: setter(obj, value) stores a slot without calling
-    __setattr__, which on a Frozen class raises."""
-    return tuple(vars(cls)[name].__set__ for name in cls.__slots__)
+    return classmethod(first_call) if name == "_from_valid" else first_call
 
 
 class GCM(Frozen):
@@ -161,16 +170,12 @@ class GCM(Frozen):
             raise ValueError(f"need a >= 1 and b >= 1, got ({a}, {b})")
         if a * b <= 4:
             raise ValueError(f"not hyperbolic: a*b = {a * b} <= 4")
-        _set_a(self, a)
-        _set_b(self, b)
+        self._store(a, b)
 
     @property
     def boundary(self) -> bool:
         """True when a = 1 or b = 1."""
         return self.a == 1 or self.b == 1
-
-
-_set_a, _set_b = slot_setters(GCM)
 
 
 class Weight(Frozen):
@@ -184,8 +189,7 @@ class Weight(Frozen):
     __slots__ = ("c1", "c2")
 
     def __init__(self, c1, c2):
-        _set_c1(self, Fraction(c1))
-        _set_c2(self, Fraction(c2))
+        self._store(Fraction(c1), Fraction(c2))
 
     def __add__(self, other):
         return Weight(self.c1 + other.c1, self.c2 + other.c2)
@@ -207,8 +211,6 @@ class Weight(Frozen):
         sign = "+" if c2 >= 0 else "-"
         return f"{self.c1}L1 {sign} {abs(c2)}L2"
 
-
-_set_c1, _set_c2 = slot_setters(Weight)
 
 LAMBDA = Weight(1, -1)  # the fixed shape L1 - L2
 

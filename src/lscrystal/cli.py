@@ -109,8 +109,18 @@ def _newest_fit(n: int, newest) -> bool:
 
 
 def _pq_fit(gcm: GCM, n: int) -> bool:
-    """_newest_fit over the p/q tables up to length n."""
-    return _newest_fit(n, lambda k: pq_table(gcm, k).p[-2:] + pq_table(gcm, k).q[-2:])
+    """_newest_fit over the p/q tables up to length n.
+
+    The probe tables are built outside pq_table's cache, which would
+    otherwise keep the tables past the digit limit of a refused command
+    for the rest of the process.
+    """
+
+    def newest(k: int) -> tuple[int, ...]:
+        table = pq_table.__wrapped__(gcm, k)
+        return table.p[-2:] + table.q[-2:]
+
+    return _newest_fit(n, newest)
 
 
 def cmd_sequences(args, gcm: GCM) -> int:

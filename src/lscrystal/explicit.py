@@ -63,11 +63,11 @@ out.  The conversions to and from LSPath hand the numerators across
 unchanged.
 
 The conversions build their results with the private constructors
-LSPath._from_valid and ExplicitPath._from_valid, which store fields
-without checking them, because the source's invariant already implies
-the target's.  An ExplicitPath's nums start at 0, rise strictly and
-have gcd 1, and its keys are a strictly decreasing run of length s: a
-valid LSPath.  An LSPath whose keys are one consecutive run of one
+LSPath._from_valid and ExplicitPath._from_valid, which cartan.Frozen
+compiles for every value class: they store the fields without checking
+them, because the source's invariant already implies the target's.
+An ExplicitPath's nums start at 0, rise strictly and have gcd 1, and
+its keys are a strictly decreasing run of length s: a valid LSPath.  An LSPath whose keys are one consecutive run of one
 family is a valid ExplicitPath: form i takes any m >= 0 and s >= 1,
 and a form ii run with both end keys negative has m >= s >= 1, which
 is all the constructor asks of form ii.  Every operator result, on
@@ -93,7 +93,6 @@ from .cartan import (
     breakpoint_ints,
     rationals_from_json,
     reduced_breakpoint_ints,
-    slot_setters,
 )
 from .paths import LSPath
 from .weyl import BY_ORDER_KEY, WeylElement, X, pq_table_covering
@@ -119,7 +118,8 @@ class ExplicitPath(Frozen):
     (types, shapes, monotonicity, m >= s for form ii except the straight
     path m = 0, s = 1); breakpoint integrality does need it and lives in
     validate_explicit.  ExplicitPath._from_valid skips these checks and
-    is only for from_ls_path (see the module docstring).
+    is only for from_ls_path (see the module docstring); like the
+    constructor, it leaves the _on_grid verdict empty.
     """
 
     __slots__ = ("form", "m", "nums", "_on_grid_of")
@@ -151,20 +151,7 @@ class ExplicitPath(Frozen):
             if m == 0:
                 # the straight identity path; canonical spelling is form i
                 form = FORM_I
-        _set_form(self, form)
-        _set_m(self, m)
-        _set_nums(self, nums)
-        _set_on_grid_of(self, None)
-
-    @classmethod
-    def _from_valid(cls, form: str, m: int, nums: tuple[int, ...]) -> "ExplicitPath":
-        """The path of already-valid fields, form in its canonical spelling."""
-        self = object.__new__(cls)
-        _set_form(self, form)
-        _set_m(self, m)
-        _set_nums(self, nums)
-        _set_on_grid_of(self, None)
-        return self
+        self._store(form, m, nums)
 
     def __reduce__(self):
         return ExplicitPath, (self.form, self.m, self.s, self.sigmas)
@@ -207,7 +194,8 @@ class ExplicitPath(Frozen):
         return cls(data["form"], data["m"], data["s"], rationals_from_json(data["sigmas"]))
 
 
-_set_form, _set_m, _set_nums, _set_on_grid_of = slot_setters(ExplicitPath)
+# _on_grid writes the cache slot after construction
+_set_on_grid_of = ExplicitPath._on_grid_of.__set__
 
 
 def _require_deep(gcm: GCM):

@@ -71,7 +71,6 @@ from .cartan import (
     dominance_class,
     pairing,
     simple_root,
-    slot_setters,
 )
 from .explicit import (
     FORM_I,
@@ -137,8 +136,7 @@ class SearchBounds(Frozen):
             raise ValueError(f"m_max must be nonnegative, got {m_max}")
         if s_max < 1:
             raise ValueError(f"s_max must be positive, got {s_max}")
-        _set_m_max(self, m_max)
-        _set_s_max(self, s_max)
+        self._store(m_max, s_max)
 
     @property
     def chain_len_max(self) -> int:
@@ -150,9 +148,6 @@ class SearchBounds(Frozen):
         """m_max + s_max, the length of the p/q tables the denominator
         policy reads."""
         return self.m_max + self.s_max
-
-
-_set_m_max, _set_s_max = slot_setters(SearchBounds)
 
 
 @lru_cache(maxsize=None)
@@ -483,16 +478,14 @@ def enumerate_ls_paths(gcm: GCM, bounds: SearchBounds) -> set[LSPath]:
 
 
 class CheckResult(Frozen):
-    """One named check: whether it passed, how many cases it checked,
-    and the first counterexample as a JSON object when it failed."""
+    """One named check: how many cases it checked, and the first
+    counterexample as a JSON object, None when it passed."""
 
-    __slots__ = ("name", "passed", "checked", "counterexample")
+    __slots__ = ("name", "checked", "counterexample")
 
-    def __init__(self, name: str, passed: bool, checked: int, counterexample: dict | None = None):
-        _set_name(self, name)
-        _set_passed(self, passed)
-        _set_checked(self, checked)
-        _set_counterexample(self, counterexample)
+    @property
+    def passed(self) -> bool:
+        return self.counterexample is None
 
     def to_json(self) -> dict:
         data = {
@@ -503,9 +496,6 @@ class CheckResult(Frozen):
         if self.counterexample is not None:
             data["counterexample"] = self.counterexample
         return data
-
-
-_set_name, _set_passed, _set_checked, _set_counterexample = slot_setters(CheckResult)
 
 
 class VerificationReport(Frozen):
@@ -556,7 +546,7 @@ def check_classification(gcm: GCM, bounds: SearchBounds) -> VerificationReport:
                 # the pair's smallest failing value is 1/d for its largest failing d
                 d, found = failing[-1]
                 bad = {"upper": str(u), "lower": str(v), "sigma": f"1/{d}", "lengths": list(found)}
-    length_result = CheckResult("sigma-chain-length-one", bad is None, chains, bad)
+    length_result = CheckResult("sigma-chain-length-one", chains, bad)
 
     oracle_set = enumerate_ls_paths(gcm, bounds)
     normal_set = {to_ls_path(ep) for ep in _normal_forms_in_window(gcm, bounds)}
@@ -567,9 +557,7 @@ def check_classification(gcm: GCM, bounds: SearchBounds) -> VerificationReport:
         ce = {"side": "oracle-only", "path": min(extra, key=str).to_json()}
     elif missing:
         ce = {"side": "normal-form-only", "path": min(missing, key=str).to_json()}
-    set_result = CheckResult(
-        "normal-form-set-equality", ce is None, len(oracle_set | normal_set), ce
-    )
+    set_result = CheckResult("normal-form-set-equality", len(oracle_set | normal_set), ce)
     return VerificationReport((length_result, set_result))
 
 
@@ -588,12 +576,12 @@ def check_straight_through_lambda(gcm: GCM, bounds: SearchBounds) -> Verificatio
         ok = [d for d, _, found in rows if found]
         if ok and bad is None:
             bad = {"upper": str(upper), "lower": str(lower), "sigma": f"1/{ok[-1]}"}
-    turn_result = CheckResult("no-turn-at-lambda", bad is None, checked, bad)
+    turn_result = CheckResult("no-turn-at-lambda", checked, bad)
 
     paths = enumerate_ls_paths(gcm, bounds)
     through = min((pi for pi in paths if pi.s >= 2 and 0 in pi.keys), key=str, default=None)
     ce = None if through is None else {"path": through.to_json()}
-    scan_result = CheckResult("no-multi-piece-path-through-lambda", ce is None, len(paths), ce)
+    scan_result = CheckResult("no-multi-piece-path-through-lambda", len(paths), ce)
     return VerificationReport((turn_result, scan_result))
 
 
@@ -610,8 +598,8 @@ def check_connectedness(gcm: GCM, bounds: SearchBounds) -> VerificationReport:
     )
     return VerificationReport(
         (
-            CheckResult("reduction-to-straight", stuck is None, len(paths), stuck),
-            CheckResult("bfs-coverage", uncovered is None, len(paths), uncovered),
+            CheckResult("reduction-to-straight", len(paths), stuck),
+            CheckResult("bfs-coverage", len(paths), uncovered),
         )
     )
 
@@ -685,7 +673,7 @@ def check_crystal_axioms(gcm: GCM, bounds: SearchBounds) -> VerificationReport:
         first = min(failed, key=lambda f: (f[0], f[1]["i"]), default=None)
         ce = None if first is None else first[1]
         checked = sum(share[name][0] for share in shares)
-        results.append(CheckResult(name, ce is None, checked, ce))
+        results.append(CheckResult(name, checked, ce))
     return VerificationReport(tuple(results))
 
 
@@ -735,14 +723,16 @@ def check_operator_equivalence(gcm: GCM, m_max: int, s_max: int) -> Verification
     the normal_forms_by_shape order goes to share k mod n of
     _run_shares.  The counts are summed and the counterexample with the
     smallest str(path) is kept, so the report is the one a serial run
-    gives.
+    gives.  The window is checked as every other check's is, by
+    SearchBounds, before any share runs.
     """
+    SearchBounds(m_max, s_max)
     n = _fork_width()
     shares = _run_shares([partial(_equivalence_share, gcm, m_max, s_max, k, n) for k in range(n)])
     checked = sum(share[0] for share in shares)
     failed = [(first, ce) for _, first, ce in shares if first is not None]
     ce = min(failed, key=lambda f: f[0])[1] if failed else None
-    return VerificationReport((CheckResult("operator-equivalence", ce is None, checked, ce),))
+    return VerificationReport((CheckResult("operator-equivalence", checked, ce),))
 
 
 def _equivalence_share(gcm: GCM, m_max: int, s_max: int, k: int, n: int) -> list:
@@ -888,9 +878,7 @@ def check_structure(gcm: GCM, bounds: SearchBounds) -> VerificationReport:
             wt = orbit_weight(x(1), gcm)
             if ce is None and (wt != Weight(-1, 0) or dominance_class(wt) != ANTIDOMINANT):
                 ce = {"element": "x1", "weight": str(wt)}
-        return VerificationReport(
-            (CheckResult("degenerate-orbit-identities", ce is None, checked, ce),)
-        )
+        return VerificationReport((CheckResult("degenerate-orbit-identities", checked, ce),))
 
     results = []
     table = pq_table(gcm, 51)
@@ -900,7 +888,7 @@ def check_structure(gcm: GCM, bounds: SearchBounds) -> VerificationReport:
         if math.gcd(table.p[k], table.p[k + 1]) != 1 or math.gcd(table.q[k], table.q[k + 1]) != 1:
             ce = {"k": k}
             break
-    results.append(CheckResult("consecutive-coprimality", ce is None, 51, ce))
+    results.append(CheckResult("consecutive-coprimality", 51, ce))
 
     ok = (
         table.p[0] == table.p[1] == 1
@@ -912,14 +900,8 @@ def check_structure(gcm: GCM, bounds: SearchBounds) -> VerificationReport:
         and all(table.p[k] < table.p[k + 1] for k in range(2, 51))
         and all(table.q[k] < table.q[k + 1] for k in range(2, 51))
     )
-    results.append(
-        CheckResult(
-            "sequence-monotonicity",
-            ok,
-            51,
-            None if ok else {"p": [str(v) for v in table.p[:6]], "q": [str(v) for v in table.q[:6]]},
-        )
-    )
+    ce = None if ok else {"p": [str(v) for v in table.p[:6]], "q": [str(v) for v in table.q[:6]]}
+    results.append(CheckResult("sequence-monotonicity", 51, ce))
 
     weyl_roots = positive_roots_weyl(gcm, 15)
     weyl_coords = [r.coords for r in weyl_roots]
@@ -929,19 +911,13 @@ def check_structure(gcm: GCM, bounds: SearchBounds) -> VerificationReport:
         and len(set(rec_coords)) == 60
         and set(weyl_coords) == set(rec_coords)
     )
-    results.append(
-        CheckResult(
-            "root-enumerations-agree",
-            ok,
-            60,
-            None
-            if ok
-            else {
-                "weyl-only": sorted(set(weyl_coords) - set(rec_coords))[:3],
-                "recurrence-only": sorted(set(rec_coords) - set(weyl_coords))[:3],
-            },
-        )
-    )
+    ce = None
+    if not ok:
+        ce = {
+            "weyl-only": sorted(set(weyl_coords) - set(rec_coords))[:3],
+            "recurrence-only": sorted(set(rec_coords) - set(weyl_coords))[:3],
+        }
+    results.append(CheckResult("root-enumerations-agree", 60, ce))
 
     window = window_elements(bounds.m_max)
     checked = 0
@@ -963,7 +939,7 @@ def check_structure(gcm: GCM, bounds: SearchBounds) -> VerificationReport:
                 ]
                 if down != v or step_roots[0].coords != ((1, 0) if label == 1 else (0, 1)):
                     ce = {"upper": str(u), "lower": str(v), "root": str(step_roots[0])}
-    results.append(CheckResult("hasse-matches-dist", ce is None, checked, ce))
+    results.append(CheckResult("hasse-matches-dist", checked, ce))
 
     ce = None
     for m in range(31):
@@ -972,6 +948,6 @@ def check_structure(gcm: GCM, bounds: SearchBounds) -> VerificationReport:
         ):
             ce = {"m": m}
             break
-    results.append(CheckResult("orbit-never-dominant", ce is None, 31, ce))
+    results.append(CheckResult("orbit-never-dominant", 31, ce))
 
     return VerificationReport(tuple(results))

@@ -61,7 +61,6 @@ from .cartan import (
     pairing,
     rationals_from_json,
     reduced_breakpoint_ints,
-    slot_setters,
 )
 from .weyl import BY_ORDER_KEY, IDENTITY, WeylElement, orbit_weight, reflected_key
 
@@ -76,14 +75,14 @@ class LSPath(Frozen):
     must strictly decrease and the breakpoints strictly increase from 0
     to 1.  Instances are immutable.
 
-    LSPath._from_valid(keys, nums) stores the two tuples as they are,
-    without any of these checks.  It is only for a caller that holds
-    them from a path object whose own invariant already implies this
-    one (keys a strictly decreasing int tuple, nums a tuple of ints
-    from 0 strictly up to D with gcd 1, one more entry than keys);
-    explicit.to_ls_path is that caller.  Everything else, the operators
-    here included, builds its results through the validating
-    constructor.
+    LSPath._from_valid(keys, nums), which Frozen compiles, stores the
+    two tuples as they are, without any of these checks.  It is only
+    for a caller that holds them from a path object whose own invariant
+    already implies this one (keys a strictly decreasing int tuple, nums
+    a tuple of ints from 0 strictly up to D with gcd 1, one more entry
+    than keys); explicit.to_ls_path is that caller.  Everything else,
+    the operators here included, builds its results through the
+    validating constructor.
     """
 
     __slots__ = ("keys", "nums")
@@ -107,16 +106,7 @@ class LSPath(Frozen):
             raise ValueError(
                 f"directions not strictly decreasing: {BY_ORDER_KEY[u]} !> {BY_ORDER_KEY[v]}"
             )
-        _set_keys(self, tuple(keys))
-        _set_nums(self, nums)
-
-    @classmethod
-    def _from_valid(cls, keys: tuple[int, ...], nums: tuple[int, ...]) -> "LSPath":
-        """The path of already-valid keys and nums; see the class docstring."""
-        self = object.__new__(cls)
-        _set_keys(self, keys)
-        _set_nums(self, nums)
-        return self
+        self._store(tuple(keys), nums)
 
     def __reduce__(self):
         return LSPath, (self.dirs, self.times)
@@ -152,9 +142,6 @@ class LSPath(Frozen):
     def from_json(cls, data: dict) -> "LSPath":
         dirs = tuple(WeylElement.from_json(d) for d in data["dirs"])
         return cls(dirs, rationals_from_json(data["sigmas"]))
-
-
-_set_keys, _set_nums = slot_setters(LSPath)
 
 
 def straight_path(w: WeylElement = IDENTITY) -> LSPath:

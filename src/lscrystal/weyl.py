@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .cartan import GCM, Frozen, Weight, pairing, simple_reflect, slot_setters
+from .cartan import GCM, Frozen, Weight, pairing, simple_reflect
 
 X = "x"
 Y = "y"
@@ -43,8 +43,7 @@ class WeylElement(Frozen):
             raise ValueError(f"length must be a nonnegative integer, got {m!r}")
         if m == 0 and family != X:
             family = X
-        _set_family(self, family)
-        _set_m(self, m)
+        self._store(family, m)
 
     @property
     def is_identity(self) -> bool:
@@ -104,9 +103,6 @@ class WeylElement(Frozen):
         if family not in (X, Y):
             raise ValueError(f"not a Weyl element: {data!r}")
         return cls(family, m)
-
-
-_set_family, _set_m = slot_setters(WeylElement)
 
 
 def x(m: int) -> WeylElement:

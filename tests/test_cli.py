@@ -10,6 +10,7 @@ import pytest
 from lscrystal import cli
 from lscrystal.cartan import GCM
 from lscrystal.oracle import CheckResult, SearchBounds, VerificationReport
+from lscrystal.weyl import pq_table
 
 
 def run(capsys, *argv, stdin=None, monkeypatch=None):
@@ -413,6 +414,16 @@ def test_digit_limit_exit_comes_at_the_first_entry_past_it(capsys, ab):
         sys.set_int_max_str_digits(old)
 
 
+@pytest.mark.parametrize("argv", [["sequences", "--n", "10000000"], ["orbit", "--m-max", "10000000"]])
+def test_a_refused_command_leaves_no_probe_table_cached(capsys, argv):
+    # the probe's tables reach past the digit limit and are never
+    # printed, so the process keeps none of them
+    pq_table.cache_clear()
+    code, out, _ = run(capsys, argv[0], "--a", "3", "--b", "3", *argv[1:])
+    assert (code, out) == (2, "")
+    assert pq_table.cache_info().currsize == 0
+
+
 # one path in both spellings; its f1 image at a = b = 100000 has a
 # denominator past the default digit limit
 DIGIT_LIMIT_PAYLOADS = (
@@ -557,7 +568,7 @@ def test_verify_looks_checks_up_at_call_time(capsys, monkeypatch):
 
     def stub(gcm, bounds):
         calls.append((gcm, bounds))
-        return VerificationReport((CheckResult("stub", True, 1),))
+        return VerificationReport((CheckResult("stub", 1, None),))
 
     monkeypatch.setattr("lscrystal.cli.check_structure", stub)
     code, out, _ = run(capsys, "verify", "--a", "3", "--b", "3", "--m-max", "1", "--s-max", "1", "structure")

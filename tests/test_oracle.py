@@ -276,6 +276,16 @@ def test_check_operator_equivalence_passes():
     assert rep.results[0].checked > 0
 
 
+@pytest.mark.parametrize("window", [(-1, 3), (2, 0), (True, 2)])
+def test_check_operator_equivalence_refuses_what_search_bounds_refuses(window):
+    # the same window every other check takes through SearchBounds
+    with pytest.raises((TypeError, ValueError)) as want:
+        SearchBounds(*window)
+    with pytest.raises(want.type) as got:
+        check_operator_equivalence(G33, *window)
+    assert str(got.value) == str(want.value)
+
+
 def test_check_structure_passes():
     assert check_structure(G33, B33).all_passed
     assert check_structure(G23, B33).all_passed
@@ -304,7 +314,7 @@ def test_failing_check_reports_counterexample():
     from lscrystal.oracle import CheckResult, VerificationReport
 
     fake = VerificationReport(
-        (CheckResult("probe", False, 1, {"path": "witness"}),)
+        (CheckResult("probe", 1, {"path": "witness"}),)
     )
     assert not fake.all_passed
     assert '"counterexample"' in fake.to_json_lines()[0]

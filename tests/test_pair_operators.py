@@ -150,7 +150,6 @@ def test_reported_counterexample_is_the_first_in_str_order(monkeypatch):
     assert report.results == (
         CheckResult(
             "operator-equivalence",
-            False,
             7112,
             {
                 "path": {"form": "i", "m": 3, "s": 3, "sigmas": ["0", "1/17", "1/13", "1"]},

@@ -7,8 +7,10 @@ reference.  The twin carries the real class's __qualname__, so the two
 reprs can be compared as text.  Weight has no twin: it keeps its own
 repr and str, so it is pinned on its own.  Every class whose source
 defines no __init__, and so takes the constructor Frozen compiles from
-its slots, has a twin.  Also pinned: importing the command line pulls
-in none of dataclasses, inspect and typing.
+its slots, has a twin; every other one stores through the compiled
+_store, and every class's compiled _from_valid rebuilds its instances
+from their fields.  Also pinned: importing the command line pulls in
+none of dataclasses, inspect and typing.
 """
 
 import copy
@@ -28,9 +30,9 @@ import pytest
 
 import lscrystal
 from lscrystal.cartan import GCM, Frozen, Weight
-from lscrystal.explicit import _ShapeTable
+from lscrystal.explicit import ExplicitPath, _ShapeTable, validate_explicit
 from lscrystal.oracle import CheckResult, SearchBounds, VerificationReport
-from lscrystal.paths import PiecewiseLinear
+from lscrystal.paths import LSPath, PiecewiseLinear
 from lscrystal.weyl import HasseNeighbors, PositiveRoot, PQTable, WeylElement, orbit_weight, x, y
 
 
@@ -113,9 +115,8 @@ class SearchBoundsTwin:
 @dataclass(frozen=True)
 class CheckResultTwin:
     name: str
-    passed: bool
     checked: int
-    counterexample: dict | None = None
+    counterexample: dict | None
 
 
 @dataclass(frozen=True)
@@ -123,8 +124,8 @@ class VerificationReportTwin:
     results: tuple
 
 
-PASS = CheckResult("weight-step", True, 12)
-FAIL = CheckResult("bfs-coverage", False, 3, {"path": {"dirs": [], "sigmas": ["0", "1"]}})
+PASS = CheckResult("weight-step", 12, None)
+FAIL = CheckResult("bfs-coverage", 3, {"path": {"dirs": [], "sigmas": ["0", "1"]}})
 
 # class, its twin, constructor calls (args, kwargs) that succeed, and
 # calls that fail
@@ -184,11 +185,11 @@ CASES = {
         CheckResult,
         CheckResultTwin,
         [
-            (("weight-step", True, 12), {}),
-            (("bfs-coverage", False, 3, {"path": {"dirs": [], "sigmas": ["0", "1"]}}), {}),
-            ((), {"name": "n", "passed": True, "checked": 0, "counterexample": None}),
+            (("weight-step", 12, None), {}),
+            (("bfs-coverage", 3, {"path": {"dirs": [], "sigmas": ["0", "1"]}}), {}),
+            ((), {"name": "n", "checked": 0, "counterexample": None}),
         ],
-        [(("n", True), {}), (("n", True, 1, None, None), {})],
+        [(("n", 1), {}), (("n", 1, None, None), {})],
     ),
     "VerificationReport": (
         VerificationReport,
@@ -312,8 +313,52 @@ def test_every_class_with_the_compiled_constructor_has_a_twin():
         "HasseNeighbors",
         "PiecewiseLinear",
         "_ShapeTable",
+        "CheckResult",
         "VerificationReport",
     }
+
+
+def test_every_other_class_stores_through_one_store_call():
+    sources = _package_value_classes()
+    own = {name for name, src in sources.items() if re.search(r"^    def __init__\(", src, re.M)}
+    assert own == {"GCM", "Weight", "WeylElement", "LSPath", "ExplicitPath", "SearchBounds"}
+    for name in own:
+        assert sources[name].count("self._store(") == 1, name
+        assert "__set__" not in sources[name], name
+
+
+def _one_of_each() -> list:
+    """The twin cases' instances, and one of each class without a twin."""
+    made = [cls(*args, **kwargs) for cls, _, good, _ in CASES.values() for args, kwargs in good]
+    paths = [LSPath(keys=(3, 2), nums=(0, 1, 3)), ExplicitPath("ii", 3, 2, ("0", "1/2", "1"))]
+    return [*made, Weight(F(1, 3), -2), *paths]
+
+
+def test_from_valid_rebuilds_every_value_class_from_its_fields():
+    made = _one_of_each()
+    assert {type(obj).__qualname__ for obj in made} == set(_package_value_classes())
+    for obj in made:
+        again = type(obj)._from_valid(*[getattr(obj, name) for name in obj.__match_args__])
+        assert type(again) is type(obj) and again is not obj
+        assert again == obj and repr(again) == repr(obj)
+        assert _hash_or_error(again) == _hash_or_error(obj)
+
+
+def test_explicit_path_from_valid_starts_with_no_grid_verdict():
+    g = GCM(3, 3)
+    ep = validate_explicit("i", 2, 2, ("0", "1/5", "1"), g)
+    assert ep._on_grid_of is g
+    again = ExplicitPath._from_valid(ep.form, ep.m, ep.nums)
+    assert again == ep and again._on_grid_of is None
+    assert ExplicitPath("i", 2, 2, ("0", "1/5", "1"))._on_grid_of is None
+
+
+def test_check_result_passes_exactly_without_a_counterexample():
+    ok, bad = CheckResult("n", 4, None), CheckResult("n", 4, {"k": 0})
+    assert ok.passed and not bad.passed
+    assert VerificationReport((ok,)).to_json_lines() == ['{"check": "n", "checked": 4, "status": "pass"}']
+    fail = '{"check": "n", "checked": 4, "counterexample": {"k": 0}, "status": "fail"}'
+    assert VerificationReport((bad,)).to_json_lines() == [fail]
 
 
 def test_no_class_writes_its_own_hash():
