@@ -100,7 +100,6 @@ from .weyl import (
     PositiveRoot,
     WeylElement,
     X,
-    Y,
     hasse_neighbors,
     orbit_weight,
     positive_roots_recurrence,
@@ -617,10 +616,9 @@ def _reduction_stuck(gcm: GCM, bounds: SearchBounds, paths: list[LSPath]) -> dic
             first, last = cur.dirs[0], cur.dirs[-1]
             if first.family == X and first.m > 0:
                 cur = e_max(cur, first.descent_index, gcm)
-            elif last.family == Y and last.m > 0:
-                cur = f_max(cur, last.descent_index, gcm)
             else:
-                return {"path": pi.to_json(), "reason": "recipe stuck", "at": cur.to_json()}
+                # not straight, keys falling from a first key <= 0: last is y_m, m > 0
+                cur = f_max(cur, last.descent_index, gcm)
             steps += 1
     return None
 

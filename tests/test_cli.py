@@ -63,6 +63,15 @@ def test_positive_roots(capsys):
     assert out.splitlines() == ["(0, 1)", "(1, 0)", "(1, 3)", "(3, 1)", "(3, 8)", "(8, 3)"]
 
 
+def test_positive_roots_exits_1_on_a_recurrence_root_missing_from_the_orbit(capsys, monkeypatch):
+    real = cli.positive_roots_weyl
+    # the reflection orbit with its first root, alpha_2, dropped
+    monkeypatch.setattr(cli, "positive_roots_weyl", lambda gcm, n: real(gcm, n)[1:])
+    code, out, err = run(capsys, "positive-roots", "--a", "3", "--b", "3", "--n", "3")
+    assert (code, out) == (1, "")
+    assert err == "error: recurrence root (0, 1) missing from the reflection orbit\n"
+
+
 WORKED = '{"form": "i", "m": 2, "s": 3, "sigmas": ["0", "1/7", "2/3", "1"]}'
 STRAIGHT_LS = '{"dirs": [{"family": "x", "m": 0}], "sigmas": ["0", "1"]}'
 

@@ -14,7 +14,6 @@ and weyl.py read off it: the form-ii shape tables are form i at the
 transposed matrix, and q of (a, b) is p of (b, a).
 """
 
-import random
 from operator import sub
 
 import pytest
@@ -33,8 +32,9 @@ from lscrystal.explicit import (
     to_ls_path,
     xi,
 )
-from lscrystal.paths import LSPath, e_generic, e_max, epsilon, f_generic, f_max, fe_generic, phi, straight_path
+from lscrystal.paths import LSPath, e_max, epsilon, f_max, fe_generic, phi
 from lscrystal.weyl import pq_table
+from walks import G25, deep_walk
 
 WINDOW_MATRICES = ((3, 3), (2, 5), (4, 2))
 FOLD_MATRICES = ((2, 3), (3, 2), (2, 5), (5, 2), (3, 3), (4, 4), (7, 3))
@@ -112,19 +112,14 @@ def test_phi_intertwines_on_window(ab, m_max):
 
 def test_phi_intertwines_along_deep_walks():
     # the operators at every 2nd step, the string ends at every 8th
-    gcm = GCM(2, 5)
     deepest, checked = 0, 0
-    for seed in range(20):
-        rng = random.Random(seed)
-        pi = straight_path()
-        for step in range(256):
-            op = f_generic if rng.random() < 0.5 else e_generic
-            pi = op(pi, rng.choice((1, 2)), gcm) or pi
-            if step % 2 == 0:
-                checked += _assert_operators_intertwine(from_ls_path(pi), gcm)
-            if step % 8 == 0:
-                checked += _assert_strings_intertwine(pi, gcm)
-            deepest = max(deepest, len(pi.keys))
+    for w in deep_walk():
+        pi = w.pi_after
+        if w.step % 2 == 0:
+            checked += _assert_operators_intertwine(from_ls_path(pi), G25)
+        if w.step % 8 == 0:
+            checked += _assert_strings_intertwine(pi, G25)
+        deepest = max(deepest, len(pi.keys))
     assert deepest >= 25 and checked == 20 * (128 * 9 + 32 * 6)
 
 

@@ -1,4 +1,3 @@
-import random
 from fractions import Fraction as F
 
 import pytest
@@ -22,6 +21,7 @@ from lscrystal.explicit import (
 )
 from lscrystal.paths import LSPath, e_generic, f_generic, h_function, straight_path, weight
 from lscrystal.weyl import x, y
+from walks import deep_walk
 
 G33 = GCM(3, 3)
 G23 = GCM(2, 3)
@@ -150,15 +150,11 @@ def test_int_heights_match_engine_on_windows(ab):
 
 def test_int_heights_match_engine_along_deep_walks():
     deepest, widest = 0, 0
-    for seed in range(20):
-        rng = random.Random(seed)
-        ep = straight_explicit()
-        for _ in range(256):
-            op = f_explicit if rng.random() < 0.5 else e_explicit
-            ep = op(ep, rng.choice((1, 2)), G25) or ep
-            _assert_heights_match_engine(ep, G25)
-            deepest = max(deepest, ep.s)
-            widest = max(widest, max(t.denominator for t in ep.sigmas))
+    for w in deep_walk():
+        ep = w.ep_after
+        _assert_heights_match_engine(ep, G25)
+        deepest = max(deepest, ep.s)
+        widest = max(widest, max(t.denominator for t in ep.sigmas))
     # these walks reach s = 29 and 13-digit denominators
     assert deepest >= 25 and widest >= 10**12
 

@@ -12,7 +12,6 @@ import ast
 import copy
 import hashlib
 import pickle
-import random
 from dataclasses import FrozenInstanceError
 from math import gcd
 from pathlib import Path
@@ -21,18 +20,14 @@ import pytest
 
 from lscrystal.cartan import GCM, reduced_breakpoint_ints
 from lscrystal.explicit import (
-    FORM_I,
     ExplicitPath,
-    e_explicit,
-    f_explicit,
     from_ls_path,
     normal_forms_by_shape,
     to_ls_path,
 )
 from lscrystal import explicit, paths
-from lscrystal.paths import LSPath, e_generic, f_generic
-
-G25 = GCM(2, 5)
+from lscrystal.paths import LSPath
+from walks import deep_walk, deep_walk_steps
 
 
 def _assert_same_value(got, want):
@@ -78,26 +73,10 @@ def test_handoff_matches_validating_constructors_on_normal_forms(ab):
     assert count > 100
 
 
-def _deep_walk_steps():
-    """(closed, engine) after every step of 20 seeded 256-step walks at
-    (2,5) from the straight path: each step a random f_i or e_i applied
-    by both engines, the walk going on from both images unless null."""
-    for seed in range(20):
-        rng = random.Random(seed)
-        ep = ExplicitPath(FORM_I, 0, 1, (0, 1))
-        pi = to_ls_path(ep)
-        for _ in range(256):
-            is_f, i = rng.random() < 0.5, rng.choice((1, 2))
-            closed = (f_explicit if is_f else e_explicit)(ep, i, G25)
-            engine = (f_generic if is_f else e_generic)(pi, i, G25)
-            yield closed, engine
-            if closed is not None:
-                ep, pi = closed, engine
-
-
 def test_handoff_matches_validating_constructors_along_deep_walks():
     widest = 0
-    for closed, engine in _deep_walk_steps():
+    for w in deep_walk():
+        closed, engine = w.closed, w.engine
         if closed is None:
             assert engine is None
             continue
@@ -107,17 +86,19 @@ def test_handoff_matches_validating_constructors_along_deep_walks():
     assert widest >= 10**12
 
 
-# SHA-256 of the stored fields of every state along _deep_walk_steps,
-# recorded when both engines still scaled every numerator by the whole
-# slope and left the gcd to the constructors.  The stored form is
-# canonical, so how an operator builds its breakpoints must not move it.
+# SHA-256 of the stored fields of both images at every step of the
+# shared deep walk (walks.deep_walk), recorded when both engines still
+# scaled every numerator by the whole slope and left the gcd to the
+# constructors.  The stored form is canonical, so how an operator
+# builds its breakpoints must not move it.
 DEEP_WALK_STATES_SHA256 = "b75e589d3c1f1f524334b2acd153195e5910d531142ac5c18c116a5ad31c9c55"
 
 
 def test_deep_walk_states_match_their_recorded_digest():
     digest = hashlib.sha256()
     steps = 0
-    for closed, engine in _deep_walk_steps():
+    for w in deep_walk():
+        closed, engine = w.closed, w.engine
         digest.update(repr(None if closed is None else (closed.form, closed.m, closed.nums)).encode())
         digest.update(repr(None if engine is None else (engine.keys, engine.nums)).encode())
         steps += 1
@@ -139,7 +120,8 @@ def test_deep_walk_operators_build_breakpoints_over_reduced_denominators(monkeyp
 
     monkeypatch.setattr(explicit, "reduced_breakpoint_ints", counting)
     monkeypatch.setattr(paths, "reduced_breakpoint_ints", counting)
-    for _ in _deep_walk_steps():
+    # the uncached walk, so that its operators run under the patch
+    for _ in deep_walk_steps():
         pass
     assert built > 5000
     assert unreduced <= built // 4, (unreduced, built)

@@ -1,10 +1,11 @@
+import json
 import math
 import os
 from fractions import Fraction as F
 
 import pytest
 
-from lscrystal.cartan import GCM
+from lscrystal.cartan import DOMINANT, GCM, Weight
 from lscrystal.explicit import FORM_I, FORM_II, ExplicitPath, enumerate_explicit, to_ls_path
 from lscrystal import oracle
 from lscrystal.oracle import (
@@ -38,8 +39,12 @@ from lscrystal.paths import LSPath, e_generic, f_generic, straight_path
 from lscrystal.weyl import (
     BY_ORDER_KEY,
     IDENTITY,
+    HasseNeighbors,
+    PQTable,
+    hasse_neighbors,
     orbit_weight,
     positive_root,
+    positive_roots_recurrence,
     pq_table,
     reflect_by_root,
     root_pairing,
@@ -318,6 +323,87 @@ def test_failing_check_reports_counterexample():
     )
     assert not fake.all_passed
     assert '"counterexample"' in fake.to_json_lines()[0]
+
+
+# ---------------------------------------------------------------------------
+# every failure report: one fault planted on the module attribute a check
+# reads, and the fail lines verify would print
+
+
+def _fail_lines(report):
+    """The report's fail lines as verify prints them, parsed, by check."""
+    lines = [json.loads(line) for line in report.to_json_lines()]
+    return {line["check"]: line for line in lines if line["status"] == "fail"}
+
+
+def _fail(check, checked, counterexample):
+    return {check: {"check": check, "status": "fail", "checked": checked, "counterexample": counterexample}}
+
+
+def _doubled_p(gcm, n):
+    table = pq_table(gcm, n)
+    return PQTable(tuple(2 * v for v in table.p), table.q)
+
+
+def _swapped_down_label(w):
+    neighbors = hasse_neighbors(w)
+    down, label = neighbors.down
+    return HasseNeighbors(up=neighbors.up, down=(down, 3 - label))
+
+
+@pytest.mark.parametrize(
+    "attr, planted, ab, failing",
+    [
+        (
+            "pq_table",
+            _doubled_p,
+            (3, 3),
+            _fail("consecutive-coprimality", 51, {"k": 0})
+            | _fail("sequence-monotonicity", 51, {"p": ["2", "2", "4", "10", "26", "68"], "q": ["1", "1", "2", "5", "13", "34"]}),
+        ),
+        (
+            "positive_roots_recurrence",
+            lambda gcm, n: positive_roots_recurrence(gcm, n) + [(99, 1)],
+            (3, 3),
+            _fail("root-enumerations-agree", 60, {"weyl-only": [], "recurrence-only": [[99, 1]]}),
+        ),
+        ("dist", lambda *args: 2, (3, 3), _fail("hasse-matches-dist", 21, {"upper": "x3", "lower": "x2", "dist": 2})),
+        (
+            "hasse_neighbors",
+            _swapped_down_label,
+            (3, 3),
+            _fail("hasse-matches-dist", 21, {"upper": "x3", "lower": "x2", "root": "x0(a1)=(1, 0)"}),
+        ),
+        ("dominance_class", lambda mu: DOMINANT, (3, 3), _fail("orbit-never-dominant", 31, {"m": 0})),
+        (
+            "orbit_weight",
+            lambda w, gcm: Weight(0, 0),
+            (1, 5),
+            _fail("degenerate-orbit-identities", 1, {"element": "y1", "weight": "0L1 + 0L2"}),
+        ),
+        (
+            "orbit_weight",
+            lambda w, gcm: Weight(0, 0),
+            (5, 1),
+            _fail("degenerate-orbit-identities", 1, {"element": "x1", "weight": "0L1 + 0L2"}),
+        ),
+    ],
+)
+def test_planted_structure_fault_reports_its_counterexample(monkeypatch, attr, planted, ab, failing):
+    monkeypatch.setattr(oracle, attr, planted)
+    assert _fail_lines(check_structure(GCM(*ab), B33)) == failing
+
+
+def test_path_missing_from_the_enumeration_fails_on_the_normal_form_side(monkeypatch):
+    def dropped(gcm, bounds):
+        paths = enumerate_ls_paths(gcm, bounds)
+        return paths - {min(paths, key=str)}
+
+    monkeypatch.setattr(oracle, "enumerate_ls_paths", dropped)
+    straight = {"dirs": [{"family": "x", "m": 0}], "sigmas": ["0", "1"]}
+    assert _fail_lines(check_classification(G33, B33)) == _fail(
+        "normal-form-set-equality", 21, {"side": "normal-form-only", "path": straight}
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,6 @@ closed-form step from the definition (the Fraction witness h_function),
 not from explicit.py's own arithmetic.
 """
 
-import random
-
 import pytest
 
 from lscrystal import oracle
@@ -26,6 +24,7 @@ from lscrystal.explicit import (
 )
 from lscrystal.oracle import CheckResult, check_operator_equivalence
 from lscrystal.paths import e_generic, f_generic, fe_generic, h_function
+from walks import STEPS, deep_walk
 
 G33 = GCM(3, 3)
 G25 = GCM(2, 5)
@@ -48,15 +47,11 @@ def test_pair_functions_equal_both_operators_on_windows(ab):
 
 
 def test_pair_functions_equal_both_operators_along_deep_walks():
+    # the first 12 walks
     deepest = 0
-    for seed in range(12):
-        rng = random.Random(seed)
-        ep = ExplicitPath(FORM_I, 0, 1, (0, 1))
-        for _ in range(256):
-            _assert_pairs(ep, G25)
-            op = f_explicit if rng.random() < 0.5 else e_explicit
-            ep = op(ep, rng.choice((1, 2)), G25) or ep
-            deepest = max(deepest, ep.s)
+    for w in deep_walk()[: 12 * STEPS]:
+        _assert_pairs(w.ep, G25)
+        deepest = max(deepest, w.ep_after.s)
     assert deepest >= 25
 
 

@@ -1,6 +1,5 @@
 import hashlib
 import json
-import random
 from fractions import Fraction as F
 
 import pytest
@@ -25,6 +24,7 @@ from lscrystal.paths import (
     weight,
 )
 from lscrystal.weyl import IDENTITY, x, y
+from walks import G25, deep_walk
 
 G33 = GCM(3, 3)
 G23 = GCM(2, 3)
@@ -224,25 +224,21 @@ def test_generic_operators_match_pinned_digest():
 
 
 def test_int_heights_witnessed_along_deep_walks():
-    g25 = GCM(2, 5)
     deepest, widest = 0, 0
-    for seed in range(20):
-        rng = random.Random(seed)
-        pi = straight_path()
-        wt = weight(pi, g25)
-        for _ in range(256):
-            is_f = rng.random() < 0.5
-            i = rng.choice((1, 2))
-            den, _, _, heights = _int_heights(pi, i, g25)
-            assert h_function(pi, i, g25).minimum() == F(min(heights), den), (str(pi), i)
-            step = f_generic(pi, i, g25) if is_f else e_generic(pi, i, g25)
-            if step is not None:
-                wt = wt - simple_root(i, g25) if is_f else wt + simple_root(i, g25)
-                assert weight(step, g25) == wt
-                back = e_generic(step, i, g25) if is_f else f_generic(step, i, g25)
-                assert back == pi, (str(pi), is_f, i)
-                pi = step
-            deepest = max(deepest, pi.s)
-            widest = max(widest, max(t.denominator for t in pi.times))
+    for w in deep_walk():
+        pi, is_f, i = w.pi, w.is_f, w.i
+        if w.step == 0:
+            wt = weight(pi, G25)
+        den, _, _, heights = _int_heights(pi, i, G25)
+        assert h_function(pi, i, G25).minimum() == F(min(heights), den), (str(pi), i)
+        step = w.engine
+        if step is not None:
+            wt = wt - simple_root(i, G25) if is_f else wt + simple_root(i, G25)
+            assert weight(step, G25) == wt
+            back = e_generic(step, i, G25) if is_f else f_generic(step, i, G25)
+            assert back == pi, (str(pi), is_f, i)
+            pi = step
+        deepest = max(deepest, pi.s)
+        widest = max(widest, max(t.denominator for t in pi.times))
     # these walks reach s = 29 and 13-digit denominators
     assert deepest >= 25 and widest >= 10**12

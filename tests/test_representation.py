@@ -7,7 +7,6 @@ every path, however it was built, carries the reduced D.
 
 import copy
 import pickle
-import random
 from fractions import Fraction as F
 from math import gcd
 
@@ -27,6 +26,7 @@ from lscrystal.explicit import (
 from lscrystal.oracle import SearchBounds, denominator_policy, enumerate_ls_paths
 from lscrystal.paths import LSPath, e_generic, f_generic, straight_path
 from lscrystal.weyl import BY_ORDER_KEY, IDENTITY, orbit_weight, pq_table, reflected_key, x, y
+from walks import STEPS, deep_walk
 
 G25 = GCM(2, 5)
 G33 = GCM(3, 3)
@@ -57,23 +57,16 @@ def _assert_images_canonical(pi, ep, gcm):
 
 def test_operator_images_are_canonical_along_deep_walks():
     widest = 0
-    for seed in range(20):
-        rng = random.Random(seed)
-        ep = ExplicitPath(FORM_I, 0, 1, (0, 1))
-        pi = to_ls_path(ep)
-        for _ in range(256):
-            is_f, i = rng.random() < 0.5, rng.choice((1, 2))
-            closed = (f_explicit if is_f else e_explicit)(ep, i, G25)
-            engine = (f_generic if is_f else e_generic)(pi, i, G25)
-            if closed is None:
-                assert engine is None
-                continue
-            _assert_canonical(closed, ExplicitPath)
-            _assert_canonical(engine, LSPath)
-            assert to_ls_path(closed) == engine and from_ls_path(engine) == closed
-            assert to_ls_path(from_ls_path(engine)) == engine
-            ep, pi = closed, engine
-            widest = max(widest, pi.nums[-1])
+    for w in deep_walk():
+        closed, engine = w.closed, w.engine
+        if closed is None:
+            assert engine is None
+            continue
+        _assert_canonical(closed, ExplicitPath)
+        _assert_canonical(engine, LSPath)
+        assert to_ls_path(closed) == engine and from_ls_path(engine) == closed
+        assert to_ls_path(from_ls_path(engine)) == engine
+        widest = max(widest, engine.nums[-1])
     # the walks reach 13-digit denominators, where a stray factor shows
     assert widest >= 10**12
 
@@ -139,13 +132,8 @@ def _window_and_walk_forms():
     """The (3,3) normal forms with m, s <= 3, then the states of four
     seeded 256-step walks at (2,5)."""
     yield from normal_forms_by_shape(G33, 3, 3)
-    for seed in range(4):
-        rng = random.Random(seed)
-        ep = ExplicitPath(FORM_I, 0, 1, (0, 1))
-        for _ in range(256):
-            op = f_explicit if rng.random() < 0.5 else e_explicit
-            ep = op(ep, rng.choice((1, 2)), G25) or ep
-            yield ep
+    for w in deep_walk()[: 4 * STEPS]:
+        yield w.ep_after
 
 
 def test_paths_hash_their_fields_and_compare_only_within_their_class():

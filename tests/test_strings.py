@@ -7,8 +7,6 @@ agree on every path below, and the int paths.weight must agree with the
 Fraction eval_path at t = 1.
 """
 
-import random
-
 import pytest
 
 from lscrystal.cartan import GCM, simple_root
@@ -27,6 +25,7 @@ from lscrystal.paths import (
     weight,
 )
 from lscrystal.weyl import x
+from walks import deep_walk
 
 G33 = GCM(3, 3)
 G25 = GCM(2, 5)
@@ -71,25 +70,13 @@ def test_pitman_equals_iteration_on_bfs_nodes(ab):
     assert sum(_assert_strings_iterate(pi, GCM(*ab)) for pi in nodes) >= 4 * len(nodes) > 100
 
 
-def _walk(seed, gcm):
-    """The paths along one seeded 256-step walk of random f_i/e_i from
-    the straight path (a null step stays put)."""
-    rng = random.Random(seed)
-    pi = straight_path()
-    for _ in range(256):
-        is_f, i = rng.random() < 0.5, rng.choice((1, 2))
-        pi = (f_generic if is_f else e_generic)(pi, i, gcm) or pi
-        yield pi
-
-
 def test_pitman_equals_iteration_along_deep_walks():
     # every 8th path of each walk, on strings of at most 50 steps: long
     # paths with 13-digit denominators, where iteration stays cheap
     compared = 0
-    for seed in range(20):
-        for k, pi in enumerate(_walk(seed, G25)):
-            if k % 8 == 0:
-                compared += _assert_strings_iterate(pi, G25, longest=50)
+    for w in deep_walk():
+        if w.step % 8 == 0:
+            compared += _assert_strings_iterate(w.pi_after, G25, longest=50)
     assert compared > 1000
 
 
@@ -147,9 +134,8 @@ def test_int_weight_is_endpoint_on_bfs_nodes(ab):
 
 
 def test_int_weight_is_endpoint_along_deep_walks():
-    for seed in range(20):
-        for pi in _walk(seed, G25):
-            _assert_weight_is_endpoint(pi, G25)
+    for w in deep_walk():
+        _assert_weight_is_endpoint(w.pi_after, G25)
 
 
 def test_int_weight_rejects_non_integral_endpoint():
