@@ -23,7 +23,6 @@ from .oracle import (
     check_operator_equivalence,
     check_straight_through_lambda,
     check_structure,
-    denominator_policy,
     dist,
     enumerate_ls_paths,
     is_ls_path_oracle,
@@ -49,7 +48,6 @@ from .weyl import (
     apply_weyl,
     hasse_neighbors,
     orbit_weight,
-    positive_root,
     positive_roots_recurrence,
     positive_roots_weyl,
     pq_table,

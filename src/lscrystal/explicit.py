@@ -320,21 +320,6 @@ def _heights(ep: ExplicitPath, slopes: tuple[int, ...], jumps: tuple[int, ...]) 
     return heights
 
 
-def partial_sums(ep: ExplicitPath, gcm: GCM) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
-    """(H_1, H_2) at sigma_0..sigma_s from the closed-form int heights.
-
-    The last entries are the weight coordinates.  A breakpoint off its
-    grid raises ValueError.
-    """
-    table = _shape_table(gcm, ep.form, ep.m, len(ep.nums) - 1)
-    den = _on_grid(ep, gcm).nums[-1]
-    h1, h2 = (
-        tuple([Fraction(h, den) for h in _heights(ep, slopes, jumps)])
-        for slopes, jumps in zip(table.slopes, table.jumps)
-    )
-    return h1, h2
-
-
 def _straight(w: WeylElement) -> ExplicitPath:
     form = FORM_I if w.family == X else FORM_II
     return ExplicitPath(form, w.m, 1, nums=(0, 1))

@@ -99,7 +99,6 @@ from .weyl import (
     IDENTITY,
     PositiveRoot,
     WeylElement,
-    X,
     hasse_neighbors,
     orbit_weight,
     positive_roots_recurrence,
@@ -350,11 +349,11 @@ def _strings(op, paths, i: int, gcm: GCM) -> dict[LSPath, tuple[int, LSPath]]:
         nxt = op(cur, i, gcm)
         while nxt is not None:
             n, cur = n + 1, nxt
-            if cur in known:
-                rest, cur = known[cur]
-                n += rest
-                break
             if cur in wanted:
+                if cur in known:
+                    rest, cur = known[cur]
+                    n += rest
+                    break
                 met.append((cur, n))
             nxt = op(cur, i, gcm)
         for p, k in met:
@@ -404,21 +403,6 @@ def _numerators(gcm: GCM, n: int, d: int) -> tuple[int, ...]:
     (0, d) prime to d."""
     step = _policy_by_denominator(gcm, n)[0] // d
     return tuple([j * step for j in range(1, d) if math.gcd(j, d) == 1])
-
-
-def denominator_policy(gcm: GCM, bounds: SearchBounds) -> tuple[Fraction, ...]:
-    """Candidate interior breakpoints: reduced fractions in (0, 1) whose
-    denominator divides some p_k or q_k with k <= m_max + s_max, in
-    increasing order.
-
-    Every normal-form breakpoint in the window has this shape by the
-    integrality conditions, so enumerating over the policy set cannot
-    miss a classified path.
-    """
-    n = bounds.table_len
-    common, rows = _policy_by_denominator(gcm, n)
-    nums = sorted(k for d, _ in rows for k in _numerators(gcm, n, d))
-    return tuple(Fraction(k, common) for k in nums)
 
 
 def _chains_by_denominator(
@@ -613,12 +597,12 @@ def _reduction_stuck(gcm: GCM, bounds: SearchBounds, paths: list[LSPath]) -> dic
         while cur != start:
             if steps >= budget:
                 return {"path": pi.to_json(), "reason": f"not reduced in {budget} steps"}
-            first, last = cur.dirs[0], cur.dirs[-1]
-            if first.family == X and first.m > 0:
-                cur = e_max(cur, first.descent_index, gcm)
+            first = cur.keys[0]
+            if first > 0:  # x_m, m > 0
+                cur = e_max(cur, BY_ORDER_KEY[first].descent_index, gcm)
             else:
                 # not straight, keys falling from a first key <= 0: last is y_m, m > 0
-                cur = f_max(cur, last.descent_index, gcm)
+                cur = f_max(cur, BY_ORDER_KEY[cur.keys[-1]].descent_index, gcm)
             steps += 1
     return None
 

@@ -191,19 +191,14 @@ def eval_path(pi: LSPath, t, gcm: GCM) -> Weight:
     return acc
 
 
-def _breakpoint_values(pi: LSPath, i: int, gcm: GCM) -> list[Fraction]:
+def h_function(pi: LSPath, i: int, gcm: GCM) -> PiecewiseLinear:
     """H_i at the breakpoints (prefix sums of gap * direction pairing)."""
     times = pi.times
     vals = [Fraction(0)]
     for k, d in enumerate(pi.dirs):
         gap = times[k + 1] - times[k]
         vals.append(vals[-1] + gap * pairing(orbit_weight(d, gcm), i))
-    return vals
-
-
-def h_function(pi: LSPath, i: int, gcm: GCM) -> PiecewiseLinear:
-    vals = _breakpoint_values(pi, i, gcm)
-    return PiecewiseLinear(tuple(zip(pi.times, vals)))
+    return PiecewiseLinear(tuple(zip(times, vals)))
 
 
 class _Slopes(dict):
@@ -476,10 +471,11 @@ def crystal_bfs(gcm: GCM, expand) -> tuple[list[LSPath], list[tuple[int, int, in
     nodes = [start]
     index = {start: 0}
     edges: dict[tuple[int, int, int], None] = {}
-    frontier, level = [start], 0
+    frontier, level = [0], 0
     while frontier:
         nxt = []
-        for pi in frontier:
+        for k in frontier:
+            pi = nodes[k]
             if not expand(pi, level):
                 continue
             for lowering, op in ((True, f_generic), (False, e_generic)):
@@ -487,11 +483,10 @@ def crystal_bfs(gcm: GCM, expand) -> tuple[list[LSPath], list[tuple[int, int, in
                     img = op(pi, i, gcm)
                     if img is None:
                         continue
-                    if img not in index:
-                        index[img] = len(nodes)
+                    j = index.setdefault(img, len(nodes))
+                    if j == len(nodes):
                         nodes.append(img)
-                        nxt.append(img)
-                    src, dst = (pi, img) if lowering else (img, pi)
-                    edges[(index[src], index[dst], i)] = None
+                        nxt.append(j)
+                    edges[(k, j, i) if lowering else (j, k, i)] = None
         frontier, level = nxt, level + 1
     return nodes, list(edges)

@@ -216,22 +216,6 @@ class PositiveRoot(Frozen):
         return f"{self.witness}(a{self.index})={self.coords}"
 
 
-def _act_on_root_coords(w: WeylElement, c: int, d: int, gcm: GCM) -> tuple[int, int]:
-    # r_1: c alpha_1 + d alpha_2 -> (a d - c) alpha_1 + d alpha_2, and
-    # r_2 fixes c, sends d -> b c - d
-    for i in w.letters():
-        if i == 1:
-            c = gcm.a * d - c
-        else:
-            d = gcm.b * c - d
-    return c, d
-
-
-def positive_root(w: WeylElement, i: int, gcm: GCM) -> PositiveRoot:
-    c0, d0 = (1, 0) if i == 1 else (0, 1)
-    return _checked_root(w, i, *_act_on_root_coords(w, c0, d0, gcm))
-
-
 def _checked_root(w: WeylElement, i: int, c: int, d: int) -> PositiveRoot:
     if (c, d) == (0, 0) or c < 0 or d < 0:
         raise ValueError(f"{w}(alpha_{i}) is not a positive root: coords ({c}, {d})")
@@ -261,8 +245,7 @@ def positive_roots_weyl(gcm: GCM, n: int) -> list[PositiveRoot]:
     {y_l(alpha_1), x_{l+1}(alpha_2)}, both over even l; together these
     are all x_l(alpha_2) and y_l(alpha_1), without duplicates.  Each
     root is one simple reflection, by the new leftmost letter, away
-    from the root before it on its walk, so the list costs O(n) steps;
-    positive_root builds a root letter by letter.
+    from the root before it on its walk, so the list costs O(n) steps.
     """
     xs = _roots_along(X, 2, gcm, 2 * n)
     ys = _roots_along(Y, 1, gcm, 2 * n)

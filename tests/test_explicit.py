@@ -14,13 +14,13 @@ from lscrystal.explicit import (
     f_explicit,
     fe_explicit,
     from_ls_path,
-    partial_sums,
     to_ls_path,
     validate_explicit,
     xi,
 )
 from lscrystal.paths import LSPath, e_generic, f_generic, h_function, straight_path, weight
 from lscrystal.weyl import x, y
+from references import partial_sums
 from walks import deep_walk
 
 G33 = GCM(3, 3)

@@ -28,7 +28,6 @@ from lscrystal.oracle import (
     check_straight_through_lambda,
     check_structure,
     combine,
-    denominator_policy,
     dist,
     enumerate_ls_paths,
     is_ls_path_oracle,
@@ -43,7 +42,6 @@ from lscrystal.weyl import (
     PQTable,
     hasse_neighbors,
     orbit_weight,
-    positive_root,
     positive_roots_recurrence,
     pq_table,
     reflect_by_root,
@@ -52,6 +50,8 @@ from lscrystal.weyl import (
     x,
     y,
 )
+from references import denominator_policy, positive_root
+from walks import G25, deep_walk
 
 G33 = GCM(3, 3)
 G23 = GCM(2, 3)
@@ -171,6 +171,21 @@ def test_is_ls_path_oracle():
     worked = ExplicitPath(FORM_I, 2, 3, (0, F(1, 7), F(2, 3), 1))
     pi = to_ls_path(worked)
     assert is_ls_path_oracle(pi.dirs, pi.times, G23, SearchBounds(4, 3))
+
+
+def test_is_ls_path_oracle_on_every_deep_walk_state():
+    # each state judged in the window it needs: SearchBounds(max |key|, s)
+    def verdict(pi):
+        return is_ls_path_oracle(pi.dirs, pi.times, G25, SearchBounds(max(map(abs, pi.keys)), pi.s))
+
+    states = dict.fromkeys([deep_walk()[0].pi] + [step.pi_after for step in deep_walk()])
+    assert len(states) == 1437
+    assert [pi for pi in states if not verdict(pi)] == []
+    # the deepest state with its first interior breakpoint moved up by 1/D
+    deepest = max(states, key=lambda pi: pi.s)
+    assert deepest.s == 29
+    nums = deepest.nums
+    assert not verdict(LSPath(keys=deepest.keys, nums=(0, nums[1] + 1, *nums[2:])))
 
 
 def test_denominator_policy():
@@ -309,20 +324,6 @@ def test_report_json_lines_and_combine():
     assert len(lines) == len(rep.results)
     assert all('"status": "pass"' in line for line in lines)
     assert lines == sorted(lines)
-
-
-def test_failing_check_reports_counterexample():
-    # a policy var the window cannot support: classification must not crash,
-    # and a genuinely broken report carries the witness
-    rep = check_classification(G33, SearchBounds(1, 1))
-    assert rep.all_passed
-    from lscrystal.oracle import CheckResult, VerificationReport
-
-    fake = VerificationReport(
-        (CheckResult("probe", 1, {"path": "witness"}),)
-    )
-    assert not fake.all_passed
-    assert '"counterexample"' in fake.to_json_lines()[0]
 
 
 # ---------------------------------------------------------------------------

@@ -23,9 +23,10 @@ from lscrystal.explicit import (
     normal_forms_by_shape,
     to_ls_path,
 )
-from lscrystal.oracle import SearchBounds, denominator_policy, enumerate_ls_paths
+from lscrystal.oracle import SearchBounds, enumerate_ls_paths
 from lscrystal.paths import LSPath, e_generic, f_generic, straight_path
 from lscrystal.weyl import BY_ORDER_KEY, IDENTITY, orbit_weight, pq_table, reflected_key, x, y
+from references import denominator_policy
 from walks import STEPS, deep_walk
 
 G25 = GCM(2, 5)

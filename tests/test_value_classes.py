@@ -359,6 +359,7 @@ def test_check_result_passes_exactly_without_a_counterexample():
     assert VerificationReport((ok,)).to_json_lines() == ['{"check": "n", "checked": 4, "status": "pass"}']
     fail = '{"check": "n", "checked": 4, "counterexample": {"k": 0}, "status": "fail"}'
     assert VerificationReport((bad,)).to_json_lines() == [fail]
+    assert VerificationReport((ok,)).all_passed and not VerificationReport((ok, bad)).all_passed
 
 
 def test_no_class_writes_its_own_hash():

@@ -1,18 +1,16 @@
 import tracemalloc
-from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lscrystal.cartan import GCM, LAMBDA, Weight, pairing, simple_reflect
+from lscrystal.cartan import GCM, LAMBDA, Weight, simple_reflect
 from lscrystal.weyl import (
     IDENTITY,
     WeylElement,
     apply_weyl,
     hasse_neighbors,
     orbit_weight,
-    positive_root,
     positive_roots_recurrence,
     positive_roots_weyl,
     pq_table,
@@ -22,6 +20,7 @@ from lscrystal.weyl import (
     x,
     y,
 )
+from references import positive_root
 
 GRIDS = [(2, 3), (3, 2), (2, 5), (3, 3)]
 
