@@ -80,7 +80,7 @@ a form ii spelling of it normalizes to that in the constructor.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
@@ -452,22 +452,21 @@ def normal_forms_by_shape(
     With n > 1 only the forms at positions k, k + n, k + 2n, ... of that
     order are yielded, and only those are built.
     """
-    _require_deep(gcm)
     shapes = (
         (form, m, s)
         for m in range(m_max + 1)
         for s in range(1, s_max + 1)
         for form in ((FORM_I, FORM_II) if m >= s else (FORM_I,))
     )
-    candidates = (
-        (shape, nums) for shape in shapes for nums in _interior_choices(_shape_table(gcm, *shape).grid)
-    )
-    for (form, m, s), nums in islice(candidates, k, None, n):
-        yield _on_grid(ExplicitPath(form, m, s, nums=nums), gcm)
+    return normal_forms_of_shapes(gcm, shapes, k, n)
 
 
-def normal_forms_of_shape(gcm: GCM, form: str, m: int, s: int) -> Iterator[ExplicitPath]:
-    """Every valid normal form of one shape (form, m, s).
+def normal_forms_of_shapes(
+    gcm: GCM, shapes: Iterable[tuple[str, int, int]], k: int = 0, n: int = 1
+) -> Iterator[ExplicitPath]:
+    """Every valid normal form of the shapes (form, m, s), shape by shape
+    in the order given; with n > 1 only the forms at positions k, k + n,
+    k + 2n, ... of that order, and only those are built.
 
     Breakpoints are generated as exact multiples of the integrality
     denominators, so every candidate is valid by construction; a
@@ -475,7 +474,10 @@ def normal_forms_of_shape(gcm: GCM, form: str, m: int, s: int) -> Iterator[Expli
     no interior breakpoint choices.
     """
     _require_deep(gcm)
-    for nums in _interior_choices(_shape_table(gcm, form, m, s).grid):
+    candidates = (
+        (shape, nums) for shape in shapes for nums in _interior_choices(_shape_table(gcm, *shape).grid)
+    )
+    for (form, m, s), nums in islice(candidates, k, None, n):
         yield _on_grid(ExplicitPath(form, m, s, nums=nums), gcm)
 
 

@@ -43,8 +43,11 @@ independent shares (the window by index, the root indices, the two
 routes) and hand them to one runner, _run_shares, which runs share 0
 here and the others in forked children when the affinity mask holds
 more than one CPU, and here too once the system refuses a fork.  Every
-check merges its shares' counts and counterexamples so that its report
-is the one a serial run gives.
+share returns its report lines, {name: [checked, order, counterexample]},
+and one merge, _merged, builds the check's report from them: each line
+sums its counts and keeps the counterexample with the smallest order,
+the earlier share's on a tie, so the report is the one a serial run
+gives.
 
 Apart from check_structure, which also knows the two degenerate orbit
 identities of the a = 1 / b = 1 edge, everything here effectively needs
@@ -79,7 +82,7 @@ from .explicit import (
     fe_explicit,
     from_ls_path,
     normal_forms_by_shape,
-    normal_forms_of_shape,
+    normal_forms_of_shapes,
     to_ls_path,
 )
 from .paths import (
@@ -502,16 +505,29 @@ def combine(*reports: VerificationReport) -> VerificationReport:
     return VerificationReport(tuple(results))
 
 
+def _merged(shares: list[dict]) -> VerificationReport:
+    """The report of a check split into shares, from each share's lines
+    {name: [checked, order, counterexample]}, order and counterexample
+    null on a passing line.  Each line sums its counts and keeps the
+    counterexample with the smallest order, the earlier share's on a
+    tie: the report a serial run gives."""
+    lines: dict[str, list] = {}
+    for share in shares:
+        for name, (checked, order, ce) in share.items():
+            line = lines.setdefault(name, [0, None, None])
+            line[0] += checked
+            if order is not None and (line[1] is None or order < line[1]):
+                line[1:] = order, ce
+    return VerificationReport(tuple(CheckResult(name, n, ce) for name, (n, _, ce) in lines.items()))
+
+
 def _normal_forms_in_window(gcm: GCM, bounds: SearchBounds) -> set[ExplicitPath]:
     """Valid normal forms whose directions all fit inside the window:
     form i with m + s - 1 <= m_max, form ii with s <= m <= m_max."""
-    found: set[ExplicitPath] = set()
-    for s in range(1, bounds.s_max + 1):
-        for m in range(bounds.m_max - s + 2):
-            found.update(normal_forms_of_shape(gcm, FORM_I, m, s))
-        for m in range(s, bounds.m_max + 1):
-            found.update(normal_forms_of_shape(gcm, FORM_II, m, s))
-    return found
+    pieces = range(1, bounds.s_max + 1)
+    shapes = [(FORM_I, m, s) for s in pieces for m in range(bounds.m_max - s + 2)]
+    shapes += [(FORM_II, m, s) for s in pieces for m in range(s, bounds.m_max + 1)]
+    return set(normal_forms_of_shapes(gcm, shapes))
 
 
 def check_classification(gcm: GCM, bounds: SearchBounds) -> VerificationReport:
@@ -573,30 +589,25 @@ def check_connectedness(gcm: GCM, bounds: SearchBounds) -> VerificationReport:
     walks every enumerated path back to the straight path, and BFS from
     the straight path covers the whole enumerated window.
 
-    The routes are the two shares of _run_shares: the reduction walks
-    are share 0, run here, and BFS coverage is share 1."""
+    The routes are the two shares of _run_shares, one report line each:
+    the reduction walks are share 0, run here, and BFS coverage is
+    share 1."""
     paths = sorted(enumerate_ls_paths(gcm, bounds), key=str)
-    stuck, uncovered = _run_shares(
-        [partial(_reduction_stuck, gcm, bounds, paths), partial(_bfs_uncovered, gcm, bounds, paths)]
-    )
-    return VerificationReport(
-        (
-            CheckResult("reduction-to-straight", len(paths), stuck),
-            CheckResult("bfs-coverage", len(paths), uncovered),
-        )
-    )
+    routes = [partial(_reduction_stuck, gcm, bounds, paths), partial(_bfs_uncovered, gcm, bounds, paths)]
+    return _merged(_run_shares(routes))
 
 
-def _reduction_stuck(gcm: GCM, bounds: SearchBounds, paths: list[LSPath]) -> dict | None:
-    """The counterexample of the first of paths that the recipe does not
-    walk back to the straight path, or None."""
+def _reduction_stuck(gcm: GCM, bounds: SearchBounds, paths: list[LSPath]) -> dict:
+    """The reduction-to-straight line over paths, failing at the first
+    of them that the recipe does not walk back to the straight path."""
     start = straight_path()
     budget = 2 * bounds.m_max + bounds.s_max + 4
     for pi in paths:
         cur, steps = pi, 0
         while cur != start:
             if steps >= budget:
-                return {"path": pi.to_json(), "reason": f"not reduced in {budget} steps"}
+                ce = {"path": pi.to_json(), "reason": f"not reduced in {budget} steps"}
+                return {"reduction-to-straight": [len(paths), 0, ce]}
             first = cur.keys[0]
             if first > 0:  # x_m, m > 0
                 cur = e_max(cur, BY_ORDER_KEY[first].descent_index, gcm)
@@ -604,12 +615,12 @@ def _reduction_stuck(gcm: GCM, bounds: SearchBounds, paths: list[LSPath]) -> dic
                 # not straight, keys falling from a first key <= 0: last is y_m, m > 0
                 cur = f_max(cur, BY_ORDER_KEY[cur.keys[-1]].descent_index, gcm)
             steps += 1
-    return None
+    return {"reduction-to-straight": [len(paths), None, None]}
 
 
-def _bfs_uncovered(gcm: GCM, bounds: SearchBounds, paths: list[LSPath]) -> dict | None:
-    """The counterexample of the first of paths that BFS from the
-    straight path does not reach, or None.
+def _bfs_uncovered(gcm: GCM, bounds: SearchBounds, paths: list[LSPath]) -> dict:
+    """The bfs-coverage line over paths, failing at the first of them
+    that BFS from the straight path does not reach.
 
     Expansion stays near the window, with a little slack in s; any node
     reached still counts for coverage.  A larger slack reaches a
@@ -624,8 +635,8 @@ def _bfs_uncovered(gcm: GCM, bounds: SearchBounds, paths: list[LSPath]) -> dict 
 
         uncovered = targets - set(crystal_bfs(gcm, near)[0])
         if not uncovered:
-            return None
-    return {"path": min(uncovered, key=str).to_json()}
+            return {"bfs-coverage": [len(paths), None, None]}
+    return {"bfs-coverage": [len(paths), 0, {"path": min(uncovered, key=str).to_json()}]}
 
 
 _AXIOMS = (
@@ -643,33 +654,23 @@ def check_crystal_axioms(gcm: GCM, bounds: SearchBounds) -> VerificationReport:
     inverse pairs, string-length identities, integral minima.
 
     Each root index i is one share of _run_shares, both its iterated
-    strings and its per-path checks.  The counts are summed, and each
-    line keeps the counterexample with the smallest (position in str
-    order, i): the one a serial loop over the paths, then i, meets
-    first."""
+    strings and its per-path checks.  A failure's order is [position in
+    str order, i], so the merged report keeps the one a serial loop over
+    the paths, then i, meets first."""
     paths = sorted(enumerate_ls_paths(gcm, bounds), key=str)
-    shares = _run_shares([partial(_axioms_share, gcm, paths, i) for i in (1, 2)])
-    results = []
-    for name in _AXIOMS:
-        failed = [share[name][1] for share in shares if share[name][1] is not None]
-        first = min(failed, key=lambda f: (f[0], f[1]["i"]), default=None)
-        ce = None if first is None else first[1]
-        checked = sum(share[name][0] for share in shares)
-        results.append(CheckResult(name, checked, ce))
-    return VerificationReport(tuple(results))
+    return _merged(_run_shares([partial(_axioms_share, gcm, paths, i) for i in (1, 2)]))
 
 
 def _axioms_share(gcm: GCM, paths: list[LSPath], i: int) -> dict:
-    """{name: [checked, first]} for every line of _AXIOMS at root index
-    i, first being [position in paths, counterexample] of its first
-    failure or None."""
-    out = {name: [0, None] for name in _AXIOMS}
+    """The lines of _AXIOMS at root index i, each failing at its first
+    failure in paths."""
+    out = {name: [0, None, None] for name in _AXIOMS}
 
     def note(name: str, ok: bool, pos: int, pi: LSPath):
         line = out[name]
         line[0] += 1
         if not ok and line[1] is None:
-            line[1] = [pos, {"path": pi.to_json(), "i": i}]
+            line[1:] = [pos, i], {"path": pi.to_json(), "i": i}
 
     e_strings = _strings(e_generic, paths, i, gcm)
     f_strings = _strings(f_generic, paths, i, gcm)
@@ -703,23 +704,17 @@ def check_operator_equivalence(gcm: GCM, m_max: int, s_max: int) -> Verification
     index before any form is built: with n = _fork_width() (the CPUs in
     this process's affinity mask; `taskset -c 0` makes n = 1), form k of
     the normal_forms_by_shape order goes to share k mod n of
-    _run_shares.  The counts are summed and the counterexample with the
-    smallest str(path) is kept, so the report is the one a serial run
-    gives.  The window is checked as every other check's is, by
-    SearchBounds, before any share runs.
+    _run_shares.  A failure's order is str(path).  The window is checked
+    as every other check's is, by SearchBounds, before any share runs.
     """
     SearchBounds(m_max, s_max)
     n = _fork_width()
-    shares = _run_shares([partial(_equivalence_share, gcm, m_max, s_max, k, n) for k in range(n)])
-    checked = sum(share[0] for share in shares)
-    failed = [(first, ce) for _, first, ce in shares if first is not None]
-    ce = min(failed, key=lambda f: f[0])[1] if failed else None
-    return VerificationReport((CheckResult("operator-equivalence", checked, ce),))
+    return _merged(_run_shares([partial(_equivalence_share, gcm, m_max, s_max, k, n) for k in range(n)]))
 
 
-def _equivalence_share(gcm: GCM, m_max: int, s_max: int, k: int, n: int) -> list:
-    """[checked, str of the first failing form or None, counterexample]
-    over the forms at positions k, k + n, ... of the window."""
+def _equivalence_share(gcm: GCM, m_max: int, s_max: int, k: int, n: int) -> dict:
+    """The operator-equivalence line over the forms at positions k,
+    k + n, ... of the window."""
     checked = 0
     ce = first = None
     for ep in normal_forms_by_shape(gcm, m_max, s_max, k, n):
@@ -743,7 +738,7 @@ def _equivalence_share(gcm: GCM, m_max: int, s_max: int, k: int, n: int) -> list
                         "closed-form": None if closed is None else closed.to_json(),
                         "engine": None if engine is None else engine.to_json(),
                     }
-    return [checked, first, ce]
+    return {"operator-equivalence": [checked, first, ce]}
 
 
 # ---------------------------------------------------------------------------

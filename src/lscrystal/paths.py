@@ -478,15 +478,15 @@ def crystal_bfs(gcm: GCM, expand) -> tuple[list[LSPath], list[tuple[int, int, in
             pi = nodes[k]
             if not expand(pi, level):
                 continue
-            for lowering, op in ((True, f_generic), (False, e_generic)):
-                for i in (1, 2):
-                    img = op(pi, i, gcm)
-                    if img is None:
-                        continue
-                    j = index.setdefault(img, len(nodes))
-                    if j == len(nodes):
-                        nodes.append(img)
-                        nxt.append(j)
-                    edges[(k, j, i) if lowering else (j, k, i)] = None
+            # one height profile per i for both of its images
+            (f1, e1), (f2, e2) = fe_generic(pi, 1, gcm), fe_generic(pi, 2, gcm)
+            for img, i, lowering in ((f1, 1, True), (f2, 2, True), (e1, 1, False), (e2, 2, False)):
+                if img is None:
+                    continue
+                j = index.setdefault(img, len(nodes))
+                if j == len(nodes):
+                    nodes.append(img)
+                    nxt.append(j)
+                edges[(k, j, i) if lowering else (j, k, i)] = None
         frontier, level = nxt, level + 1
     return nodes, list(edges)

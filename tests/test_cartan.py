@@ -65,6 +65,8 @@ def test_simple_roots():
     g = GCM(2, 3)
     assert simple_root(1, g) == Weight(2, -3)
     assert simple_root(2, g) == Weight(-2, 2)
+    with pytest.raises(ValueError, match="must be 1 or 2, got 3"):
+        simple_root(3, g)
 
 
 def test_simple_reflection_frozen_values():

@@ -28,7 +28,7 @@ from lscrystal.explicit import (
     enumerate_explicit,
     fe_explicit,
     from_ls_path,
-    normal_forms_of_shape,
+    normal_forms_of_shapes,
     to_ls_path,
     xi,
 )
@@ -102,7 +102,7 @@ def test_phi_intertwines_on_window(ab, m_max):
     # Phi maps the window onto every normal form at (b, a) of the image
     # shapes, form i (m, s) to form ii (m + s - 1, s) and back
     shapes = {(FORM_II, ep.m + ep.s - 1, ep.s) if ep.form == FORM_I else (FORM_I, ep.m - ep.s + 1, ep.s) for ep in forms}
-    image = {ep for shape in shapes for ep in normal_forms_of_shape(transposed(gcm), *shape)}
+    image = set(normal_forms_of_shapes(transposed(gcm), shapes))
     assert {dual_explicit(ep) for ep in forms} == image
     checked = 0
     for ep in forms:

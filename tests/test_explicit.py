@@ -47,6 +47,8 @@ def test_shape_validation():
         ExplicitPath(FORM_II, 1, 3, (0, F(1, 3), F(1, 2), 1))  # needs m >= s-1
     with pytest.raises(ValueError):
         ExplicitPath("iii", 0, 1, (0, 1))
+    with pytest.raises(ValueError, match="s must be a positive integer"):
+        ExplicitPath(FORM_I, 0, 0, (0,))
 
 
 @pytest.mark.parametrize("m, s", [(1, 2), (2, 3), (4, 5)])

@@ -507,6 +507,24 @@ def test_two_roots_linking_one_pair_are_refused(monkeypatch):
             cache.cache_clear()
 
 
+def test_a_pair_no_bounded_chain_links_is_refused(monkeypatch):
+    # with no root under the height cap no step exists, so dist has no
+    # answer; (7, 11) is a matrix whose cached steps no other test reads
+    gcm, bounds = GCM(7, 11), SearchBounds(2, 1)
+    caches = (oracle._reflections, _down_steps)
+    monkeypatch.setattr(oracle, "_chain_roots", lambda gcm: ())
+    for cache in caches:
+        cache.cache_clear()
+    try:
+        with pytest.raises(OracleBoundError, match=r"^no chain from x2 to x0 using roots of height <= 40$"):
+            dist(x(2), IDENTITY, gcm, bounds)
+    finally:
+        monkeypatch.undo()
+        for cache in caches:
+            cache.cache_clear()
+    assert dist(x(2), IDENTITY, gcm, bounds) == 2
+
+
 @pytest.mark.parametrize("ab", ((3, 3), (2, 3)))
 def test_strings_equal_one_walk_per_path(ab):
     gcm = GCM(*ab)

@@ -176,15 +176,16 @@ def test_a_passing_route_sent_as_null_is_not_recomputed(monkeypatch):
     monkeypatch.setattr(oracle, "_bfs_uncovered", counted)
     expected = _lines(oracle.check_connectedness, monkeypatch, 1)
     assert len(calls) == 1
-    # the child runs the search, and the null it sends is its result
+    # the child runs the search, and the passing line it sends, with a
+    # null counterexample, is its result
     assert _lines(oracle.check_connectedness, monkeypatch, 2) == expected
     assert len(calls) == 1
 
 
 def test_shares_return_json_shaped_values(monkeypatch):
     # a tuple here next to a list decoded from a child would not compare
-    # every share below fails, so each holds a counterexample
-    _plant_axioms_faults(monkeypatch, {(9, 1)})
+    # every share below fails, so each holds an order and a counterexample
+    _plant_axioms_faults(monkeypatch, {(9, 1), (7, 2)})
     monkeypatch.setattr(oracle, "e_max", lambda pi, i, gcm: pi)
     window = _window()
     shares = [
@@ -195,9 +196,26 @@ def test_shares_return_json_shaped_values(monkeypatch):
         oracle._reduction_stuck(G33, B, window),
         oracle._equivalence_share(G33, 2, 2, 0, 1),
     ]
-    assert all(share is not None for share in shares)
     for share in shares:
         assert json.loads(json.dumps(share)) == share
+        assert any(ce is not None for _, _, ce in share.values())
+        # a line has an order exactly when it has a counterexample
+        assert all((order is None) == (ce is None) for _, order, ce in share.values())
+
+
+def test_merged_sums_each_line_and_keeps_its_smallest_order():
+    a = {"x": [3, [2, 1], {"at": "a"}], "y": [1, None, None], "w": [2, None, None]}
+    b = {"x": [4, [1, 2], {"at": "b"}], "y": [5, None, None], "w": [6, "i(m=1)", {"at": "b"}]}
+    lines = oracle._merged([a, b]).to_json_lines()
+    assert oracle._merged([b, a]).to_json_lines() == lines
+    assert [json.loads(line) for line in lines] == [
+        {"check": "w", "status": "fail", "checked": 8, "counterexample": {"at": "b"}},
+        {"check": "x", "status": "fail", "checked": 7, "counterexample": {"at": "b"}},
+        {"check": "y", "status": "pass", "checked": 6},
+    ]
+    # on a tie the earlier share's counterexample stays: a serial run meets it first
+    tie = [{"z": [1, 0, {"at": "a"}]}, {"z": [2, 0, {"at": "b"}]}]
+    assert oracle._merged(tie).results == (oracle.CheckResult("z", 3, {"at": "a"}),)
 
 
 @pytest.mark.parametrize("check", CHECKS)

@@ -59,6 +59,9 @@ def test_eval_path_exact():
     two = LSPath((x(1), IDENTITY), (F(0), F(1, 2), F(1)))
     assert eval_path(two, F(1, 2), G33) == Weight(F(-1, 2), 1)
     assert eval_path(two, 1, G33) == Weight(0, F(1, 2))
+    for t in (F(-1, 2), F(3, 2)):
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+            eval_path(two, t, G33)
 
 
 def test_h_function_of_straight():

@@ -8,6 +8,7 @@ from lscrystal.cartan import GCM, LAMBDA, Weight, simple_reflect
 from lscrystal.weyl import (
     IDENTITY,
     WeylElement,
+    _checked_root,
     apply_weyl,
     hasse_neighbors,
     orbit_weight,
@@ -76,6 +77,8 @@ def test_descent_and_reflected():
     assert y(2).reflected(1) == y(1)
     assert IDENTITY.reflected(1) == x(1)
     assert IDENTITY.reflected(2) == y(1)
+    with pytest.raises(ValueError, match="must be 1 or 2, got 3"):
+        x(2).reflected(3)
     with pytest.raises(ValueError):
         IDENTITY.descent_index
 
@@ -165,6 +168,12 @@ def test_root_walk_matches_letter_by_letter_roots(a, b):
         for l in range(0, 2 * n, 2):
             ref += [positive_root(y(l), 1, g), positive_root(x(l + 1), 2, g)]
         assert positive_roots_weyl(g, n) == ref, n
+
+
+@pytest.mark.parametrize("c, d", [(0, 0), (-1, 2), (3, -1)])
+def test_checked_root_refuses_non_positive_coordinates(c, d):
+    with pytest.raises(ValueError, match=rf"x2\(alpha_1\) is not a positive root: coords \({c}, {d}\)"):
+        _checked_root(x(2), 1, c, d)
 
 
 def test_root_pairing_frozen():
