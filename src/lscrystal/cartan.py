@@ -21,6 +21,8 @@ explicit._on_grid, which fills the one cache slot.
 
 from __future__ import annotations
 
+import re
+import sys
 from fractions import Fraction
 from math import gcd, lcm
 from operator import lt
@@ -231,8 +233,32 @@ def rationals_from_json(values) -> tuple[Fraction, ...]:
     return tuple([_breakpoint(t) for t in values])
 
 
+# a breakpoint string in Fraction's decimal grammar with an exponent:
+# the digits after the point, the exponent's sign and its digits.  Each
+# repeat is bounded by the next token, so a match takes linear time.
+_SCIENTIFIC = re.compile(r"\s*[-+]?(?=\.?\d)(?:\d+(?:_\d+)*)?(?:\.((?:\d+(?:_\d+)*)?))?[eE]([-+]?)(\d+(?:_\d+)*)\s*")
+
+
 def _breakpoint(t) -> Fraction:
-    """Fraction(t), with a zero denominator ("1/0") a ValueError."""
+    """Fraction(t), with a zero denominator ("1/0") a ValueError.
+
+    So is a decimal string with an exponent for which Fraction would
+    build a power of ten with more digits than the int-to-string limit
+    allows.  Fraction builds 10**|exponent| in full, and for a negative
+    exponent a denominator of 10**(places - exponent), places the digits
+    after the point; the limit never sees either, though it stops every
+    other long digit string: "1e-30000000" cost a CLI run 41 s.  The
+    limit is read, never set, and 0 means none.
+    """
+    limit = sys.get_int_max_str_digits()
+    scientific = _SCIENTIFIC.fullmatch(t) if limit and isinstance(t, str) else None
+    if scientific:
+        places, sign, digits = scientific.groups()
+        digits = digits.replace("_", "").lstrip("0")
+        # 10**n has n + 1 digits; an exponent longer than the limit is past it
+        exponent = int(sign + (digits or "0")) if len(digits) <= len(str(limit)) else limit
+        if max(abs(exponent), len((places or "").replace("_", "")) - exponent) >= limit:
+            raise ValueError(f"breakpoint {t!r} needs a power of ten with more than {limit} digits")
     try:
         return Fraction(t)
     except ZeroDivisionError:

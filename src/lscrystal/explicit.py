@@ -33,11 +33,13 @@ through _on_grid, is not tested again when it is the next input.
 
 f_i acts after the last breakpoint where H_i is lowest and e_i before
 the first, so one height profile serves both: f_explicit and
-e_explicit each compute it and take their own branch, and fe_explicit
-computes it once and takes both.  What depends on the shape
-(form, m, s) alone, the grid of integrality denominators and the
-slopes c_j for i = 1 and i = 2, is one cached table per matrix and
-shape; the direction keys need no matrix and are cached by shape alone.
+e_explicit each build it and hand it whole to their branch, _lowered
+or _raised, and fe_explicit builds it once and hands it to both.  Each
+branch reads its minimum and its section off that one profile.  What
+depends on the shape (form, m, s) alone, the grid of integrality
+denominators and the slopes c_j for i = 1 and i = 2, is one cached
+table per matrix and shape; the direction keys need no matrix and are
+cached by shape alone.
 
 Only form i has a table formula, on the p table.  Form ii is read off
 it through the duality Phi: Littelmann's dual path
@@ -349,8 +351,7 @@ def f_explicit(ep: ExplicitPath, i: int, gcm: GCM) -> ExplicitPath | None:
     fails loudly instead of producing a malformed normal form; a
     breakpoint of ep off its grid raises ValueError.
     """
-    heights, slopes = _profile(ep, i, gcm)
-    return _lowered(ep, i, gcm, slopes, len(heights) - 1 - heights[::-1].index(min(heights)))
+    return _lowered(ep, i, gcm, _profile(ep, i, gcm))
 
 
 def e_explicit(ep: ExplicitPath, i: int, gcm: GCM) -> ExplicitPath | None:
@@ -359,22 +360,20 @@ def e_explicit(ep: ExplicitPath, i: int, gcm: GCM) -> ExplicitPath | None:
     Both forms take the same branches and differ only in the sign of
     step.  A breakpoint of ep off its grid raises ValueError.
     """
-    heights, slopes = _profile(ep, i, gcm)
-    return _raised(ep, i, gcm, slopes, heights.index(min(heights)))
+    return _raised(ep, i, gcm, _profile(ep, i, gcm))
 
 
 def fe_explicit(ep: ExplicitPath, i: int, gcm: GCM) -> tuple[ExplicitPath | None, ExplicitPath | None]:
     """(f_explicit, e_explicit) of ep from one height profile."""
-    heights, slopes = _profile(ep, i, gcm)
-    low = min(heights)
-    return (
-        _lowered(ep, i, gcm, slopes, len(heights) - 1 - heights[::-1].index(low)),
-        _raised(ep, i, gcm, slopes, heights.index(low)),
-    )
+    profile = _profile(ep, i, gcm)
+    return _lowered(ep, i, gcm, profile), _raised(ep, i, gcm, profile)
 
 
-def _lowered(ep: ExplicitPath, i: int, gcm: GCM, slopes: tuple[int, ...], u0: int) -> ExplicitPath | None:
-    """f_i of ep, u0 the last breakpoint where H_i is lowest."""
+def _lowered(ep: ExplicitPath, i: int, gcm: GCM, profile: tuple[list[int], tuple[int, ...]]) -> ExplicitPath | None:
+    """f_i of ep from its _profile: u0 is the last breakpoint where H_i
+    is lowest."""
+    heights, slopes = profile
+    u0 = len(heights) - 1 - heights[::-1].index(min(heights))
     form, m, nums = ep.form, ep.m, ep.nums
     s = len(nums) - 1
     den = nums[-1]
@@ -401,8 +400,11 @@ def _lowered(ep: ExplicitPath, i: int, gcm: GCM, slopes: tuple[int, ...], u0: in
     return _on_grid(ExplicitPath(form, m + step, s - 1, nums=nums[: s - 1] + (den,)), gcm)
 
 
-def _raised(ep: ExplicitPath, i: int, gcm: GCM, slopes: tuple[int, ...], u1: int) -> ExplicitPath | None:
-    """e_i of ep, u1 the first breakpoint where H_i is lowest."""
+def _raised(ep: ExplicitPath, i: int, gcm: GCM, profile: tuple[list[int], tuple[int, ...]]) -> ExplicitPath | None:
+    """e_i of ep from its _profile: u1 is the first breakpoint where H_i
+    is lowest."""
+    heights, slopes = profile
+    u1 = heights.index(min(heights))
     form, m, nums = ep.form, ep.m, ep.nums
     s = len(nums) - 1
     den = nums[-1]

@@ -25,13 +25,16 @@ slopes <orbit weight, alpha_i^vee> are plain ints, and the minimum and
 the climb back to min + 1 are searched on those.  The section is then
 found by index: t_0 (for f) or t_1 (for e) is a breakpoint, the other
 end is a breakpoint or splits one known piece of slope c at r/(D*|c|)
-after its start.  That split point is put straight over D*k with
-k = |c|/gcd(|c|, r), so the numerators are scaled by k alone.
+after its start.  _split, the one place a piece is cut, puts that
+point straight over D*k with k = |c|/gcd(|c|, r), so the numerators
+are scaled by k alone.
 
 f_i reflects after the last minimum of H_i and e_i before the first,
-so one height profile serves both: f_generic and e_generic each
-compute it and run their own branch, and fe_generic computes it once
-and runs both, for callers that need the pair.
+so one height profile serves both: f_generic and e_generic each build
+it and hand it whole to their branch, _lowered or _raised, and
+fe_generic builds it once and hands it to both, for callers that need
+the pair.  Each branch reads its minimum and its section off that one
+profile.
 
 The string data need no iteration.  epsilon = -min H_i and phi = H_i(1)
 - min H_i (Littelmann, Ann. Math. 142, 1995), and e_max/f_max are the
@@ -50,7 +53,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from math import gcd, lcm
+from math import gcd
 from operator import gt, mul, sub
 
 from .cartan import (
@@ -275,8 +278,7 @@ def f_generic(pi: LSPath, i: int, gcm: GCM) -> LSPath | None:
     first time after it where H_i returns to min + 1; the section in
     between is reflected.
     """
-    profile = _int_heights(pi, i, gcm)
-    return _lowered(pi, i, profile, min(profile[3]))
+    return _lowered(pi, i, _int_heights(pi, i, gcm))
 
 
 def e_generic(pi: LSPath, i: int, gcm: GCM) -> LSPath | None:
@@ -285,20 +287,19 @@ def e_generic(pi: LSPath, i: int, gcm: GCM) -> LSPath | None:
     Otherwise t_1 is the first time the minimum is attained and t_0 the
     last time before it where H_i was still at min + 1.
     """
-    profile = _int_heights(pi, i, gcm)
-    return _raised(pi, i, profile, min(profile[3]))
+    return _raised(pi, i, _int_heights(pi, i, gcm))
 
 
 def fe_generic(pi: LSPath, i: int, gcm: GCM) -> tuple[LSPath | None, LSPath | None]:
     """(f_generic, e_generic) of pi from one height profile."""
     profile = _int_heights(pi, i, gcm)
-    m = min(profile[3])
-    return _lowered(pi, i, profile, m), _raised(pi, i, profile, m)
+    return _lowered(pi, i, profile), _raised(pi, i, profile)
 
 
-def _lowered(pi: LSPath, i: int, profile: _Profile, m: int) -> LSPath | None:
-    """f_i of pi from its _int_heights profile, m the minimum of D*H_i."""
+def _lowered(pi: LSPath, i: int, profile: _Profile) -> LSPath | None:
+    """f_i of pi from its _int_heights profile."""
     den, num, slopes, h = profile
+    m = min(h)
     if h[-1] == m:
         return None
     j0 = len(h) - 1 - h[::-1].index(m)
@@ -311,22 +312,15 @@ def _lowered(pi: LSPath, i: int, profile: _Profile, m: int) -> LSPath | None:
         raise RuntimeError(f"f_{i}: H_{i} never climbs back from its minimum on {pi}")
     keys, nums = list(pi.keys), list(num)
     if h[u] > level:
-        # t_1 lies inside piece u - 1, where H climbs with slope c > 0,
-        # r/(D*c) after its start: split it there, over D*k with
-        # k = c/gcd(c, r)
-        c, r = slopes[u - 1], level - h[u - 1]
-        g = gcd(c, r)
-        k = c // g
-        if k > 1:
-            nums = [n * k for n in nums]
-        keys.insert(u - 1, keys[u - 1])
-        nums.insert(u, num[u - 1] * k + r // g)
+        # t_1 lies inside piece u - 1, where H climbs with slope c > 0
+        _split(keys, nums, u - 1, slopes[u - 1], level - h[u - 1])
     return _reflect_pieces(keys, nums, i, j0, u)
 
 
-def _raised(pi: LSPath, i: int, profile: _Profile, m: int) -> LSPath | None:
-    """e_i of pi from its _int_heights profile, m the minimum of D*H_i."""
+def _raised(pi: LSPath, i: int, profile: _Profile) -> LSPath | None:
+    """e_i of pi from its _int_heights profile."""
     den, num, slopes, h = profile
+    m = min(h)
     if m == 0:
         return None
     j1 = h.index(m)
@@ -339,19 +333,28 @@ def _raised(pi: LSPath, i: int, profile: _Profile, m: int) -> LSPath | None:
         raise RuntimeError(f"e_{i}: H_{i} never falls from 0 to its minimum on {pi}")
     keys, nums = list(pi.keys), list(num)
     if h[u] > level:
-        # t_0 lies inside piece u, where H falls with slope -c < 0,
-        # r/(D*c) after its start: split it there, over D*k with
-        # k = c/gcd(c, r)
-        c, r = -slopes[u], h[u] - level
-        g = gcd(c, r)
-        k = c // g
-        if k > 1:
-            nums = [n * k for n in nums]
-        keys.insert(u, keys[u])
-        nums.insert(u + 1, num[u] * k + r // g)
-        u += 1
-        j1 += 1
+        # t_0 lies inside piece u, where H falls with slope -c < 0; the
+        # section starts at its second half
+        _split(keys, nums, u, -slopes[u], h[u] - level)
+        return _reflect_pieces(keys, nums, i, u + 1, j1 + 1)
     return _reflect_pieces(keys, nums, i, u, j1)
+
+
+def _split(keys: list[int], nums: list[int], u: int, c: int, r: int) -> None:
+    """Cut piece u in place where D*H_i has moved by r > 0 from the
+    piece's start, which is r/(D*c) after it, c > 0 the absolute slope.
+
+    The cut is put straight over D*k with k = c/gcd(c, r), and the other
+    numerators are scaled by k alone.  Both halves keep the piece's
+    direction.
+    """
+    g = gcd(c, r)
+    k = c // g
+    cut = nums[u] * k + r // g
+    if k > 1:
+        nums[:] = [n * k for n in nums]
+    keys.insert(u, keys[u])
+    nums.insert(u + 1, cut)
 
 
 def _string_heights(pi: LSPath, i: int, gcm: GCM) -> tuple[int, tuple[int, ...], list[int], list[int], int]:
@@ -386,10 +389,8 @@ def _pitman(pi: LSPath, i: int, gcm: GCM, from_left: bool) -> LSPath:
     Scanning from the left this is e_i^max pi(t) = pi(t) - min_{u<=t}
     H_i(u) alpha_i, scanning from the right f_i^max, the dual transform.
     A piece sets a new minimum over all of its length or from the point
-    where it crosses the running minimum on; such a piece is split
-    there.  Piece k of slope c_k crosses r_k/(D*|c_k|) after its start,
-    so every cut lies over D times the lcm of the |c_k|/gcd(|c_k|, r_k)
-    of the split pieces.  Equal neighbours are then merged.
+    where it crosses the running minimum on; _split cuts such a piece
+    there.  Equal neighbours are then merged.
     """
     _, nums, slopes, h, _ = _string_heights(pi, i, gcm)
     # piece -> the running minimum it falls below, for each piece that
@@ -410,36 +411,21 @@ def _pitman(pi: LSPath, i: int, gcm: GCM, from_left: bool) -> LSPath:
                 low = h[k]
     if not marks:
         return pi
-    start = h if from_left else h[1:]
-    # split piece -> (c, rise): H_i meets the running minimum
-    # |h[k] - level|/(D*|slope|) after the piece starts, which is
-    # rise/c over D with the fraction reduced
-    split = {}
-    for k, level in marks.items():
-        if start[k] != level:
-            slope, rise = abs(slopes[k]), abs(h[k] - level)
-            g = gcd(slope, rise)
-            split[k] = slope // g, rise // g
-    scale = lcm(*[c for c, _ in split.values()])
-    keys, out = [], [0]
-    for k, key in enumerate(pi.keys):
-        end = nums[k + 1] * scale
-        if k not in marks:
-            pieces = ((key, end),)
-        elif k not in split:
-            pieces = ((reflected_key(key, i), end),)
-        else:
-            # H_i meets the running minimum inside the piece
-            c, rise = split[k]
-            cut = nums[k] * scale + rise * (scale // c)
-            r = reflected_key(key, i)
-            pieces = ((key, cut), (r, end)) if from_left else ((r, cut), (key, end))
-        for d, n in pieces:
-            if keys and keys[-1] == d:
-                out[-1] = n
-            else:
-                keys.append(d)
-                out.append(n)
+    # right to left, so a cut leaves the pieces still to visit where they were
+    keys, out = list(pi.keys), list(nums)
+    for k in sorted(marks, reverse=True):
+        if (h[k] if from_left else h[k + 1]) == marks[k]:
+            keys[k] = reflected_key(keys[k], i)
+            continue
+        # H_i meets the running minimum inside the piece, |h[k] - level|
+        # over D*|slope| after its start; out is over D times the cuts' k
+        _split(keys, out, k, abs(slopes[k]), abs(h[k] - marks[k]) * (out[-1] // nums[-1]))
+        half = k + 1 if from_left else k
+        keys[half] = reflected_key(keys[half], i)
+    for k in range(len(keys) - 1, 0, -1):
+        if keys[k - 1] == keys[k]:
+            del keys[k]
+            del out[k]
     return LSPath(keys=tuple(keys), nums=tuple(out))
 
 

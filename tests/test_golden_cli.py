@@ -210,6 +210,14 @@ def _cases():
     # node labels past the int-to-string digit limit (exit 2, empty stdout)
     for fmt in ("dot", "json"):
         yield ["graph", "--a", str(10**1500), "--b", str(10**1500), "--depth", "4", "--format", fmt], None
+    # a decimal exponent whose power of ten is past the digit limit is
+    # refused before that power is built (exit 3 and 1); a short one reads
+    # as any other decimal
+    past = '{"form": "ii", "m": 2, "s": 2, "sigmas": ["0", "1e-4301", "1"]}'
+    short = '{"form": "ii", "m": 2, "s": 2, "sigmas": ["0", "5e-1", "1"]}'
+    yield ["apply", "--a", "3", "--b", "3", "--op", "f1"], past
+    yield ["validate", "--a", "3", "--b", "3"], past
+    yield ["validate", "--a", "3", "--b", "3"], short
 
 
 def record():

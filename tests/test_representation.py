@@ -7,6 +7,8 @@ every path, however it was built, carries the reduced D.
 
 import copy
 import pickle
+import sys
+import time
 from fractions import Fraction as F
 from math import gcd
 
@@ -286,14 +288,42 @@ def test_list_spelling_stores_tuples(as_list, as_tuple):
     assert type(path.keys) is tuple and type(path.nums) is tuple
 
 
+PAST_LIMIT = "needs a power of ten with more than {} digits"
+
+
+@pytest.mark.parametrize(
+    "point, reason",
+    [
+        ("1/0", "has denominator 0"),
+        # a power of ten past the default limit of 4300 digits is refused
+        # before it is built: 10**4301 from the exponent alone, 10**99999999999
+        # would not fit in memory, and 10**5000 over the places after the point
+        ("1e-4301", PAST_LIMIT),
+        ("1e-99999999999", PAST_LIMIT),
+        ("0." + "0" * 3999 + "1e-1000", PAST_LIMIT),
+    ],
+    ids=["zero-denominator", "past-the-limit", "far-past-the-limit", "places-and-exponent"],
+)
 @pytest.mark.parametrize(
     "build",
     [
-        lambda: ExplicitPath(FORM_I, 0, 2, ["0", "1/0", "1"]),
-        lambda: LSPath((x(1),), ("0", "1/0")),
+        lambda t: ExplicitPath(FORM_I, 0, 2, ["0", t, "1"]),
+        lambda t: LSPath((x(1),), ("0", t)),
+        lambda t: ExplicitPath.from_json({"form": "i", "m": 0, "s": 2, "sigmas": ["0", t, "1"]}),
+        lambda t: LSPath.from_json({"dirs": [{"family": "x", "m": 1}], "sigmas": ["0", t]}),
     ],
 )
-def test_zero_denominator_breakpoint_is_a_value_error(build):
+def test_bad_breakpoint_string_is_a_value_error(build, point, reason):
     with pytest.raises(ValueError) as err:
-        build()
-    assert str(err.value) == "breakpoint '1/0' has denominator 0"
+        build(point)
+    assert str(err.value) == f"breakpoint {point!r} " + reason.format(sys.get_int_max_str_digits())
+
+
+def test_long_malformed_exponent_is_refused_at_once():
+    # the exponent is read in linear time: a pattern that tried every split
+    # of these zeros would take minutes before Fraction refused the string
+    point = "1e" + "0" * 10**5 + "x"
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="^Invalid literal for Fraction"):
+        LSPath((x(1),), ("0", point))
+    assert time.perf_counter() - start < 2
