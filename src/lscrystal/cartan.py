@@ -180,6 +180,43 @@ class GCM(Frozen):
         return self.a == 1 or self.b == 1
 
 
+# a string in Fraction's decimal grammar with an exponent: the digits
+# after the point, the exponent's sign and its digits.  Each repeat is
+# bounded by the next token, so a match takes linear time.
+_SCIENTIFIC = re.compile(r"\s*[-+]?(?=\.?\d)(?:\d+(?:_\d+)*)?(?:\.((?:\d+(?:_\d+)*)?))?[eE]([-+]?)(\d+(?:_\d+)*)\s*")
+
+
+def _breakpoint(t, role: str = "breakpoint") -> Fraction:
+    """Fraction(t): the package's one step from a caller's value to a
+    Fraction, for breakpoints, path parameters, sigmas and weight
+    coordinates.  Each refusal is a ValueError that names t by its role.
+
+    A string with a zero denominator ("1/0") is refused, and so is a
+    decimal string with an exponent for which Fraction would build a
+    power of ten with more digits than the int-to-string limit allows.
+    Fraction builds 10**|exponent| in full, and for a negative exponent
+    a denominator of 10**(places - exponent), places the digits after
+    the point; the limit never sees either, though it stops every other
+    long digit string: "1e-30000000" cost a CLI run 41 s.  The limit is
+    read, never set, and 0 means none.  A Fraction is returned as it
+    is, and no value but a string is matched.
+    """
+    if type(t) is Fraction:
+        return t
+    scientific = isinstance(t, str) and _SCIENTIFIC.fullmatch(t)
+    if scientific and (limit := sys.get_int_max_str_digits()):
+        places, sign, digits = scientific.groups()
+        digits = digits.replace("_", "").lstrip("0")
+        # 10**n has n + 1 digits; an exponent longer than the limit is past it
+        exponent = int(sign + (digits or "0")) if len(digits) <= len(str(limit)) else limit
+        if max(abs(exponent), len((places or "").replace("_", "")) - exponent) >= limit:
+            raise ValueError(f"{role} {t!r} needs a power of ten with more than {limit} digits")
+    try:
+        return Fraction(t)
+    except ZeroDivisionError:
+        raise ValueError(f"{role} {t!r} has denominator 0") from None
+
+
 class Weight(Frozen):
     """A weight c1*L1 + c2*L2 with exact rational coordinates.
 
@@ -191,7 +228,7 @@ class Weight(Frozen):
     __slots__ = ("c1", "c2")
 
     def __init__(self, c1, c2):
-        self._store(Fraction(c1), Fraction(c2))
+        self._store(_breakpoint(c1, "weight coordinate"), _breakpoint(c2, "weight coordinate"))
 
     def __add__(self, other):
         return Weight(self.c1 + other.c1, self.c2 + other.c2)
@@ -231,38 +268,6 @@ def rationals_from_json(values) -> tuple[Fraction, ...]:
         if type(t) not in (str, int):  # bool is an int subclass
             raise TypeError(f"breakpoint must be a string or an integer, got {t!r}")
     return tuple([_breakpoint(t) for t in values])
-
-
-# a breakpoint string in Fraction's decimal grammar with an exponent:
-# the digits after the point, the exponent's sign and its digits.  Each
-# repeat is bounded by the next token, so a match takes linear time.
-_SCIENTIFIC = re.compile(r"\s*[-+]?(?=\.?\d)(?:\d+(?:_\d+)*)?(?:\.((?:\d+(?:_\d+)*)?))?[eE]([-+]?)(\d+(?:_\d+)*)\s*")
-
-
-def _breakpoint(t) -> Fraction:
-    """Fraction(t), with a zero denominator ("1/0") a ValueError.
-
-    So is a decimal string with an exponent for which Fraction would
-    build a power of ten with more digits than the int-to-string limit
-    allows.  Fraction builds 10**|exponent| in full, and for a negative
-    exponent a denominator of 10**(places - exponent), places the digits
-    after the point; the limit never sees either, though it stops every
-    other long digit string: "1e-30000000" cost a CLI run 41 s.  The
-    limit is read, never set, and 0 means none.
-    """
-    limit = sys.get_int_max_str_digits()
-    scientific = _SCIENTIFIC.fullmatch(t) if limit and isinstance(t, str) else None
-    if scientific:
-        places, sign, digits = scientific.groups()
-        digits = digits.replace("_", "").lstrip("0")
-        # 10**n has n + 1 digits; an exponent longer than the limit is past it
-        exponent = int(sign + (digits or "0")) if len(digits) <= len(str(limit)) else limit
-        if max(abs(exponent), len((places or "").replace("_", "")) - exponent) >= limit:
-            raise ValueError(f"breakpoint {t!r} needs a power of ten with more than {limit} digits")
-    try:
-        return Fraction(t)
-    except ZeroDivisionError:
-        raise ValueError(f"breakpoint {t!r} has denominator 0") from None
 
 
 def breakpoint_ints(times) -> tuple[int, ...]:

@@ -9,27 +9,25 @@ closed formulas built on the p table and never consult the
 piecewise-linear engine in paths.py; the test suite drives both engines
 over full enumeration windows and demands exact agreement.
 
-The closed forms run in int only.  Let c_j be the slope of H_i on piece
-j, a signed entry of the p or q table.  At breakpoint u the slope jumps
-by c_{u+1} - c_u, which is 2, -a or -b times that breakpoint's own grid
-denominator p_{m+s-u} or q_{m-s+u+1}: this is Littelmann's integrality
-condition sigma <nu, beta^vee> in Z (Ann. Math. 142, 1995, "Paths and
-root operators in representation theory").  Summing by parts,
+The closed forms run in int only.  Let c_u be the slope of H_i on
+piece u, a signed entry of the p or q table, and n_u = sigma_u * D the
+breakpoint numerators over the path's denominator D.  H_i is the
+running sum of each piece's gap times its slope, so
 
-    H_i(sigma_u) = N_u + sigma_u c_u,   N_u = -sum_{j<u} sigma_j (c_{j+1} - c_j),
+    D*H_i(sigma_u) = sum_{j<=u} (n_j - n_{j-1}) c_j,
 
-and every term of N_u is an integer.  So each height is an integer plus
-one breakpoint times one slope, and no Fraction is built.  The slopes
-and their jumps depend on the shape alone and are read from its table;
-over the path's denominator D the heights are
-
-    D*H_i(sigma_u) = n_u c_u - sum_{j<u} n_j (c_{j+1} - c_j),
-
-a running sum of int products with no division.  The integrality that
-makes N_u an integer is the grid condition D | n_u * grid_u, which
-_on_grid tests before any height is used.  A path remembers the matrix
-it passed that test for, so a path that an operator returned, already
-through _on_grid, is not tested again when it is the next input.
+a running sum of int products with no division and no Fraction.  The
+slopes depend on the shape alone and are read from its table.  At
+breakpoint u the slope changes by c_{u+1} - c_u, which is 2, -a or -b
+times that breakpoint's own grid denominator p_{m+s-u} or
+q_{m-s+u+1}.  Littelmann's integrality condition sigma <nu, beta^vee>
+in Z (Ann. Math. 142, 1995, "Paths and root operators in
+representation theory") puts breakpoint u on that grid,
+D | n_u * grid_u, so every sigma_u (c_{u+1} - c_u) is an integer.
+_on_grid tests the grid condition before any height is used.  A path
+remembers the matrix it passed that test for, so a path that an
+operator returned, already through _on_grid, is not tested again when
+it is the next input.
 
 f_i acts after the last breakpoint where H_i is lowest and e_i before
 the first, so one height profile serves both: f_explicit and
@@ -49,19 +47,18 @@ the diagram automorphism (a, b) <-> (b, a), which swaps the indices
 keys and replaces n_u by D - n_{s-u}; it takes form ii (m, s) at
 (a, b) to form i (m - s + 1, s) at (b, a), and f_i to e_{3-i}.  So
 the form-ii table is that form-i table with the grid reversed, the
-slopes negated, reversed and swapped between i = 1 and 2, and the
-jumps reversed and swapped.  The engine in paths.py never uses Phi.
+slopes negated, reversed and swapped between i = 1 and 2.  The engine
+in paths.py never uses Phi.
 
 Like LSPath, an ExplicitPath stores its breakpoints as the int
 numerators n_u = sigma_u * D over their least common denominator D,
 with gcd(D, *numerators) = 1 and D = n_s.  D is the path's own, not
-the p/q grid (which would need the matrix).  The heights are then the
-ints D*H_i(sigma_u) = D*N_u + n_u c_u over one denominator, and the
-minimum search compares plain ints.  A moved breakpoint sigma_u +- 1/c
-is (n_u k +- D/g)/(D k) with g = gcd(c, D) and k = c/g, so it is built
-in int straight over D*k and the other numerators are scaled by k
-alone, so the constructor seldom finds a common factor left to divide
-out.  The conversions to and from LSPath hand the numerators across
+the p/q grid (which would need the matrix).  The heights are then ints
+over one denominator, and the minimum search compares plain ints.  A
+moved breakpoint sigma_u +- 1/c is (n_u k +- D/g)/(D k) with
+g = gcd(c, D) and k = c/g, so it is built in int straight over D*k and
+the other numerators are scaled by k alone, so the constructor seldom
+finds a common factor left to divide out.  The conversions to and from LSPath hand the numerators across
 unchanged.
 
 The conversions build their results with the private constructors
@@ -87,7 +84,6 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
 from math import gcd, lcm
-from operator import sub
 
 from .cartan import (
     GCM,
@@ -211,11 +207,10 @@ class _ShapeTable(Frozen):
     grid holds the integrality denominators of breakpoints 1..s-1,
     p_{m+s-u} on form i and q_{m-s+u+1} on form ii; slopes[i - 1] holds
     the slopes c_1..c_s of H_i, c_j = <direction of piece j,
-    alpha_i^vee>, and jumps[i - 1] their jumps c_{u+1} - c_u at
-    breakpoints 1..s-1.  The direction keys need no matrix: _shape_keys.
+    alpha_i^vee>.  The direction keys need no matrix: _shape_keys.
     """
 
-    __slots__ = ("grid", "slopes", "jumps")
+    __slots__ = ("grid", "slopes")
 
 
 @lru_cache(maxsize=None)
@@ -237,13 +232,11 @@ def _shape_table(gcm: GCM, form: str, m: int, s: int) -> _ShapeTable:
     if form == FORM_II:
         dual = _shape_table(GCM(gcm.b, gcm.a), FORM_I, m - s + 1, s)
         slopes = tuple(tuple([-c for c in reversed(h)]) for h in reversed(dual.slopes))
-        jumps = tuple(h[::-1] for h in reversed(dual.jumps))
-        return _ShapeTable(dual.grid[::-1], slopes, jumps)
+        return _ShapeTable(dual.grid[::-1], slopes)
     p, run = pq_table_covering(gcm, m + s).p, range(m + s - 1, m - 1, -1)
     h1 = tuple([(-1) ** k * p[k + xi(k)] for k in run])
     h2 = tuple([(-1) ** (k + 1) * p[k + xi(k + 1)] for k in run])
-    jumps = tuple(tuple(map(sub, h[1:], h)) for h in (h1, h2))
-    return _ShapeTable(p[m + s - 1 : m : -1], (h1, h2), jumps)
+    return _ShapeTable(p[m + s - 1 : m : -1], (h1, h2))
 
 
 def _off_grid(ep: ExplicitPath, u: int, den: int) -> ValueError:
@@ -305,20 +298,16 @@ def from_ls_path(pi: LSPath) -> ExplicitPath:
     return ExplicitPath._from_valid(FORM_II, -last, pi.nums)
 
 
-def _heights(ep: ExplicitPath, slopes: tuple[int, ...], jumps: tuple[int, ...]) -> list[int]:
-    """D*H_i at sigma_0..sigma_s, D the path's denominator.
-
-    D*H_i(sigma_u) = n_u c_u - sum_{j<u} n_j (c_{j+1} - c_j), from the
-    module docstring.  The caller has passed ep through _on_grid: off
-    its grid the integer N_u of the closed form does not exist.
-    """
-    nums = ep.nums
+def _heights(ep: ExplicitPath, slopes: tuple[int, ...]) -> list[int]:
+    """D*H_i at sigma_0..sigma_s, D the path's denominator: the running
+    sum of (n_u - n_{u-1}) c_u from the module docstring.  The caller
+    has passed ep through _on_grid."""
     heights = [0]
-    below = 0  # -D*N_u
-    for n, c, jump in zip(nums[1:], slopes, jumps):
-        heights.append(n * c - below)
-        below += n * jump
-    heights.append(nums[-1] * slopes[-1] - below)
+    h = prev = 0
+    for n, c in zip(ep.nums[1:], slopes):
+        h += (n - prev) * c
+        heights.append(h)
+        prev = n
     return heights
 
 
@@ -338,9 +327,8 @@ def _profile(ep: ExplicitPath, i: int, gcm: GCM) -> tuple[list[int], tuple[int, 
     _require_deep(gcm)
     _check_index(i)
     _on_grid(ep, gcm)
-    table = _shape_table(gcm, ep.form, ep.m, len(ep.nums) - 1)
-    slopes = table.slopes[i - 1]
-    return _heights(ep, slopes, table.jumps[i - 1]), slopes
+    slopes = _shape_table(gcm, ep.form, ep.m, len(ep.nums) - 1).slopes[i - 1]
+    return _heights(ep, slopes), slopes
 
 
 def f_explicit(ep: ExplicitPath, i: int, gcm: GCM) -> ExplicitPath | None:

@@ -71,6 +71,7 @@ from .cartan import (
     NEITHER,
     Frozen,
     Weight,
+    _breakpoint,
     dominance_class,
     pairing,
     simple_root,
@@ -78,7 +79,6 @@ from .cartan import (
 from .explicit import (
     FORM_I,
     FORM_II,
-    ExplicitPath,
     fe_explicit,
     from_ls_path,
     normal_forms_by_shape,
@@ -288,7 +288,7 @@ def sigma_chain_lengths(
     """
     if mu.order_key <= nu.order_key:
         raise ValueError(f"sigma-chains need {mu} strictly above {nu}")
-    sigma = Fraction(sigma)
+    sigma = _breakpoint(sigma, "sigma")
     if not 0 < sigma < 1:
         raise ValueError(f"sigma must lie strictly between 0 and 1, got {sigma}")
     _refuse_past_cap(mu, nu, bounds)
@@ -521,13 +521,14 @@ def _merged(shares: list[dict]) -> VerificationReport:
     return VerificationReport(tuple(CheckResult(name, n, ce) for name, (n, _, ce) in lines.items()))
 
 
-def _normal_forms_in_window(gcm: GCM, bounds: SearchBounds) -> set[ExplicitPath]:
-    """Valid normal forms whose directions all fit inside the window:
-    form i with m + s - 1 <= m_max, form ii with s <= m <= m_max."""
+def _normal_forms_in_window(gcm: GCM, bounds: SearchBounds) -> set[LSPath]:
+    """Valid normal forms whose directions all fit inside the window,
+    as LS paths: form i with m + s - 1 <= m_max, form ii with
+    s <= m <= m_max."""
     pieces = range(1, bounds.s_max + 1)
     shapes = [(FORM_I, m, s) for s in pieces for m in range(bounds.m_max - s + 2)]
     shapes += [(FORM_II, m, s) for s in pieces for m in range(s, bounds.m_max + 1)]
-    return set(normal_forms_of_shapes(gcm, shapes))
+    return {to_ls_path(ep) for ep in normal_forms_of_shapes(gcm, shapes)}
 
 
 def check_classification(gcm: GCM, bounds: SearchBounds) -> VerificationReport:
@@ -548,7 +549,7 @@ def check_classification(gcm: GCM, bounds: SearchBounds) -> VerificationReport:
     length_result = CheckResult("sigma-chain-length-one", chains, bad)
 
     oracle_set = enumerate_ls_paths(gcm, bounds)
-    normal_set = {to_ls_path(ep) for ep in _normal_forms_in_window(gcm, bounds)}
+    normal_set = _normal_forms_in_window(gcm, bounds)
     ce = None
     extra = oracle_set - normal_set
     missing = normal_set - oracle_set

@@ -60,6 +60,7 @@ from .cartan import (
     GCM,
     Frozen,
     Weight,
+    _breakpoint,
     breakpoint_ints,
     pairing,
     rationals_from_json,
@@ -179,7 +180,7 @@ class PiecewiseLinear(Frozen):
 
 def eval_path(pi: LSPath, t, gcm: GCM) -> Weight:
     """The path map at time t (exact; 0 at t = 0)."""
-    t = Fraction(t)
+    t = _breakpoint(t, "path parameter")
     if not 0 <= t <= 1:
         raise ValueError(f"path parameter must lie in [0, 1], got {t}")
     times = pi.times

@@ -36,10 +36,7 @@ def partial_sums(ep: ExplicitPath, gcm: GCM) -> tuple[tuple[Fraction, ...], tupl
     """
     table = _shape_table(gcm, ep.form, ep.m, len(ep.nums) - 1)
     den = _on_grid(ep, gcm).nums[-1]
-    h1, h2 = (
-        tuple([Fraction(h, den) for h in _heights(ep, slopes, jumps)])
-        for slopes, jumps in zip(table.slopes, table.jumps)
-    )
+    h1, h2 = (tuple([Fraction(h, den) for h in _heights(ep, slopes)]) for slopes in table.slopes)
     return h1, h2
 
 

@@ -47,6 +47,15 @@ def test_weight_arithmetic_is_exact():
     assert -u == Weight(Fraction(-1, 3), 2)
 
 
+# a power of ten with millions of digits, and a zero denominator
+@pytest.mark.parametrize("c, refusal", [("1e-3000000", "needs a power of ten"), ("1/0", "has denominator 0")])
+def test_weight_refuses_what_the_breakpoint_parser_refuses(c, refusal):
+    for coords in ((c, 1), (1, c)):
+        with pytest.raises(ValueError, match=f"^weight coordinate '{c}' {refusal}"):
+            Weight(*coords)
+    assert Weight("1/3", "-2") == Weight(Fraction(1, 3), -2)
+
+
 def test_weight_str_signs():
     assert str(Weight(5, -2)) == "5L1 - 2L2"
     assert str(Weight(-1, 2)) == "-1L1 + 2L2"

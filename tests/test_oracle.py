@@ -106,6 +106,14 @@ def test_sigma_chain_past_the_cap_is_loud(wider):
         sigma_chain_lengths(x(2), y(5), F(1, 2), GCM(2, 5), SearchBounds(2, 2))
 
 
+# a power of ten with millions of digits, and a zero denominator
+@pytest.mark.parametrize("sigma, refusal", [("1e-3000000", "needs a power of ten"), ("1/0", "has denominator 0")])
+def test_sigma_chain_lengths_refuses_what_the_breakpoint_parser_refuses(sigma, refusal):
+    with pytest.raises(ValueError, match=f"^sigma '{sigma}' {refusal}"):
+        sigma_chain_lengths(x(2), x(1), sigma, G33, B33)
+    assert sigma_chain_lengths(x(2), x(1), "1/2", G33, B33) == (1,)
+
+
 def test_sigma_chain_frozen_values():
     assert not sigma_chain_exists(x(1), IDENTITY, F(1, 2), G33, B33)
     assert sigma_chain_exists(x(4), x(3), F(1, 7), G23, SearchBounds(4, 3))
@@ -548,7 +556,7 @@ def test_window_normal_forms_are_the_fitting_enumerated_ones(ab):
     for m_max in range(6):
         for s_max in range(1, 4):
             fitting = {
-                ep
+                to_ls_path(ep)
                 for ep in every
                 if ep.m <= m_max
                 and ep.s <= s_max

@@ -64,6 +64,14 @@ def test_eval_path_exact():
             eval_path(two, t, G33)
 
 
+# a power of ten with millions of digits, and a zero denominator
+@pytest.mark.parametrize("t, refusal", [("1e-3000000", "needs a power of ten"), ("1/0", "has denominator 0")])
+def test_eval_path_refuses_what_the_breakpoint_parser_refuses(t, refusal):
+    with pytest.raises(ValueError, match=f"^path parameter '{t}' {refusal}"):
+        eval_path(straight_path(), t, G33)
+    assert eval_path(straight_path(), "1/3", G33) == Weight(F(1, 3), F(-1, 3))
+
+
 def test_h_function_of_straight():
     h1 = h_function(straight_path(), 1, G33)
     assert h1.points == ((F(0), F(0)), (F(1), F(1)))

@@ -1,9 +1,17 @@
-"""The package source never depends on Python's -O flag.
+"""Rules that every line of the package source keeps.
 
--O strips `assert` statements and the code under `if __debug__:`.  The
-package raises explicit errors instead of asserting, so with neither in
-its source, -O cannot change what it does.  This reads every line of
-every module, including the lines no test happens to run.
+It never depends on Python's -O flag.  -O strips `assert` statements
+and the code under `if __debug__:`.  The package raises explicit errors
+instead of asserting, so with neither in its source, -O cannot change
+what it does.
+
+It turns a value into a Fraction through one parser.  Fraction(x) of
+a decimal string builds its power of ten in full, so a one-value
+Fraction call anywhere but cartan._breakpoint, which bounds that power,
+could bring the unbounded parse back.
+
+These tests read every line of every module, including the lines no
+test happens to run.
 """
 
 import ast
@@ -21,4 +29,40 @@ def test_package_has_no_assert_and_no_debug_flag():
             if isinstance(node, ast.Assert) or (isinstance(node, ast.Name) and node.id == "__debug__"):
                 found.append(f"{path.name}:{node.lineno}")
     assert "oracle.py" in {path.name for path in MODULES}
+    assert found == []
+
+
+def _is_literal(node: ast.expr) -> bool:
+    try:
+        ast.literal_eval(node)
+    except ValueError:
+        return False
+    return True
+
+
+def _bare_fractions(node: ast.AST) -> list[int]:
+    """Lines of the one-argument Fraction calls under node whose
+    argument is not a literal."""
+    lines = []
+    for call in ast.walk(node):
+        if isinstance(call, ast.Call):
+            func = call.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            arguments = [*call.args, *[k.value for k in call.keywords]]
+            if name == "Fraction" and len(arguments) == 1 and not _is_literal(arguments[0]):
+                lines.append(call.lineno)
+    return lines
+
+
+def test_only_the_breakpoint_parser_calls_fraction_on_one_value():
+    found = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        lines = _bare_fractions(tree)
+        if path.name == "cartan.py":
+            (parser,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_breakpoint"]
+            inside = _bare_fractions(parser)
+            assert inside != []  # the scan sees the parser's own call
+            lines = [n for n in lines if n not in inside]
+        found += [f"{path.name}:{n}" for n in lines]
     assert found == []

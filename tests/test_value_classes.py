@@ -89,7 +89,6 @@ class HasseNeighborsTwin:
 class ShapeTableTwin:
     grid: tuple
     slopes: tuple
-    jumps: tuple
 
 
 @dataclass(frozen=True)
@@ -169,11 +168,12 @@ CASES = {
     "_ShapeTable": (
         _ShapeTable,
         ShapeTableTwin,
+        [(((2, 5), ((3, -1, 2), (-8, 3, -1))), {}), ((), {"grid": (), "slopes": ((2,), (-3,))})],
         [
+            (((2, 5),), {}),
             (((2, 5), ((3, -1, 2), (-8, 3, -1)), ((-4, 3), (11, -4))), {}),
-            ((), {"grid": (), "slopes": ((2,), (-3,)), "jumps": ((), ())}),
+            ((), {"grid": (), "slopes": (), "jumps": ()}),
         ],
-        [(((2, 5), ((3, -1, 2), (-8, 3, -1))), {}), ((), {"grid": (), "slopes": (), "jumps": (), "den": 1})],
     ),
     "SearchBounds": (
         SearchBounds,
