@@ -14,11 +14,11 @@ import sys
 from .cartan import GCM, dominance_class
 from .explicit import (
     ExplicitPath,
+    _on_grid,
     e_explicit,
     f_explicit,
     from_ls_path,
     to_ls_path,
-    validate_explicit,
 )
 from .oracle import (
     SearchBounds,
@@ -54,13 +54,13 @@ OK, CHECK_FAILED, BAD_PARAMS, MALFORMED_INPUT, ENGINES_DISAGREE = 0, 1, 2, 3, 4
 INDEX_CAP = 1000
 
 # The largest --depth that graph takes, checked before the search.  The
-# breadth-first search costs about 13x more for every 4 levels: at (3,3)
-# depth 12 takes 0.2 s and 18 MB of peak RSS, 16 takes 1.5 s and 35 MB,
-# and 20 takes 14 s and 256 MB.  At the cap a whole dot `graph` process
-# takes 5.4 s and 114 MB at (20,20), and 5.4 s and 142 MB at
-# (1000,1000), whose labels have the longest numbers; the json format
-# holds the whole document in memory and takes up to 9 s and 293 MB
-# there (CPython 3.11.7, x86-64 Linux).
+# breadth-first search costs about 10x more for every 4 levels: at (3,3)
+# a whole `graph` process at depth 12 takes 0.2 s and 16 MB of peak RSS,
+# at 16 it takes 1.2-1.8 s and 28 MB, and at 20 it takes 10-18 s and
+# 166 MB.  The output is written as it is formatted, so both formats
+# peak alike: at the cap 4-8 s and 75 MB at (20,20), and 5-7 s and
+# 88 MB at (1000,1000), whose labels have the longest numbers (CPython
+# 3.11.7, x86-64 Linux).
 GRAPH_DEPTH_CAP = 16
 
 # verify selector -> (runner(gcm, bounds), needs a, b >= 2).  The runners
@@ -283,8 +283,7 @@ def cmd_apply(args, gcm: GCM) -> int:
         return emit(result)
 
     try:
-        ep = from_ls_path(pi)
-        ep = validate_explicit(ep.form, ep.m, ep.s, ep.sigmas, gcm)
+        ep = _on_grid(from_ls_path(pi) if given is None else given, gcm)
     except ValueError as err:
         print(f"error: not a normal form: {err}", file=sys.stderr)
         return MALFORMED_INPUT
@@ -333,9 +332,7 @@ def cmd_validate(args, gcm: GCM) -> int:
         return code
     try:
         pi, ep = _parse_path(data)
-        if ep is None:
-            ep = from_ls_path(pi)
-        ep = validate_explicit(ep.form, ep.m, ep.s, ep.sigmas, gcm)
+        ep = _on_grid(from_ls_path(pi) if ep is None else ep, gcm)
     except (KeyError, TypeError) as err:
         print(f"error: bad fields: {err}", file=sys.stderr)
         return MALFORMED_INPUT
@@ -358,26 +355,30 @@ def cmd_graph(args, gcm: GCM) -> int:
         return BAD_PARAMS
     order, edges = crystal_bfs(gcm, lambda pi, level: level < args.depth)
     forms = [from_ls_path(pi) for pi in order]
-    # the whole output is built before any of it is printed, so a
-    # breakpoint past the int-to-string digit limit leaves stdout empty
+    # a label prints every number its node prints, the weight and the
+    # sigma strings of the path's JSON, so formatting the labels is the
+    # whole int-to-string digit check, and it runs before the first write
     try:
         labels = [f"{ep} | {weight(pi, gcm)}" for ep, pi in zip(forms, order)]
-        if args.format == "dot":
-            nodes = [f'  n{k} [label="{label}"];' for k, label in enumerate(labels)]
-            arrows = [f'  n{src} -> n{dst} [label="f{i}"];' for src, dst, i in edges]
-            text = "\n".join(["digraph crystal {", *nodes, *arrows, "}"])
-        else:
-            doc = {
-                "nodes": [
-                    {"id": f"n{k}", "label": label, "path": ep.to_json()}
-                    for k, (label, ep) in enumerate(zip(labels, forms))
-                ],
-                "edges": [{"from": f"n{src}", "to": f"n{dst}", "label": f"f{i}"} for src, dst, i in edges],
-            }
-            text = json.dumps(doc)
     except ValueError:
         return _too_many_digits("--a, --b or --depth")
-    print(text)
+    # each piece is written as soon as it is formatted; the JSON pieces
+    # are joined by the separators json.dumps(doc) would put between them
+    if args.format == "dot":
+        print("digraph crystal {")
+        for k, label in enumerate(labels):
+            print(f'  n{k} [label="{label}"];')
+        for src, dst, i in edges:
+            print(f'  n{src} -> n{dst} [label="f{i}"];')
+        print("}")
+        return OK
+    print('{"nodes": [', end="")
+    for k, (label, ep) in enumerate(zip(labels, forms)):
+        print((", " if k else "") + json.dumps({"id": f"n{k}", "label": label, "path": ep.to_json()}), end="")
+    print('], "edges": [', end="")
+    for k, (src, dst, i) in enumerate(edges):
+        print((", " if k else "") + json.dumps({"from": f"n{src}", "to": f"n{dst}", "label": f"f{i}"}), end="")
+    print("]}")
     return OK
 
 

@@ -9,6 +9,7 @@ import pytest
 
 from lscrystal import cli
 from lscrystal.cartan import GCM
+from lscrystal.explicit import ExplicitPath
 from lscrystal.oracle import CheckResult, SearchBounds, VerificationReport
 from lscrystal.weyl import pq_table
 
@@ -479,6 +480,42 @@ def test_validate_ls_input_converts(capsys, monkeypatch):
     )
     assert code == 0
     assert json.loads(out) == {"form": "ii", "m": 2, "s": 2, "sigmas": ["0", "1/2", "1"]}
+
+
+def _validating_constructions(monkeypatch) -> list[tuple[str, int, int]]:
+    """The (form, m, s) of every ExplicitPath the validating constructor
+    builds from now on; the conversions' _from_valid builds are not in it."""
+    built = []
+    init = ExplicitPath.__init__
+
+    def counting(self, form, m, s, *args, **kwargs):
+        built.append((form, m, s))
+        init(self, form, m, s, *args, **kwargs)
+
+    monkeypatch.setattr(ExplicitPath, "__init__", counting)
+    return built
+
+
+def test_validate_builds_its_input_once(capsys, monkeypatch):
+    # a form document is built by its parser, then only grid-checked; a
+    # dirs document is converted, then only grid-checked
+    built = _validating_constructions(monkeypatch)
+    code, out, _ = run(capsys, "validate", "--a", "2", "--b", "3", stdin=WORKED, monkeypatch=monkeypatch)
+    assert (code, out, built) == (0, json.dumps(json.loads(WORKED)) + "\n", [("i", 2, 3)])
+    built.clear()
+    worked_dirs = json.dumps({"dirs": [{"family": "x", "m": k} for k in (4, 3, 2)], "sigmas": ["0", "1/7", "2/3", "1"]})
+    code, out, _ = run(capsys, "validate", "--a", "2", "--b", "3", stdin=worked_dirs, monkeypatch=monkeypatch)
+    assert (code, out, built) == (0, json.dumps(json.loads(WORKED)) + "\n", [])
+
+
+def test_apply_both_builds_only_its_input_and_the_closed_form_image(capsys, monkeypatch):
+    built = _validating_constructions(monkeypatch)
+    code, out, _ = run(
+        capsys, "apply", "--a", "2", "--b", "3", "--op", "f2", "--mode", "both",
+        stdin=WORKED, monkeypatch=monkeypatch,
+    )
+    assert (code, json.loads(out)["sigmas"]) == (0, ["0", "2/7", "2/3", "1"])
+    assert built == [("i", 2, 3), ("i", 2, 3)]
 
 
 def test_graph_depth_one(capsys):

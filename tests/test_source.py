@@ -10,6 +10,11 @@ a decimal string builds its power of ten in full, so a one-value
 Fraction call anywhere but cartan._breakpoint, which bounds that power,
 could bring the unbounded parse back.
 
+Its engines stay independent.  The piecewise-linear engine in paths.py
+is the semantics the closed forms in explicit.py are checked against, so
+neither may compute with the other, and the modules both build on may
+use neither.
+
 These tests read every line of every module, including the lines no
 test happens to run.
 """
@@ -66,3 +71,33 @@ def test_only_the_breakpoint_parser_calls_fraction_on_one_value():
             lines = [n for n in lines if n not in inside]
         found += [f"{path.name}:{n}" for n in lines]
     assert found == []
+
+
+def _package_imports(path: Path) -> set[tuple[str, str]]:
+    """(module, name) for every name path imports from a module of the
+    package, at any depth of its code; a whole module is (module, "*")."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            found |= {(a.name.split(".", 1)[1], "*") for a in node.names if a.name.startswith("lscrystal.")}
+        elif isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").split(".")[0] == "lscrystal"):
+            module = (node.module or "").removeprefix("lscrystal").lstrip(".")
+            # `from . import explicit` names modules
+            found |= {(module, a.name) if module else (a.name, "*") for a in node.names}
+    return found
+
+
+def test_the_engines_import_each_other_only_as_value_classes():
+    imports = {path.stem: _package_imports(path) for path in MODULES}
+    sources = {module: {m for m, _ in found} for module, found in imports.items()}
+    assert not sources["paths"] & {"explicit", "oracle"}
+    # the closed forms hand their results across as LSPath and read no
+    # weight off the orbit
+    assert {name for m, name in imports["explicit"] if m == "paths"} == {"LSPath"}
+    assert "oracle" not in sources["explicit"]
+    assert ("weyl", "orbit_weight") not in imports["explicit"]
+    for base in ("cartan", "weyl"):
+        assert not sources[base] & {"paths", "explicit", "oracle"}
+    # the scan sees the imports the modules do make
+    assert ("weyl", "orbit_weight") in imports["paths"]
+    assert ("explicit", "fe_explicit") in imports["oracle"]
