@@ -22,13 +22,14 @@ from .explicit import (
 )
 from .oracle import (
     SearchBounds,
+    VerificationReport,
+    _same_path,
     check_classification,
     check_connectedness,
     check_crystal_axioms,
     check_operator_equivalence,
     check_straight_through_lambda,
     check_structure,
-    combine,
 )
 from .paths import LSPath, crystal_bfs, e_generic, f_generic, h_function, weight
 from .weyl import (
@@ -130,12 +131,12 @@ def cmd_sequences(args, gcm: GCM) -> int:
     if not _pq_fit(gcm, args.n):
         return _too_many_digits("--n")
     table = pq_table(gcm, args.n)
-    p, q = [str(v) for v in table.p], [str(v) for v in table.q]
     if args.json:
-        print(json.dumps({"p": p, "q": q}))
+        json.dump({"p": [str(v) for v in table.p], "q": [str(v) for v in table.q]}, sys.stdout)
+        print()
     else:
-        print("p: " + " ".join(p))
-        print("q: " + " ".join(q))
+        print("p:", *table.p)
+        print("q:", *table.q)
     return OK
 
 
@@ -146,15 +147,14 @@ def cmd_orbit(args, gcm: GCM) -> int:
     # the window's weights have the coordinates +-p_0..p_{m_max+1}, +-q_1..q_{m_max+1}
     if not _pq_fit(gcm, args.m_max + 1):
         return _too_many_digits("--m-max")
-    rows = []
-    for w in window_elements(args.m_max):
-        wt = orbit_weight(w, gcm)
-        rows.append((str(w), str(wt), dominance_class(wt)))
+    weights = ((w, orbit_weight(w, gcm)) for w in window_elements(args.m_max))
     if args.json:
-        print(json.dumps([{"element": e, "weight": w, "class": c} for e, w, c in rows]))
+        rows = [{"element": str(w), "weight": str(wt), "class": dominance_class(wt)} for w, wt in weights]
+        json.dump(rows, sys.stdout)
+        print()
     else:
-        for e, w, c in rows:
-            print(f"{e}: {w}, {c}")
+        for w, wt in weights:
+            print(f"{w}: {wt}, {dominance_class(wt)}")
     return OK
 
 
@@ -171,9 +171,12 @@ def cmd_positive_roots(args, gcm: GCM) -> int:
         print(f"error: recurrence root {stray[0]} missing from the reflection orbit", file=sys.stderr)
         return CHECK_FAILED
     if args.json:
-        print(json.dumps([list(coords) for coords in rec]))
+        # json writes a tuple as an array
+        json.dump(rec, sys.stdout)
+        print()
     else:
-        print("\n".join(f"({c}, {d})" for c, d in rec))
+        for c, d in rec:
+            print(f"({c}, {d})")
     return OK
 
 
@@ -236,11 +239,17 @@ def _not_ls_path(pi: LSPath, gcm: GCM) -> str | None:
     return None
 
 
-_OPS_GENERIC = {"f1": (f_generic, 1), "f2": (f_generic, 2), "e1": (e_generic, 1), "e2": (e_generic, 2)}
-_OPS_EXPLICIT = {"f1": (f_explicit, 1), "f2": (f_explicit, 2), "e1": (e_explicit, 1), "e2": (e_explicit, 2)}
+# op -> (generic operator, closed-form operator, i)
+_OPS = {
+    "f1": (f_generic, f_explicit, 1),
+    "f2": (f_generic, f_explicit, 2),
+    "e1": (e_generic, e_explicit, 1),
+    "e2": (e_generic, e_explicit, 2),
+}
 
 
 def cmd_apply(args, gcm: GCM) -> int:
+    op_g, op_x, i = _OPS[args.op]
     if args.mode in ("explicit", "both") and gcm.boundary:
         print("error: the closed-form operators need a, b >= 2", file=sys.stderr)
         return BAD_PARAMS
@@ -272,9 +281,8 @@ def cmd_apply(args, gcm: GCM) -> int:
         if reason is not None:
             print(f"error: not an LS path: {reason}", file=sys.stderr)
             return MALFORMED_INPUT
-        op, i = _OPS_GENERIC[args.op]
         try:
-            result = op(pi, i, gcm)
+            result = op_g(pi, i, gcm)
         except ValueError as err:
             # a path that passes the check above but breaks the LS chain
             # condition can reflect into directions out of order
@@ -287,15 +295,12 @@ def cmd_apply(args, gcm: GCM) -> int:
     except ValueError as err:
         print(f"error: not a normal form: {err}", file=sys.stderr)
         return MALFORMED_INPUT
-    op_x, i = _OPS_EXPLICIT[args.op]
     closed = op_x(ep, i, gcm)
     if args.mode == "explicit":
         return emit(None if closed is None else to_ls_path(closed))
 
-    op_g, i = _OPS_GENERIC[args.op]
     engine = op_g(pi, i, gcm)
-    closed_pi = None if closed is None else to_ls_path(closed)
-    if closed_pi != engine:
+    if not _same_path(closed, engine):
         # everything needed to rerun this apply call and see it again
         return _print_json(
             lambda: {
@@ -393,7 +398,7 @@ def cmd_verify(args, gcm: GCM) -> int:
         print(f"error: check '{args.check}' needs a, b >= 2", file=sys.stderr)
         return BAD_PARAMS
     bounds = SearchBounds(args.m_max, args.s_max)
-    report = combine(*(run(gcm, bounds) for run in runners))
+    report = VerificationReport(tuple(r for run in runners for r in run(gcm, bounds).results))
     for line in report.to_json_lines():
         print(line)
     return OK if report.all_passed else CHECK_FAILED
@@ -430,7 +435,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("apply", help="apply a root operator to a path read from stdin")
     common(p)
-    p.add_argument("--op", choices=sorted(_OPS_GENERIC), required=True)
+    p.add_argument("--op", choices=sorted(_OPS), required=True)
     p.add_argument("--mode", choices=("generic", "explicit", "both"), default="both")
     p.set_defaults(func=cmd_apply)
 

@@ -79,6 +79,7 @@ from .cartan import (
 from .explicit import (
     FORM_I,
     FORM_II,
+    ExplicitPath,
     fe_explicit,
     from_ls_path,
     normal_forms_by_shape,
@@ -498,13 +499,6 @@ class VerificationReport(Frozen):
         return [json.dumps(r.to_json(), sort_keys=True) for r in ordered]
 
 
-def combine(*reports: VerificationReport) -> VerificationReport:
-    results = []
-    for rep in reports:
-        results.extend(rep.results)
-    return VerificationReport(tuple(results))
-
-
 def _merged(shares: list[dict]) -> VerificationReport:
     """The report of a check split into shares, from each share's lines
     {name: [checked, order, counterexample]}, order and counterexample
@@ -713,6 +707,15 @@ def check_operator_equivalence(gcm: GCM, m_max: int, s_max: int) -> Verification
     return _merged(_run_shares([partial(_equivalence_share, gcm, m_max, s_max, k, n) for k in range(n)]))
 
 
+def _same_path(closed: ExplicitPath | None, engine: LSPath | None) -> bool:
+    """Whether a closed-form image and an engine image of one path agree:
+    a null agrees only with a null, and two paths agree when each
+    converts to the other."""
+    if closed is None or engine is None:
+        return closed is engine
+    return to_ls_path(closed) == engine and from_ls_path(engine) == closed
+
+
 def _equivalence_share(gcm: GCM, m_max: int, s_max: int, k: int, n: int) -> dict:
     """The operator-equivalence line over the forms at positions k,
     k + n, ... of the window."""
@@ -723,15 +726,7 @@ def _equivalence_share(gcm: GCM, m_max: int, s_max: int, k: int, n: int) -> dict
         for i in (1, 2):
             for label, closed, engine in zip("fe", fe_explicit(ep, i, gcm), fe_generic(pi, i, gcm)):
                 checked += 1
-                agree = (
-                    closed is None
-                    and engine is None
-                    or closed is not None
-                    and engine is not None
-                    and to_ls_path(closed) == engine
-                    and from_ls_path(engine) == closed
-                )
-                if not agree and (first is None or str(ep) < first):
+                if not _same_path(closed, engine) and (first is None or str(ep) < first):
                     first = str(ep)
                     ce = {
                         "path": ep.to_json(),

@@ -394,28 +394,22 @@ def _pitman(pi: LSPath, i: int, gcm: GCM, from_left: bool) -> LSPath:
     there.  Equal neighbours are then merged.
     """
     _, nums, slopes, h, _ = _string_heights(pi, i, gcm)
-    # piece -> the running minimum it falls below, for each piece that
-    # sets a new one; as seen from the scan, the piece starts at h[k]
-    # (from the left) or at h[k + 1] (from the right)
+    # piece k's heights at its near and far end, as seen from the scan
+    near, far = (h[:-1], h[1:]) if from_left else (h[1:], h[:-1])
+    scan = range(len(slopes)) if from_left else range(len(slopes) - 1, -1, -1)
+    # piece -> the running minimum it falls below, for each piece that sets a new one
     marks = {}
-    if from_left:
-        low = 0
-        for k in range(len(slopes)):
-            if h[k + 1] < low:
-                marks[k] = low
-                low = h[k + 1]
-    else:
-        low = h[-1]
-        for k in range(len(slopes) - 1, -1, -1):
-            if h[k] < low:
-                marks[k] = low
-                low = h[k]
+    low = near[scan[0]]
+    for k in scan:
+        if far[k] < low:
+            marks[k] = low
+            low = far[k]
     if not marks:
         return pi
     # right to left, so a cut leaves the pieces still to visit where they were
     keys, out = list(pi.keys), list(nums)
     for k in sorted(marks, reverse=True):
-        if (h[k] if from_left else h[k + 1]) == marks[k]:
+        if near[k] == marks[k]:
             keys[k] = reflected_key(keys[k], i)
             continue
         # H_i meets the running minimum inside the piece, |h[k] - level|

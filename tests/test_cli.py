@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from lscrystal import cli
+from lscrystal import cli, oracle
 from lscrystal.cartan import GCM
 from lscrystal.explicit import ExplicitPath
 from lscrystal.oracle import CheckResult, SearchBounds, VerificationReport
@@ -206,7 +206,7 @@ def test_apply_malformed_input(capsys, monkeypatch):
 
 def test_apply_reports_engine_disagreement(capsys, monkeypatch):
     # sabotage one generic operator to prove the comparison is live
-    monkeypatch.setitem(cli._OPS_GENERIC, "f1", (lambda pi, i, gcm: None, 1))
+    monkeypatch.setitem(cli._OPS, "f1", (lambda pi, i, gcm: None, cli.f_explicit, 1))
     code, out, _ = run(
         capsys, "apply", "--a", "3", "--b", "3", "--op", "f1", "--mode", "both",
         stdin=STRAIGHT_LS, monkeypatch=monkeypatch,
@@ -224,7 +224,7 @@ def test_apply_reports_engine_disagreement(capsys, monkeypatch):
 
 
 def test_engine_disagreement_payload_keeps_a_normal_form_input(capsys, monkeypatch):
-    monkeypatch.setitem(cli._OPS_GENERIC, "e2", (lambda pi, i, gcm: None, 2))
+    monkeypatch.setitem(cli._OPS, "e2", (lambda pi, i, gcm: None, cli.e_explicit, 2))
     stdin = '{"form": "ii", "m": 3, "s": 2, "sigmas": ["0", "1/4", "1"]}'
     code, out, _ = run(
         capsys, "apply", "--a", "2", "--b", "5", "--op", "e2", "--mode", "both",
@@ -241,6 +241,26 @@ def test_engine_disagreement_payload_keeps_a_normal_form_input(capsys, monkeypat
         stdin=json.dumps(payload["input"]), monkeypatch=monkeypatch,
     )
     assert again[:2] == (code, out)
+
+
+def test_apply_both_takes_the_agreement_rule_of_the_equivalence_check(capsys, monkeypatch):
+    # the engine's image converts to the closed form's path, but the
+    # check's conversion back names another normal form: that is a
+    # disagreement for apply --mode both as for verify equivalence
+    real = oracle.from_ls_path
+    other = ExplicitPath.from_json({"form": "i", "m": 2, "s": 1, "sigmas": ["0", "1"]})
+    monkeypatch.setattr(oracle, "from_ls_path", lambda pi: other if real(pi).m == 1 else real(pi))
+    stdin = '{"form": "i", "m": 0, "s": 1, "sigmas": ["0", "1"]}'
+    code, out, _ = run(
+        capsys, "apply", "--a", "3", "--b", "3", "--op", "f1", "--mode", "both",
+        stdin=stdin, monkeypatch=monkeypatch,
+    )
+    assert code == 4
+    payload = json.loads(out)
+    assert (payload["a"], payload["b"], payload["op"]) == (3, 3, "f1")
+    assert payload["input"] == json.loads(stdin)
+    assert payload["explicit"] == {"form": "i", "m": 1, "s": 1, "sigmas": ["0", "1"]}
+    assert payload["generic"] == {"dirs": [{"family": "x", "m": 1}], "sigmas": ["0", "1"]}
 
 
 def test_validate_accepts_and_echoes_normal_form(capsys, monkeypatch):
@@ -459,7 +479,7 @@ def test_apply_image_past_the_digit_limit_is_bad_parameters(capsys, monkeypatch,
 
 @pytest.mark.parametrize("stdin", DIGIT_LIMIT_PAYLOADS)
 def test_engine_disagreement_past_the_digit_limit_is_bad_parameters(capsys, monkeypatch, stdin):
-    monkeypatch.setitem(cli._OPS_GENERIC, "f1", (lambda pi, i, gcm: None, 1))
+    monkeypatch.setitem(cli._OPS, "f1", (lambda pi, i, gcm: None, cli.f_explicit, 1))
     code, out, err = run(
         capsys, "apply", "--a", "100000", "--b", "100000", "--op", "f1", "--mode", "both",
         stdin=stdin, monkeypatch=monkeypatch,

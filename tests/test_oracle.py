@@ -12,6 +12,7 @@ from lscrystal.oracle import (
     ROOT_HEIGHT_MAX,
     OracleBoundError,
     SearchBounds,
+    VerificationReport,
     _chain_roots,
     _chains_by_denominator,
     _dist1_graph,
@@ -27,7 +28,6 @@ from lscrystal.oracle import (
     check_operator_equivalence,
     check_straight_through_lambda,
     check_structure,
-    combine,
     dist,
     enumerate_ls_paths,
     is_ls_path_oracle,
@@ -327,7 +327,8 @@ def test_check_structure_boundary_identities():
 
 
 def test_report_json_lines_and_combine():
-    rep = combine(check_structure(G33, SearchBounds(1, 1)), check_classification(G33, SearchBounds(1, 1)))
+    results = check_structure(G33, SearchBounds(1, 1)).results + check_classification(G33, SearchBounds(1, 1)).results
+    rep = VerificationReport(results)
     lines = rep.to_json_lines()
     assert len(lines) == len(rep.results)
     assert all('"status": "pass"' in line for line in lines)

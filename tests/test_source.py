@@ -13,7 +13,8 @@ could bring the unbounded parse back.
 Its engines stay independent.  The piecewise-linear engine in paths.py
 is the semantics the closed forms in explicit.py are checked against, so
 neither may compute with the other, and the modules both build on may
-use neither.
+use neither.  The oracle's definitions, the ground truth both engines
+are checked against, compute with neither engine.
 
 These tests read every line of every module, including the lines no
 test happens to run.
@@ -101,3 +102,29 @@ def test_the_engines_import_each_other_only_as_value_classes():
     # the scan sees the imports the modules do make
     assert ("weyl", "orbit_weight") in imports["paths"]
     assert ("explicit", "fe_explicit") in imports["oracle"]
+
+
+ORACLE_DEFINITIONS = ("dist", "sigma_chain_lengths", "sigma_chain_exists", "is_ls_path_oracle", "enumerate_ls_paths")
+
+
+def _names(node: ast.AST) -> set[str]:
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+
+
+def test_the_oracle_definitions_compute_with_neither_engine():
+    path = Path(lscrystal.__file__).parent / "oracle.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    functions = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    # LSPath is the value class the enumeration hands its paths back in
+    engines = {name for m, name in _package_imports(path) if m in ("explicit", "paths")} - {"LSPath"}
+    reached, todo = set(), list(ORACLE_DEFINITIONS)
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo += _names(functions[name]) & functions.keys()
+    found = sorted(f"{name}: {n}" for name in reached for n in _names(functions[name]) & engines)
+    assert found == []
+    # the walk follows the calls and sees the engine names oracle.py imports
+    assert {"_down_steps", "_sigma_chain_cached", "_numerators"} <= reached
+    assert {"fe_explicit", "fe_generic", "to_ls_path"} <= engines
